@@ -4,13 +4,19 @@
 //! is the same std-only style as the workspace's other shims: blocking
 //! sockets with read timeouts, a request parser covering exactly what
 //! the service needs (request line, headers, `Content-Length` bodies),
-//! and response writers for fixed bodies and `chunked` NDJSON streams.
+//! and response writers for fixed bodies and `chunked` NDJSON record
+//! lists. Each writer frames the whole response into one buffer and
+//! sends it with a single `write_all`: a job's records are complete
+//! before its status line is known, so there is nothing to stream
+//! early, and one write costs one syscall where per-record writes cost
+//! several per record.
 //!
 //! Not supported, deliberately: request pipelining (each connection
 //! serves one request — the server answers `Connection: close`),
 //! `Transfer-Encoding` on *requests*, multi-line headers, and TLS
 //! (terminate it in front).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -158,8 +164,9 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Writes a complete response with a fixed body and closes the
-/// exchange (`Connection: close`). Write errors are returned so the
-/// caller can log them; the peer may legitimately have gone away.
+/// exchange (`Connection: close`), head and body in one write. Write
+/// errors are returned so the caller can log them; the peer may
+/// legitimately have gone away.
 ///
 /// # Errors
 ///
@@ -170,67 +177,36 @@ pub fn write_response(
     content_type: &str,
     body: &[u8],
 ) -> std::io::Result<()> {
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n\
          content-length: {}\r\nconnection: close\r\n\r\n",
         reason(status),
         body.len(),
+    )
+    .into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)
+}
+
+/// Writes a complete 200 `application/x-ndjson` response carrying
+/// `records` with `Transfer-Encoding: chunked`: one chunk per record
+/// (the record plus its newline), then the zero-length terminator. The
+/// head and every chunk are framed into one buffer and sent with a
+/// single `write_all`.
+///
+/// # Errors
+///
+/// Propagates socket write failures (the client hung up).
+pub fn write_ndjson(stream: &mut TcpStream, records: &[String]) -> std::io::Result<()> {
+    let mut response = String::from(
+        "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\n\
+         transfer-encoding: chunked\r\nconnection: close\r\n\r\n",
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// An in-progress `Transfer-Encoding: chunked` response: one chunk per
-/// NDJSON record, so the client sees each record as soon as the job
-/// produces it.
-pub struct ChunkedWriter<'s> {
-    stream: &'s mut TcpStream,
-}
-
-impl<'s> ChunkedWriter<'s> {
-    /// Writes the response head and returns the chunk writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn start(
-        stream: &'s mut TcpStream,
-        status: u16,
-        content_type: &str,
-    ) -> std::io::Result<Self> {
-        let head = format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n\
-             transfer-encoding: chunked\r\nconnection: close\r\n\r\n",
-            reason(status),
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
+    for record in records {
+        let _ = write!(response, "{:x}\r\n{record}\n\r\n", record.len() + 1);
     }
-
-    /// Sends `line` plus its newline as one flushed chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures (the client hung up).
-    pub fn write_record(&mut self, line: &str) -> std::io::Result<()> {
-        let payload_len = line.len() + 1;
-        write!(self.stream, "{payload_len:x}\r\n")?;
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n\r\n")?;
-        self.stream.flush()
-    }
-
-    /// Terminates the stream with the zero-length chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write failures.
-    pub fn finish(self) -> std::io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
-    }
+    response.push_str("0\r\n\r\n");
+    stream.write_all(response.as_bytes())
 }
 
 /// Reads `reader` to end-of-stream and decodes a chunked body into the
@@ -382,13 +358,17 @@ mod tests {
     #[test]
     fn chunked_stream_decodes_to_the_records() {
         let received = pipe(|stream| {
-            let mut w = ChunkedWriter::start(stream, 200, "application/x-ndjson").expect("start");
-            w.write_record("{\"a\":1}").expect("record");
-            w.write_record("{\"b\":2}").expect("record");
-            w.finish().expect("finish");
+            let records = ["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
+            write_ndjson(stream, &records).expect("write");
         });
         let text = String::from_utf8(received).expect("utf-8");
-        assert!(text.contains("transfer-encoding: chunked"));
+        assert_eq!(
+            text,
+            "HTTP/1.1 200 OK\r\ncontent-type: application/x-ndjson\r\n\
+             transfer-encoding: chunked\r\nconnection: close\r\n\r\n\
+             8\r\n{\"a\":1}\n\r\n8\r\n{\"b\":2}\n\r\n0\r\n\r\n",
+            "the exact chunk framing is part of the wire protocol"
+        );
         let body_start = text.find("\r\n\r\n").expect("head end") + 4;
         let mut body = std::io::BufReader::new(&text.as_bytes()[body_start..]);
         let decoded = decode_chunked(&mut body).expect("decode");

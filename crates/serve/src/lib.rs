@@ -13,9 +13,10 @@
 //! # Wire protocol
 //!
 //! Every connection carries exactly one request (`Connection: close`
-//! semantics). Request bodies use `Content-Length`; streamed response
-//! bodies use `Transfer-Encoding: chunked` with one chunk per NDJSON
-//! record.
+//! semantics). Request bodies use `Content-Length`. Job results use
+//! `Transfer-Encoding: chunked` with one chunk per NDJSON record; the
+//! server sends the whole response in one write once the job has
+//! finished, because its status line depends on the outcome.
 //!
 //! ## Endpoints
 //!
@@ -85,12 +86,13 @@
 //! | 413    | `body_too_large`    | Body exceeds the configured limit           |
 //! | 422    | `execution_failed`  | Well-formed job the backend cannot run      |
 //! | 429    | `queue_full`        | Admission control: job was **not** executed |
+//! | 500    | `internal`          | Job panicked; `message` has the panic text  |
 //! | 503    | `shutting_down`     | Server draining; retry elsewhere            |
 //!
 //! A 429 is decided before compilation or execution — rejection under
 //! overload costs the server one queue-depth check. Graceful shutdown
-//! (SIGTERM) drains admitted jobs before exit, so a streamed 200 never
-//! terminates early because of shutdown.
+//! (SIGTERM) drains admitted jobs before exit, so an admitted job's
+//! response is never cut short by shutdown.
 
 pub mod client;
 pub mod http;

@@ -4,37 +4,43 @@
 //! # Threading model
 //!
 //! ```text
-//! accept loop ──> connection channel ──> conn workers (parse, route,
-//!      │                                  admission, stream response)
-//!      │                                        │ submit
-//!      │                                        v
-//!      │                                  JobQueue (bounded, fair)
-//!      │                                        │ pop
-//!      │                                        v
-//!      └─ shutdown flag              job workers (AssertionSession
-//!                                    over the shared cache/registry/
-//!                                    shard pool) ──result channel──>
-//!                                    the submitting conn worker
+//! accept thread ──> connection channel ──> conn workers (parse, route,
+//!  (blocks in                               admission, write response)
+//!   accept())                                     │ submit
+//!      ^                                          v
+//!      │                                    JobQueue (bounded, fair)
+//!      │                                          │ pop
+//!      │                                          v
+//!  shutdown flag +                     job workers (AssertionSession
+//!  loopback wake                       over the shared cache/registry/
+//!                                      shard pool, panics caught)
+//!                                      ──result channel──> the
+//!                                      submitting conn worker
 //! ```
 //!
-//! Connection workers block on their own connection's socket and on
-//! the job result channel only; job workers block on the queue only.
-//! Execution capacity is `job_workers` sessions; everything beyond
-//! that waits in the queue, and everything beyond the queue bound is
-//! rejected with a typed 429 **before** any compile or shot work.
+//! Every thread blocks until it has work: the accept thread in
+//! `accept()`, connection workers on the connection channel, their own
+//! socket and the job result channel, job workers on the queue. No
+//! thread polls, so an idle server costs nothing and a request waits
+//! for no tick. Execution capacity is `job_workers` sessions;
+//! everything beyond that waits in the queue, and everything beyond
+//! the queue bound is rejected with a typed 429 **before** any compile
+//! or shot work. A job that panics is answered with a 500 `internal`
+//! error; its worker lives on and the gauges stay correct.
 //!
 //! # Graceful shutdown
 //!
 //! [`Server::shutdown`] (also triggered by dropping the server):
-//! 1. the accept loop stops taking connections and exits,
+//! 1. the shutdown flag is set and one loopback connect wakes the
+//!    blocked accept; the accept thread sees the flag and exits,
 //! 2. connection workers finish the requests they already accepted —
-//!    streams for queued jobs complete because job workers are still
+//!    responses for queued jobs complete because job workers are still
 //!    running — then exit as the connection channel drains,
 //! 3. the queue closes: late submissions get 503, admitted jobs are
 //!    drained to completion,
 //! 4. job workers exit on the drained queue; every thread is joined.
 
-use crate::http::{self, ChunkedWriter, Request, RequestError};
+use crate::http::{self, Request, RequestError};
 use crate::json::{obj, Value};
 use crate::protocol::{
     outcome_records, queue_full_error, shutting_down_error, telemetry_record, ApiError, JobSpec,
@@ -47,10 +53,18 @@ use qsim::{
     Backend, BackendKind, DensityMatrixBackend, HybridBackend, ProgramCache, ShardPool,
     StabilizerBackend, StatevectorBackend, TrajectoryBackend,
 };
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
+
+/// How long the accept thread backs off after a failed `accept()`
+/// (for example `EMFILE`), so fd exhaustion cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Bound on the shutdown wake's loopback connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server sizing and limits.
 #[derive(Clone, Debug)]
@@ -103,10 +117,28 @@ struct ServeState {
     max_body_bytes: usize,
     /// Jobs currently executing on a job worker (gauge).
     jobs_running: AtomicUsize,
-    /// Jobs completed (success or execution failure) since start.
+    /// Jobs completed (success, execution failure or panic) since start.
     jobs_done: AtomicU64,
     /// Submissions rejected by admission control (429) since start.
     jobs_rejected: AtomicU64,
+}
+
+/// Counts one job as running for as long as it is alive: dropping it,
+/// on return or unwind, moves the job from running to done.
+struct Running<'s>(&'s ServeState);
+
+impl<'s> Running<'s> {
+    fn start(state: &'s ServeState) -> Self {
+        state.jobs_running.fetch_add(1, Ordering::SeqCst);
+        Running(state)
+    }
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        self.0.jobs_running.fetch_sub(1, Ordering::SeqCst);
+        self.0.jobs_done.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 impl ServeState {
@@ -178,7 +210,6 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let state = Arc::new(ServeState {
             cache: ProgramCache::new(config.cache_capacity.max(1)),
@@ -223,10 +254,13 @@ impl Server {
                     .name(format!("serve-job-{i}"))
                     .spawn(move || {
                         while let Some(job) = state.queue.pop() {
-                            state.jobs_running.fetch_add(1, Ordering::SeqCst);
-                            let result = execute(&state, &job.spec, &job.circuit);
-                            state.jobs_running.fetch_sub(1, Ordering::SeqCst);
-                            state.jobs_done.fetch_add(1, Ordering::Relaxed);
+                            let result = {
+                                let _running = Running::start(&state);
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    execute(&state, &job.spec, &job.circuit)
+                                }))
+                                .unwrap_or_else(|payload| Err(panicked(payload.as_ref())))
+                            };
                             // The conn worker may have gone away (client
                             // hangup); the job's work is done either way.
                             let _ = job.results.send(result);
@@ -240,21 +274,16 @@ impl Server {
         let accept_handle = std::thread::Builder::new()
             .name("serve-accept".to_string())
             .spawn(move || {
+                // Blocks in accept(); shutdown_in_place wakes it with a
+                // loopback connect after setting the flag.
                 while !accept_shutdown.load(Ordering::Acquire) {
                     match listener.accept() {
                         Ok((stream, _)) => {
-                            // The listener is nonblocking; the accepted
-                            // stream must not be.
-                            if stream.set_nonblocking(false).is_ok()
-                                && conn_tx.send(stream).is_err()
-                            {
+                            if conn_tx.send(stream).is_err() {
                                 return; // workers gone; nothing to serve
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                     }
                 }
                 // conn_tx drops here, letting conn workers drain out.
@@ -276,14 +305,6 @@ impl Server {
         self.addr
     }
 
-    /// Requests shutdown without waiting: the accept loop stops, the
-    /// drain proceeds in the background. [`Server::shutdown`] (or
-    /// drop) still must run to join the threads. Signal handlers use
-    /// this — it is async-signal-safe to *request* from anywhere.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-
     /// Gracefully stops the server: no new connections, already
     /// accepted requests finish, admitted jobs drain, all threads
     /// join. Idempotent via drop (shutdown then drop is fine).
@@ -294,6 +315,12 @@ impl Server {
     fn shutdown_in_place(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(handle) = self.accept_handle.take() {
+            // Wake the blocked accept(). The woken thread sees the flag
+            // and exits; the wake connection reaches a conn worker as an
+            // empty request and is dropped. A failed connect means the
+            // accept thread is not blocked (it has exited, or a backlog
+            // or back-off will bring it back to the flag).
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
             let _ = handle.join();
         }
         // Conn workers exit once the (now sender-less) channel drains;
@@ -312,6 +339,33 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown_in_place();
+    }
+}
+
+/// Where a local connect reaches a listener bound to `addr`: the
+/// loopback address of the same family when bound to an unspecified
+/// address (`0.0.0.0`, `::`), the bound address otherwise.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// The 500 a panicking job is answered with, carrying the panic message.
+fn panicked(payload: &(dyn std::any::Any + Send)) -> ApiError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    ApiError {
+        status: 500,
+        code: "internal",
+        message: format!("job panicked: {message}"),
+        details: Vec::new(),
     }
 }
 
@@ -459,22 +513,12 @@ fn handle_job(state: &Arc<ServeState>, mut stream: TcpStream, request: &Request)
     // succeeds, so wait for the result before writing anything.
     match results_rx.recv() {
         Ok(Ok(lines)) => {
-            let Ok(mut writer) = ChunkedWriter::start(&mut stream, 200, "application/x-ndjson")
-            else {
-                return;
-            };
-            for line in &lines {
-                if writer.write_record(line).is_err() {
-                    return; // client hung up mid-stream
-                }
-            }
-            let _ = writer.finish();
+            let _ = http::write_ndjson(&mut stream, &lines);
         }
         Ok(Err(err)) => answer(&mut stream, err),
         Err(_) => {
-            // The job worker died (it never does without a panic in
-            // execution, which execute() converts to an error — this is
-            // strictly a belt-and-braces path).
+            // The job was dropped unanswered. Job workers catch panics
+            // in execution, so this is strictly a belt-and-braces path.
             answer(
                 &mut stream,
                 ApiError {

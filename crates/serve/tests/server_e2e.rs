@@ -6,7 +6,8 @@ use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
 use qassert_serve::{client, JobSpec, Server, ServerConfig};
 use qsim::StatevectorBackend;
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, SocketAddr};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const GHZ_QASM: &str = "OPENQASM 2.0;\\nqreg q[3];\\nh q[0];\\ncx q[0],q[1];\\ncx q[1],q[2];\\n";
@@ -309,4 +310,114 @@ fn health_reports_liveness_and_gauges() {
     assert_eq!(field(&health, "queue_depth"), 0);
     assert_eq!(field(&health, "queue_capacity"), 8);
     server.shutdown();
+}
+
+#[test]
+fn panicking_jobs_get_500_and_the_worker_survives() {
+    // One job worker: if a panic killed it, the GHZ job below would
+    // never run.
+    let server = Server::start(ServerConfig {
+        job_workers: 1,
+        ..test_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+
+    // A 40-qubit statevector job trips the amplitude-buffer assert.
+    let too_wide = "{\"qasm\": \"OPENQASM 2.0;\\nqreg q[40];\\nh q[0];\\n\", \
+                    \"plan\": {\"fixed\": 16}}";
+    for _ in 0..2 {
+        let response = client::post_job(addr, "t", too_wide).expect("post");
+        assert_eq!(response.status, 500, "body: {}", response.body);
+        assert!(
+            response.body.contains("\"error\":\"internal\""),
+            "{}",
+            response.body
+        );
+        assert!(
+            response.body.contains("job panicked: "),
+            "{}",
+            response.body
+        );
+    }
+
+    // The surviving worker still returns records bit-identical to a
+    // direct session run.
+    let body = ghz_job("");
+    let response = client::post_job(addr, "t", &body).expect("post");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let wire_lines: Vec<&str> = response
+        .ndjson_lines()
+        .into_iter()
+        .filter(|l| !l.contains("\"type\":\"telemetry\""))
+        .collect();
+    let spec = JobSpec::from_json(&body).expect("spec");
+    let circuit = spec.build_circuit().expect("circuit");
+    let outcome = AssertionSession::new(StatevectorBackend::new())
+        .seed(spec.seed.expect("seed"))
+        .shot_plan(spec.plan)
+        .filter_policy(spec.filter)
+        .run(&circuit)
+        .expect("direct run");
+    let direct_lines: Vec<String> = outcome_records(&outcome, circuit.records())
+        .iter()
+        .map(Value::render)
+        .collect();
+    assert_eq!(wire_lines, direct_lines, "wire and direct renders differ");
+
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    let metrics = qassert_serve::json::parse(&metrics.body).expect("metrics JSON");
+    assert_eq!(field(&metrics, "jobs_running"), 0, "{}", metrics.render());
+    assert_eq!(field(&metrics, "jobs_done"), 3, "{}", metrics.render());
+
+    server.shutdown();
+}
+
+#[test]
+fn healthz_round_trips_wait_for_no_accept_tick() {
+    let server = Server::start(test_config()).expect("start");
+    let mut round_trips: Vec<Duration> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let response = client::get(server.addr(), "/healthz").expect("healthz");
+            assert_eq!(response.status, 200);
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median /healthz round trip {median:?}: accepts are waiting on a timer"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn idle_server_shuts_down_promptly() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::start(ServerConfig {
+            addr: addr.to_string(),
+            ..test_config()
+        })
+        .expect("start");
+        // One loopback round trip: once it is answered, the accept
+        // thread has handed the connection on and gone back to its
+        // blocking accept().
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, server.addr().port()));
+        let response = client::get(loopback, "/healthz").expect("healthz");
+        assert_eq!(response.status, 200);
+        // Shut down on a helper thread, so a missed wake fails the test
+        // instead of hanging the suite.
+        let (done_tx, done_rx) = mpsc::channel();
+        let shutdown = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "shutdown of an idle server bound to {addr} did not return within 2 s"
+        );
+        shutdown.join().expect("shutdown thread");
+    }
 }
