@@ -60,16 +60,11 @@
 //! ([`statistical::SequentialTest`]) is decided — see
 //! [`session`]'s module docs.
 //!
-//! Migrating from the pre-session free functions
-//! (`run_with_assertions` & co., now behind the off-by-default
-//! `legacy-api` cargo feature):
+//! Migrating older call shapes (the pre-session free functions are
+//! gone; a session covers each of them):
 //!
 //! | old | new |
 //! |---|---|
-//! | `run_with_assertions(&b, &ac, n)` | `AssertionSession::new(&b).shots(n).run(&ac)` |
-//! | `run_with_assertions_cached(&b, &ac, n, &cache)` | `AssertionSession::new(&b).shots(n).cache(&cache).run(&ac)` |
-//! | `analyze(raw, &ac)` | `session.analyze(raw, &ac)` |
-//! | `b.run(circuit, n)` then `analyze` | `session.run_circuit(circuit)` then `session.analyze` |
 //! | per-point loop + `push_cache_metrics` | `session.run_sweep(circuits)` → `SweepOutcome::telemetry` |
 //! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
 //! | `sweep.points[i]` | `sweep.point(i)` / `sweep.iter()` / `sweep.outcomes()` |
@@ -100,9 +95,6 @@ pub use plan::{
     DEFAULT_SEQUENTIAL_TRANCHE,
 };
 pub use report::{Comparison, ExperimentReport, Metric, OutcomeRow, OutcomeTable, SessionRecord};
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use runtime::{analyze, run_with_assertions, run_with_assertions_cached};
 pub use runtime::{AssertionOutcome, AssertionStats, FilterPolicy, MitigatedOutcome};
 pub use session::{
     AssertionSession, SessionTelemetry, SweepOutcome, SweepPoint, SweepPolicy, DEFAULT_SHOTS,

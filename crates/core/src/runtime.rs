@@ -1,12 +1,10 @@
-//! The assertion runtime: analyzed outcomes of instrumented circuits,
-//! plus the legacy free-function entry points that predate
-//! [`AssertionSession`](crate::session::AssertionSession).
+//! The assertion runtime: analyzed outcomes of instrumented circuits.
 //!
-//! New code executes through a session — it owns the backend, program
-//! cache, shard policy, shot plan, and filter/mitigation settings in one
-//! place. The long-deprecated free functions (`run_with_assertions` &
-//! co.) are gated behind the **`legacy-api`** cargo feature (off by
-//! default): enable it only while migrating pre-session callers.
+//! Execution goes through an
+//! [`AssertionSession`](crate::session::AssertionSession) — it owns the
+//! backend, program cache, shard policy, shot plan, and
+//! filter/mitigation settings in one place — and every run ends in the
+//! analysis here.
 
 use crate::error::AssertError;
 use crate::filter::{assertion_fired_shots, filter_assertion_bits};
@@ -17,7 +15,7 @@ use crate::statistical::{SequentialTest, SequentialVerdict};
 use qcircuit::ClbitId;
 use qsim::{Counts, RunResult};
 
-/// What [`analyze`]-family calls do when assertion filtering removes
+/// What a session's analysis does when assertion filtering removes
 /// every shot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FilterPolicy {
@@ -100,89 +98,7 @@ impl AssertionOutcome {
     }
 }
 
-/// Runs an instrumented circuit on `backend` and analyzes assertion
-/// outcomes.
-///
-/// Equivalent to
-/// `AssertionSession::new(backend).shots(shots).run(asserting)`.
-///
-/// Only available with the `legacy-api` cargo feature.
-///
-/// # Errors
-///
-/// Returns [`AssertError::Sim`] when execution fails and
-/// [`AssertError::NoShotsKept`] when the filter removes everything.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use qassert::AssertionSession::new(backend).shots(shots).run(..)")]
-pub fn run_with_assertions<B: qsim::Backend + ?Sized>(
-    backend: &B,
-    asserting: &AssertingCircuit,
-    shots: u64,
-) -> Result<AssertionOutcome, AssertError> {
-    // One-shot session: a single run can never reuse a prefix, so skip
-    // the registration work.
-    crate::session::AssertionSession::new(backend)
-        .shots(shots)
-        .prefix_reuse(false)
-        .run(asserting)
-}
-
-/// [`run_with_assertions`] through an explicit program cache.
-///
-/// Equivalent to
-/// `AssertionSession::new(backend).shots(shots).cache(cache).run(asserting)`.
-///
-/// Only available with the `legacy-api` cargo feature.
-///
-/// # Errors
-///
-/// Returns [`AssertError::Sim`] when execution fails and
-/// [`AssertError::NoShotsKept`] when the filter removes everything.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use qassert::AssertionSession with .cache(..)")]
-pub fn run_with_assertions_cached<B: qsim::Backend + ?Sized>(
-    backend: &B,
-    asserting: &AssertingCircuit,
-    shots: u64,
-    cache: &qsim::ProgramCache,
-) -> Result<AssertionOutcome, AssertError> {
-    crate::session::AssertionSession::new(backend)
-        .shots(shots)
-        .cache(cache)
-        .prefix_reuse(false)
-        .run(asserting)
-}
-
-/// Analyzes an existing backend result against an asserting circuit's
-/// records under the default (strict) filter policy.
-///
-/// Equivalent to `session.analyze(raw, asserting)` on a session with
-/// [`FilterPolicy::RequireKept`].
-///
-/// Only available with the `legacy-api` cargo feature.
-///
-/// # Errors
-///
-/// Returns [`AssertError::NoShotsKept`] when filtering removes every
-/// shot.
-#[cfg(feature = "legacy-api")]
-#[deprecated(note = "use qassert::AssertionSession::analyze, which applies the session's policy")]
-pub fn analyze(
-    raw: RunResult,
-    asserting: &AssertingCircuit,
-) -> Result<AssertionOutcome, AssertError> {
-    let trace = PlanTrace::fixed(raw.shots_requested);
-    analyze_with_policy(
-        raw,
-        asserting,
-        FilterPolicy::RequireKept,
-        None,
-        &SequentialTest::default(),
-        trace,
-    )
-}
-
-/// The analysis shared by sessions and the legacy free functions.
+/// The analysis every session run ends in.
 /// `test` produces the per-assertion verdicts from the final counts;
 /// `plan` records how the shot plan spent its budget producing `raw`.
 pub(crate) fn analyze_with_policy(
@@ -302,29 +218,6 @@ mod tests {
         assert_eq!(outcome.plan.shots_used, 1000);
         assert_eq!(outcome.plan.tranches, 1);
         assert_eq!(outcome.plan.stop, crate::plan::StopReason::Fixed);
-    }
-
-    #[cfg(feature = "legacy-api")]
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_session() {
-        let mut ac = AssertingCircuit::new(library::bell());
-        ac.assert_entangled([0, 1], Parity::Even).unwrap();
-        ac.measure_data();
-        let backend = StatevectorBackend::new().with_seed(9);
-        let via_session = session(&backend, 400).run(&ac).unwrap();
-        let via_free = run_with_assertions(&backend, &ac, 400).unwrap();
-        assert_eq!(via_free.raw.counts, via_session.raw.counts);
-        assert_eq!(via_free.kept, via_session.kept);
-
-        let cache = qsim::ProgramCache::new(8);
-        let via_cached = run_with_assertions_cached(&backend, &ac, 400, &cache).unwrap();
-        assert_eq!(via_cached.raw.counts, via_session.raw.counts);
-        assert!(cache.stats().misses >= 1);
-
-        let raw = backend.run(ac.circuit(), 400).unwrap();
-        let via_analyze = analyze(raw, &ac).unwrap();
-        assert_eq!(via_analyze.raw.counts, via_session.raw.counts);
     }
 
     #[test]

@@ -41,14 +41,10 @@
 //! bit-reproducible for any `(seed, plan, threads, policy, workers)` —
 //! pinned, like fixed plans, by the `sweep_equivalence` property suite.
 //!
-//! # Migrating from the free functions
+//! # Migrating older call shapes
 //!
 //! | old | new |
 //! |---|---|
-//! | `run_with_assertions(&b, &ac, n)` | `AssertionSession::new(&b).shots(n).run(&ac)` |
-//! | `run_with_assertions_cached(&b, &ac, n, &cache)` | `AssertionSession::new(&b).shots(n).cache(&cache).run(&ac)` |
-//! | `analyze(raw, &ac)` | `session.analyze(raw, &ac)` |
-//! | `b.run(circuit, n)` then `analyze` | `session.run_circuit(circuit)` then `session.analyze` |
 //! | per-point loop + `push_cache_metrics` | `session.run_sweep(circuits)` → [`SweepOutcome::telemetry`] |
 //! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
 //! | `sweep.points[i]` | `sweep.point(i)` / `sweep.iter()` / `sweep.outcomes()` |
@@ -269,31 +265,20 @@ struct LowerTrace {
 /// The result of [`AssertionSession::run_sweep`]: per-point outcomes
 /// plus the cache/prefix/pool telemetry aggregated over the sweep.
 ///
-/// Read points through the structured accessors —
+/// Points are read through the structured accessors —
 /// [`SweepOutcome::point`], [`SweepOutcome::iter`],
-/// [`SweepOutcome::outcomes`] — rather than poking the deprecated
-/// `points` field: a [`SweepPoint`] carries the point index next to the
-/// verdicts, shots spent, and stop reason, so harness code stops
-/// re-deriving them from raw histograms.
+/// [`SweepOutcome::outcomes`]: a [`SweepPoint`] carries the point index
+/// next to the verdicts, shots spent, and stop reason, so harness code
+/// stops re-deriving them from raw histograms.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// One analyzed outcome per swept circuit, in input order.
-    #[deprecated(
-        note = "use SweepOutcome::point/iter/outcomes instead of poking the raw vec directly"
-    )]
-    pub points: Vec<AssertionOutcome>,
+    points: Vec<AssertionOutcome>,
     /// Cache and prefix activity attributable to this sweep.
     pub telemetry: SessionTelemetry,
 }
 
 impl SweepOutcome {
-    /// Assembles a sweep outcome (the only place the deprecated field
-    /// is written).
-    #[allow(deprecated)]
-    fn assemble(points: Vec<AssertionOutcome>, telemetry: SessionTelemetry) -> Self {
-        SweepOutcome { points, telemetry }
-    }
-
     /// Number of sweep points.
     pub fn len(&self) -> usize {
         self.outcomes().len()
@@ -326,14 +311,12 @@ impl SweepOutcome {
 
     /// The analyzed outcomes, in input order.
     pub fn outcomes(&self) -> &[AssertionOutcome] {
-        #[allow(deprecated)]
         &self.points
     }
 
     /// Consumes the sweep into its outcome vector (for harnesses that
     /// need owned outcomes).
     pub fn into_outcomes(self) -> Vec<AssertionOutcome> {
-        #[allow(deprecated)]
         self.points
     }
 
@@ -639,15 +622,8 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     /// lowerings (on by default).
     ///
     /// Turn it off for one-shot sessions (a single run can never reuse
-    /// a prefix, so registration is pure overhead — the deprecated
-    /// free-function shims do this), for equivalence tests pinning
-    /// reuse bit-identical to fresh compilation, and for backends that
-    /// override [`qsim::Backend::compile`] with custom lowering: the
-    /// prefix path lowers through the default
-    /// `compile_with(noise_model(), compile_options())` pipeline, the
-    /// same contract [`qsim::Backend::compile_cached`] documents. (With
-    /// reuse off, the session lowers through [`qsim::Backend::compile`]
-    /// itself, honoring such overrides.)
+    /// a prefix, so registration is pure overhead) and for equivalence
+    /// tests pinning reuse bit-identical to fresh compilation.
     #[must_use]
     pub fn prefix_reuse(mut self, reuse: bool) -> Self {
         self.prefix_reuse = reuse;
@@ -742,12 +718,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     /// get compile-free, prefix-aware lowering with session telemetry.
     ///
     /// The program is bound to the backend's noise model and compile
-    /// options, exactly like [`qsim::Backend::compile_cached`] — and
-    /// with the same contract: the prefix-reuse path assumes the
-    /// backend's default lowering pipeline. Backends overriding
-    /// [`qsim::Backend::compile`] must run with
-    /// [`AssertionSession::prefix_reuse`]`(false)`, which lowers
-    /// through `compile` itself and so honors the override.
+    /// options, exactly like [`qsim::Backend::compile`].
     ///
     /// # Errors
     ///
@@ -801,8 +772,6 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
             }
             (compiled, reused)
         } else {
-            // Honors a Backend::compile override (the prefix path above
-            // cannot — see the method docs).
             (Arc::new(self.backend.compile(circuit)?), false)
         };
         Ok((
@@ -1115,10 +1084,10 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     {
         let circuits: Vec<AssertingCircuit> = circuits.into_iter().collect();
         if circuits.is_empty() {
-            return Ok(SweepOutcome::assemble(
-                Vec::new(),
-                SessionTelemetry::default(),
-            ));
+            return Ok(SweepOutcome {
+                points: Vec::new(),
+                telemetry: SessionTelemetry::default(),
+            });
         }
         let pool = match self.pool {
             Some(pool) => pool,
@@ -1225,7 +1194,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
         telemetry.pool_tasks = pool_stats.tasks_run;
         telemetry.pool_steals = pool_stats.steals;
         telemetry.simd_backend = qsim::simd::active_backend().name();
-        Ok(SweepOutcome::assemble(points, telemetry))
+        Ok(SweepOutcome { points, telemetry })
     }
 }
 

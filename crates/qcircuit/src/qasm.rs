@@ -300,7 +300,7 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
                     offset: num_qubits,
                     size,
                 });
-                num_qubits += size;
+                num_qubits = grow_width(num_qubits, size, "qubits", span)?;
             } else if let Some(rest) = stmt.strip_prefix("creg ") {
                 let (name, size) = parse_reg_decl(rest, line_span(rest))?;
                 cregs.push(Register {
@@ -308,7 +308,7 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
                     offset: num_clbits,
                     size,
                 });
-                num_clbits += size;
+                num_clbits = grow_width(num_clbits, size, "clbits", span)?;
             } else {
                 stream.push((span, Stmt::Code(stmt.to_string())));
             }
@@ -508,6 +508,20 @@ fn parse_code_statement(
     }
     circuit.append(instr)?;
     Ok(())
+}
+
+/// Adds a declared register's `size` to the running width `total`.
+/// Widths stop at `u32::MAX`, the id range of [`QubitId`] and
+/// [`ClbitId`], so a hostile declaration is a typed error here instead
+/// of an overflow or an id panic later.
+fn grow_width(total: usize, size: usize, what: &str, span: Span) -> Result<usize, QasmError> {
+    total
+        .checked_add(size)
+        .filter(|&width| u32::try_from(width).is_ok())
+        .ok_or_else(|| QasmError::Malformed {
+            span,
+            reason: format!("register declarations exceed {} {what} in total", u32::MAX),
+        })
 }
 
 /// Parses `name[size]` from a register declaration.
@@ -985,6 +999,38 @@ mod tests {
         let c = from_qasm(src).unwrap();
         // a occupies index 0, b occupies 1..3, so b[1] is flat qubit 2.
         assert_eq!(c.instructions()[0].qubits()[0].index(), 2);
+    }
+
+    #[test]
+    fn register_widths_past_the_id_range_are_malformed() {
+        // (source, line of the declaration that breaks the u32 id range)
+        let cases = [
+            (
+                "OPENQASM 2.0;\nqreg a[18446744073709551615];\nqreg b[1];\nh b[0];",
+                2,
+            ),
+            ("OPENQASM 2.0;\nqreg a[4294967295];\nqreg b[1];\nh b[0];", 3),
+            (
+                "OPENQASM 2.0;\nqreg q[1];\ncreg a[18446744073709551615];\ncreg b[1];",
+                3,
+            ),
+            (
+                "OPENQASM 2.0;\nqreg q[1];\ncreg a[4294967295];\ncreg b[1];",
+                4,
+            ),
+        ];
+        for (src, line) in cases {
+            match from_qasm(src) {
+                Err(QasmError::Malformed { span, reason }) => {
+                    assert_eq!(span, Span::new(line, 1), "{src}");
+                    assert!(reason.contains("4294967295"), "reason: {reason}");
+                }
+                other => panic!("expected Malformed for {src:?}, got {other:?}"),
+            }
+        }
+        // The widest declaration that still fits parses.
+        let widest = from_qasm("OPENQASM 2.0;\nqreg a[4294967294];\nqreg b[1];").unwrap();
+        assert_eq!(widest.num_qubits(), u32::MAX as usize);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Circuit execution backends over the compiled execution layer.
 //!
-//! Three engines implement the common [`Backend`] trait, mirroring the
-//! paper's methodology (simulator verification, then noisy hardware):
+//! Five backends implement the common [`Backend`] trait through one
+//! execution method, [`Backend::run_compiled_seeded`];
+//! [`Backend::run_compiled`] and [`Backend::run`] are provided on top of
+//! it. They mirror the paper's methodology (simulator verification, then
+//! noisy hardware):
 //!
 //! * [`StatevectorBackend`] — ideal execution. Circuits whose only
 //!   non-unitary operations are trailing measurements are evolved once and
@@ -15,6 +18,11 @@
 //!   and pruning negligible branches. Produces the *exact* outcome
 //!   distribution — this is what regenerates the paper's Tables 1–2
 //!   without sampling noise — and deterministic largest-remainder counts.
+//! * [`crate::StabilizerBackend`] — the bit-packed tableau for Clifford
+//!   programs (see [`crate::stabilizer`]).
+//! * [`crate::HybridBackend`] — the tableau for the Clifford prefix, then
+//!   amplitudes from the first non-Clifford island on (see
+//!   [`crate::hybrid`]).
 //!
 //! # Compile once, execute many
 //!
@@ -43,7 +51,6 @@
 //! compilation would not amortize.
 
 use crate::batch::PlanNode;
-use crate::cache::ProgramCache;
 use crate::compile::{compile_with, CompileOptions};
 use crate::counts::Counts;
 use crate::density::DensityMatrix;
@@ -55,7 +62,7 @@ use qcircuit::{OpKind, QuantumCircuit, QubitId};
 use qnoise::{Kraus, NoiseModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Branches whose probability weight falls below this are pruned by the
 /// exact executor.
@@ -77,6 +84,27 @@ impl RunResult {
     pub fn shots_kept(&self) -> u64 {
         self.shots_requested - self.shots_discarded
     }
+
+    /// The result of a per-shot run of `shots` shots that kept `counts`
+    /// and discarded `discarded`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::AllShotsDiscarded`] when post-selection
+    /// discarded every one of a non-zero number of shots.
+    pub(crate) fn from_shots(
+        shots: u64,
+        (counts, discarded): (Counts, u64),
+    ) -> Result<Self, SimError> {
+        if shots > 0 && discarded == shots {
+            return Err(SimError::AllShotsDiscarded);
+        }
+        Ok(RunResult {
+            counts,
+            shots_requested: shots,
+            shots_discarded: discarded,
+        })
+    }
 }
 
 /// The simulation strategy a [`Backend`] implements, for telemetry and
@@ -97,8 +125,6 @@ pub enum BackendKind {
     /// Tableau for the maximal Clifford prefix, amplitude handoff at
     /// the first non-Clifford island, statevector for the suffix.
     Hybrid,
-    /// A backend outside this crate's taxonomy.
-    Other,
 }
 
 impl BackendKind {
@@ -110,7 +136,6 @@ impl BackendKind {
             BackendKind::DensityMatrix => "density-matrix",
             BackendKind::Stabilizer => "stabilizer",
             BackendKind::Hybrid => "hybrid",
-            BackendKind::Other => "other",
         }
     }
 }
@@ -125,7 +150,8 @@ impl std::fmt::Display for BackendKind {
 ///
 /// Backends separate **lowering** ([`Backend::compile`], which binds the
 /// backend's noise model and fuses gates) from **execution**
-/// ([`Backend::run_compiled`]). [`Backend::run`] is the compile-and-go
+/// ([`Backend::run_compiled_seeded`], the one execution method every
+/// backend implements). [`Backend::run`] is the compile-and-go
 /// convenience; callers running one instrumented circuit many times
 /// (e.g. the assertion runtime) compile once and reuse the program.
 pub trait Backend {
@@ -133,9 +159,7 @@ pub trait Backend {
     fn name(&self) -> &str;
 
     /// The backend's simulation strategy (see [`BackendKind`]).
-    fn kind(&self) -> BackendKind {
-        BackendKind::Other
-    }
+    fn kind(&self) -> BackendKind;
 
     /// The noise model this backend binds at compile time (`None` for
     /// ideal lowering).
@@ -150,7 +174,9 @@ pub trait Backend {
 
     /// Lowers `circuit` for this backend: noise from
     /// [`Backend::noise_model`] pre-bound, gates fused according to
-    /// [`Backend::compile_options`].
+    /// [`Backend::compile_options`]. A [`crate::ProgramCache`] memoizes
+    /// this exact call with `get_or_compile(circuit, noise_model(),
+    /// compile_options())`.
     ///
     /// # Errors
     ///
@@ -160,72 +186,17 @@ pub trait Backend {
         compile_with(circuit, self.noise_model(), self.compile_options())
     }
 
-    /// Lowers `circuit` through `cache`: a repeated
-    /// `(circuit, noise model, options)` triple returns the already
-    /// compiled program instead of lowering again. Compilation is
-    /// deterministic, so results are identical to [`Backend::compile`];
-    /// only the work is skipped.
+    /// Executes an already-compiled program for `shots` repetitions,
+    /// overriding the backend's configured RNG seed and/or shard count
+    /// for this run when given.
     ///
-    /// Implementors overriding [`Backend::compile`] with lowering that
-    /// `compile_with(circuit, self.noise_model(), self.compile_options())`
-    /// does not reproduce must override this too — the cache memoizes
-    /// that exact call.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the circuit cannot be lowered (cache
-    /// misses only; errors are never cached).
-    fn compile_cached(
-        &self,
-        circuit: &QuantumCircuit,
-        cache: &ProgramCache,
-    ) -> Result<Arc<CompiledProgram>, SimError> {
-        cache.get_or_compile(circuit, self.noise_model(), self.compile_options())
-    }
-
-    /// Executes an already-compiled program for `shots` repetitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when execution fails or every shot was
-    /// discarded by post-selection.
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError>;
-
-    /// Executes an already-compiled program, overriding the backend's
-    /// configured shard count with `threads` when given.
-    ///
-    /// This is the execution hook for session-style callers
-    /// (`qassert::AssertionSession`) that own the thread policy instead
-    /// of threading it through backend constructors. The default
-    /// implementation ignores the override — correct for backends with
-    /// no shard concept (the exact density-matrix executor); per-shot
-    /// backends honor it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when execution fails or every shot was
-    /// discarded by post-selection.
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let _ = threads;
-        self.run_compiled(program, shots)
-    }
-
-    /// Executes an already-compiled program, overriding the backend's
-    /// configured RNG seed and/or shard count per run.
-    ///
-    /// This is the per-run seed hook for session-style callers driving
-    /// seed sweeps (`AssertionSession::seed`): one session over one
+    /// This is the one execution method every backend implements.
+    /// Session-style callers (`qassert::AssertionSession`) own the seed
+    /// and thread policy and pass them here, so one session over one
     /// borrowed backend can issue each call under a different seed
-    /// without rebuilding the backend. The default implementation
-    /// ignores the seed override — correct for backends that draw no
-    /// sampling randomness (the exact density-matrix executor computes
-    /// deterministic largest-remainder counts); sampling backends honor
-    /// it.
+    /// without rebuilding the backend. Sampling backends honor both
+    /// overrides; the exact density-matrix executor draws no randomness
+    /// and has no shards, so it ignores both.
     ///
     /// # Errors
     ///
@@ -237,9 +208,17 @@ pub trait Backend {
         shots: u64,
         seed: Option<u64>,
         threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        let _ = seed;
-        self.run_compiled_threaded(program, shots, threads)
+    ) -> Result<RunResult, SimError>;
+
+    /// Executes an already-compiled program for `shots` repetitions
+    /// under the backend's configured seed and shard count.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SimError`] when execution fails or every shot was
+    /// discarded by post-selection.
+    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
+        self.run_compiled_seeded(program, shots, None, None)
     }
 
     /// Executes `circuit` for `shots` repetitions (compile + run).
@@ -266,10 +245,11 @@ pub trait Backend {
     }
 }
 
-/// References to backends are backends: every method forwards, so
-/// overridden behavior (noise binding, fast paths, thread overrides) is
-/// preserved. This lets owning APIs like `qassert::AssertionSession`
-/// accept either a moved backend or a borrow of one.
+/// References to backends are backends. The methods a backend may
+/// implement forward; the provided ones ([`Backend::compile`],
+/// [`Backend::run_compiled`], [`Backend::run`]) are built on them. This
+/// lets owning APIs like `qassert::AssertionSession` accept either a
+/// moved backend or a borrow of one, `&dyn Backend` included.
 impl<B: Backend + ?Sized> Backend for &B {
     fn name(&self) -> &str {
         (**self).name()
@@ -287,31 +267,6 @@ impl<B: Backend + ?Sized> Backend for &B {
         (**self).compile_options()
     }
 
-    fn compile(&self, circuit: &QuantumCircuit) -> Result<CompiledProgram, SimError> {
-        (**self).compile(circuit)
-    }
-
-    fn compile_cached(
-        &self,
-        circuit: &QuantumCircuit,
-        cache: &ProgramCache,
-    ) -> Result<Arc<CompiledProgram>, SimError> {
-        (**self).compile_cached(circuit, cache)
-    }
-
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
-        (**self).run_compiled(program, shots)
-    }
-
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        (**self).run_compiled_threaded(program, shots, threads)
-    }
-
     fn run_compiled_seeded(
         &self,
         program: &CompiledProgram,
@@ -320,10 +275,6 @@ impl<B: Backend + ?Sized> Backend for &B {
         threads: Option<usize>,
     ) -> Result<RunResult, SimError> {
         (**self).run_compiled_seeded(program, shots, seed, threads)
-    }
-
-    fn run(&self, circuit: &QuantumCircuit, shots: u64) -> Result<RunResult, SimError> {
-        (**self).run(circuit, shots)
     }
 
     fn effective_threads(&self, requested: Option<usize>) -> Option<usize> {
@@ -833,7 +784,6 @@ pub struct StatevectorBackend {
     seed: u64,
     threads: usize,
     fuse_1q: bool,
-    batching: bool,
 }
 
 impl StatevectorBackend {
@@ -843,7 +793,6 @@ impl StatevectorBackend {
             seed: 0,
             threads: 1,
             fuse_1q: true,
-            batching: true,
         }
     }
 
@@ -872,15 +821,6 @@ impl StatevectorBackend {
     #[must_use]
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse_1q = fuse;
-        self
-    }
-
-    /// Enables or disables batched execution planning (on by default;
-    /// the off position is the per-op reference the batch equivalence
-    /// suite and the `batch_throughput` benchmark compare against).
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -925,7 +865,7 @@ impl StatevectorBackend {
     /// Evolves an already-compiled unitary program from `|0…0⟩` (the
     /// compiled-program counterpart of [`StatevectorBackend::statevector`],
     /// used by sweep harnesses that compile through a
-    /// [`ProgramCache`]).
+    /// [`ProgramCache`](crate::ProgramCache)).
     ///
     /// # Errors
     ///
@@ -970,21 +910,8 @@ impl Backend for StatevectorBackend {
     fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fuse_1q: self.fuse_1q,
-            batching: self.batching,
+            ..CompileOptions::default()
         }
-    }
-
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, None)
-    }
-
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, threads)
     }
 
     fn run_compiled_seeded(
@@ -1017,23 +944,13 @@ impl Backend for StatevectorBackend {
                 }
                 counts.record(key, 1);
             }
-            return Ok(RunResult {
-                counts,
-                shots_requested: shots,
-                shots_discarded: 0,
-            });
+            return RunResult::from_shots(shots, (counts, 0));
         }
 
-        let (counts, discarded) =
-            run_compiled_sharded(program, shots, seed, threads.unwrap_or(self.threads))?;
-        if shots > 0 && discarded == shots {
-            return Err(SimError::AllShotsDiscarded);
-        }
-        Ok(RunResult {
-            counts,
-            shots_requested: shots,
-            shots_discarded: discarded,
-        })
+        RunResult::from_shots(
+            shots,
+            run_compiled_sharded(program, shots, seed, threads.unwrap_or(self.threads))?,
+        )
     }
 }
 
@@ -1122,19 +1039,6 @@ impl Backend for TrajectoryBackend {
         }
     }
 
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, None)
-    }
-
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, threads)
-    }
-
     fn run_compiled_seeded(
         &self,
         program: &CompiledProgram,
@@ -1142,20 +1046,15 @@ impl Backend for TrajectoryBackend {
         seed: Option<u64>,
         threads: Option<usize>,
     ) -> Result<RunResult, SimError> {
-        let (counts, discarded) = run_compiled_sharded(
-            program,
+        RunResult::from_shots(
             shots,
-            seed.unwrap_or(self.seed),
-            threads.unwrap_or(self.threads),
-        )?;
-        if shots > 0 && discarded == shots {
-            return Err(SimError::AllShotsDiscarded);
-        }
-        Ok(RunResult {
-            counts,
-            shots_requested: shots,
-            shots_discarded: discarded,
-        })
+            run_compiled_sharded(
+                program,
+                shots,
+                seed.unwrap_or(self.seed),
+                threads.unwrap_or(self.threads),
+            )?,
+        )
     }
 }
 
@@ -1188,7 +1087,6 @@ impl ExactDistribution {
 pub struct DensityMatrixBackend {
     noise: Option<NoiseModel>,
     fuse_1q: bool,
-    batching: bool,
 }
 
 /// One branch of the exact executor: a conditional mixed state with the
@@ -1206,7 +1104,6 @@ impl DensityMatrixBackend {
         DensityMatrixBackend {
             noise: Some(noise),
             fuse_1q: true,
-            batching: true,
         }
     }
 
@@ -1215,7 +1112,6 @@ impl DensityMatrixBackend {
         DensityMatrixBackend {
             noise: None,
             fuse_1q: true,
-            batching: true,
         }
     }
 
@@ -1223,18 +1119,6 @@ impl DensityMatrixBackend {
     #[must_use]
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.fuse_1q = fuse;
-        self
-    }
-
-    /// Enables or disables batch planning at compile time (on by
-    /// default). The exact executor walks the flat op stream per branch
-    /// and **ignores the plan** — the amplitude-pair kernels do not
-    /// apply to density matrices — but keeping the option (and key)
-    /// aligned with the per-shot backends lets one cached compilation
-    /// serve both.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -1406,10 +1290,14 @@ impl Backend for DensityMatrixBackend {
         self.noise.as_ref()
     }
 
+    /// Lowers with batch planning on, like the per-shot backends, so one
+    /// cached compilation serves both. The exact executor walks the flat
+    /// op stream per branch and ignores the plan: the amplitude-pair
+    /// kernels do not apply to density matrices.
     fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fuse_1q: self.fuse_1q,
-            batching: self.batching,
+            ..CompileOptions::default()
         }
     }
 
@@ -1422,7 +1310,15 @@ impl Backend for DensityMatrixBackend {
 
     /// Deterministic counts: expected shot counts from the exact
     /// distribution via largest-remainder rounding (no sampling noise).
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
+    /// Nothing is sampled and nothing is sharded, so both overrides are
+    /// ignored.
+    fn run_compiled_seeded(
+        &self,
+        program: &CompiledProgram,
+        shots: u64,
+        _seed: Option<u64>,
+        _threads: Option<usize>,
+    ) -> Result<RunResult, SimError> {
         let dist = self.exact_distribution_compiled(program)?;
         let discarded = (dist.discarded_weight * shots as f64).round() as u64;
         let kept_shots = shots - discarded.min(shots);

@@ -21,13 +21,13 @@
 //!   end-to-end, bit-identical to [`crate::StabilizerBackend`] with the
 //!   same `(seed, threads)`; zero handoff, so thousands of qubits keep
 //!   working.
-//! * **Profitable [`HybridPlan`]** within the handoff width — the
+//! * **Profitable [`HybridPlan`]** within [`MAX_HANDOFF_QUBITS`] — the
 //!   tableau-prefix + amplitude-suffix path below.
 //! * **Anything else** (empty or unprofitable prefix, noisy programs
 //!   whose channels defeat the cost model) — falls back to the pure
 //!   amplitude path, bit-identical to [`StatevectorBackend`] with the
 //!   same `(seed, threads)`.
-//! * A non-Clifford program **wider than the handoff width** cannot be
+//! * A non-Clifford program **wider than [`MAX_HANDOFF_QUBITS`]** cannot be
 //!   materialized on any amplitude substrate; it fails with
 //!   [`SimError::NotClifford`] naming the blocking instruction, before
 //!   any shot runs.
@@ -140,7 +140,6 @@ pub struct HybridBackend {
     noise: Option<NoiseModel>,
     seed: u64,
     threads: usize,
-    handoff_width: usize,
 }
 
 impl HybridBackend {
@@ -150,7 +149,6 @@ impl HybridBackend {
             noise: None,
             seed: 0,
             threads: 1,
-            handoff_width: MAX_HANDOFF_QUBITS,
         }
     }
 
@@ -163,7 +161,6 @@ impl HybridBackend {
             noise: Some(noise),
             seed: 0,
             threads: 1,
-            handoff_width: MAX_HANDOFF_QUBITS,
         }
     }
 
@@ -185,24 +182,6 @@ impl HybridBackend {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "thread count must be at least 1");
         self.threads = threads;
-        self
-    }
-
-    /// Caps the register width the amplitude handoff will materialize
-    /// (default [`MAX_HANDOFF_QUBITS`]). Programs above the cap fall
-    /// back to the pure amplitude path while it can still represent
-    /// them, and fail with [`SimError::NotClifford`] beyond that.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `width` is 0 or exceeds [`MAX_HANDOFF_QUBITS`].
-    #[must_use]
-    pub fn with_handoff_width(mut self, width: usize) -> Self {
-        assert!(
-            (1..=MAX_HANDOFF_QUBITS).contains(&width),
-            "handoff width must be in 1..={MAX_HANDOFF_QUBITS}"
-        );
-        self.handoff_width = width;
         self
     }
 }
@@ -233,19 +212,6 @@ impl Backend for HybridBackend {
         CompileOptions::default()
     }
 
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, None)
-    }
-
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, threads)
-    }
-
     fn run_compiled_seeded(
         &self,
         program: &CompiledProgram,
@@ -259,19 +225,14 @@ impl Backend for HybridBackend {
         // Pure Clifford: the tableau runs the whole program, zero
         // handoff — bit-identical to StabilizerBackend.
         if let Ok(clifford) = program.clifford() {
-            let (counts, discarded) = run_clifford_sharded(clifford, shots, seed, threads)?;
-            if shots > 0 && discarded == shots {
-                return Err(SimError::AllShotsDiscarded);
-            }
-            return Ok(RunResult {
-                counts,
-                shots_requested: shots,
-                shots_discarded: discarded,
-            });
+            return RunResult::from_shots(
+                shots,
+                run_clifford_sharded(clifford, shots, seed, threads)?,
+            );
         }
 
         let routed = match program.hybrid() {
-            Some(plan) if plan.profitable() && program.num_qubits() <= self.handoff_width => {
+            Some(plan) if plan.profitable() && program.num_qubits() <= MAX_HANDOFF_QUBITS => {
                 Some(plan)
             }
             _ => None,
@@ -291,22 +252,17 @@ impl Backend for HybridBackend {
                 .run_compiled(program, shots);
         };
 
-        let (counts, discarded) = run_sharded_generic_on(
-            ShardPool::global(),
-            program.num_clbits(),
+        RunResult::from_shots(
             shots,
-            seed,
-            threads,
-            |n, s| run_hybrid_shard(plan, program.num_qubits(), program.num_clbits(), n, s),
-        )?;
-        if shots > 0 && discarded == shots {
-            return Err(SimError::AllShotsDiscarded);
-        }
-        Ok(RunResult {
-            counts,
-            shots_requested: shots,
-            shots_discarded: discarded,
-        })
+            run_sharded_generic_on(
+                ShardPool::global(),
+                program.num_clbits(),
+                shots,
+                seed,
+                threads,
+                |n, s| run_hybrid_shard(plan, program.num_qubits(), program.num_clbits(), n, s),
+            )?,
+        )
     }
 }
 
@@ -404,16 +360,26 @@ mod tests {
 
     #[test]
     fn over_width_non_clifford_program_errors_before_running() {
-        let mut qc = QuantumCircuit::new(4, 4);
-        for q in 0..4 {
+        // One qubit wider than any amplitude substrate holds: neither the
+        // handoff nor the statevector fallback can run it, so execution
+        // fails with the blocking T before any state is allocated.
+        let n = MAX_HANDOFF_QUBITS + 1;
+        let mut qc = QuantumCircuit::new(n, n);
+        for q in 0..n {
             qc.h(q).unwrap();
         }
         qc.t(0).unwrap();
         qc.measure_all();
-        let backend = HybridBackend::ideal().with_handoff_width(3);
+        let backend = HybridBackend::ideal();
         let program = backend.compile(&qc).unwrap();
-        // Width 4 exceeds the 3-qubit handoff cap but the statevector
-        // can still represent it: falls back, no error.
-        assert!(backend.run_compiled(&program, 10).is_ok());
+        assert!(program.clifford().is_err());
+        let err = backend.run_compiled(&program, 10).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::NotClifford(crate::CliffordBlock::NonCliffordGate {
+                gate: "t".to_string(),
+                instruction: n,
+            })
+        );
     }
 }

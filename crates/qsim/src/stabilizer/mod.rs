@@ -524,19 +524,6 @@ impl Backend for StabilizerBackend {
         CompileOptions::default()
     }
 
-    fn run_compiled(&self, program: &CompiledProgram, shots: u64) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, None)
-    }
-
-    fn run_compiled_threaded(
-        &self,
-        program: &CompiledProgram,
-        shots: u64,
-        threads: Option<usize>,
-    ) -> Result<RunResult, SimError> {
-        self.run_compiled_seeded(program, shots, None, threads)
-    }
-
     fn run_compiled_seeded(
         &self,
         program: &CompiledProgram,
@@ -547,19 +534,14 @@ impl Backend for StabilizerBackend {
         let clifford = program
             .clifford()
             .map_err(|block| SimError::NotClifford(block.clone()))?;
-        let (counts, discarded) = run_clifford_sharded(
-            clifford,
+        RunResult::from_shots(
             shots,
-            seed.unwrap_or(self.seed),
-            threads.unwrap_or(self.threads),
-        )?;
-        if shots > 0 && discarded == shots {
-            return Err(SimError::AllShotsDiscarded);
-        }
-        Ok(RunResult {
-            counts,
-            shots_requested: shots,
-            shots_discarded: discarded,
-        })
+            run_clifford_sharded(
+                clifford,
+                shots,
+                seed.unwrap_or(self.seed),
+                threads.unwrap_or(self.threads),
+            )?,
+        )
     }
 }

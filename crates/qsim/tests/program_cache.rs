@@ -107,7 +107,9 @@ fn execution_through_cached_programs_matches_fresh_seeded_runs() {
             .with_seed(17)
             .with_threads(3);
         let fresh = backend.compile(&circuit).unwrap();
-        let cached = backend.compile_cached(&circuit, &cache).unwrap();
+        let cached = cache
+            .get_or_compile(&circuit, backend.noise_model(), backend.compile_options())
+            .unwrap();
         let a = backend.run_compiled(&fresh, 700).unwrap();
         let b = backend.run_compiled(&cached, 700).unwrap();
         assert_eq!(a.counts, b.counts);
@@ -115,7 +117,9 @@ fn execution_through_cached_programs_matches_fresh_seeded_runs() {
 
         let ideal = StatevectorBackend::new().with_seed(5);
         let fresh = ideal.compile(&circuit).unwrap();
-        let cached = ideal.compile_cached(&circuit, &cache).unwrap();
+        let cached = cache
+            .get_or_compile(&circuit, ideal.noise_model(), ideal.compile_options())
+            .unwrap();
         let a = ideal.run_compiled(&fresh, 700).unwrap();
         let b = ideal.run_compiled(&cached, 700).unwrap();
         assert_eq!(a.counts, b.counts);

@@ -541,50 +541,40 @@ fn execute(
     circuit: &AssertingCircuit,
 ) -> Result<Vec<String>, ApiError> {
     let n = circuit.circuit().num_qubits();
-    let noise_for = |spec: &JobSpec| -> Result<Option<qnoise::NoiseModel>, ApiError> {
-        match spec.noise {
-            None => Ok(None),
-            Some((p1, p2, readout)) => presets::uniform(n, p1, p2, readout)
-                .map(Some)
-                .map_err(|e| ApiError::bad_request("invalid_noise", e.to_string())),
-        }
+    let noise = match spec.noise {
+        None => None,
+        Some((p1, p2, readout)) => Some(
+            presets::uniform(n, p1, p2, readout)
+                .map_err(|e| ApiError::bad_request("invalid_noise", e.to_string()))?,
+        ),
     };
-    match spec.backend {
-        BackendKind::Statevector => run_session(state, spec, circuit, StatevectorBackend::new()),
-        BackendKind::Trajectory => {
-            let noise = noise_for(spec)?
-                .unwrap_or_else(|| presets::uniform(n, 0.0, 0.0, 0.0).expect("zero noise model"));
-            run_session(state, spec, circuit, TrajectoryBackend::new(noise))
+    let backend: Box<dyn Backend + Send + Sync> = match (spec.backend, noise) {
+        (BackendKind::Statevector, _) => Box::new(StatevectorBackend::new()),
+        (BackendKind::Trajectory, noise) => {
+            Box::new(TrajectoryBackend::new(noise.unwrap_or_else(|| {
+                presets::uniform(n, 0.0, 0.0, 0.0).expect("zero noise model")
+            })))
         }
-        BackendKind::DensityMatrix => match noise_for(spec)? {
-            Some(noise) => run_session(state, spec, circuit, DensityMatrixBackend::new(noise)),
-            None => run_session(state, spec, circuit, DensityMatrixBackend::ideal()),
-        },
-        BackendKind::Stabilizer => match noise_for(spec)? {
-            Some(noise) => run_session(state, spec, circuit, StabilizerBackend::new(noise)),
-            None => run_session(state, spec, circuit, StabilizerBackend::ideal()),
-        },
-        BackendKind::Hybrid => match noise_for(spec)? {
-            Some(noise) => run_session(state, spec, circuit, HybridBackend::new(noise)),
-            None => run_session(state, spec, circuit, HybridBackend::ideal()),
-        },
-        BackendKind::Other => Err(ApiError::bad_request(
-            "unknown_backend",
-            "unsupported backend kind",
-        )),
-    }
+        (BackendKind::DensityMatrix, Some(noise)) => Box::new(DensityMatrixBackend::new(noise)),
+        (BackendKind::DensityMatrix, None) => Box::new(DensityMatrixBackend::ideal()),
+        (BackendKind::Stabilizer, Some(noise)) => Box::new(StabilizerBackend::new(noise)),
+        (BackendKind::Stabilizer, None) => Box::new(StabilizerBackend::ideal()),
+        (BackendKind::Hybrid, Some(noise)) => Box::new(HybridBackend::new(noise)),
+        (BackendKind::Hybrid, None) => Box::new(HybridBackend::ideal()),
+    };
+    run_session(state, spec, circuit, &*backend)
 }
 
-/// The generic leg of [`execute`]: builds the session, runs the
+/// The session leg of [`execute`]: builds the session, runs the
 /// circuit, renders records. Execution failures (non-Clifford programs
 /// on the stabilizer backend, every shot filtered under
 /// `require-kept`, …) map to a 422 — the job was well-formed but not
 /// processable as submitted.
-fn run_session<B: Backend>(
+fn run_session(
     state: &ServeState,
     spec: &JobSpec,
     circuit: &AssertingCircuit,
-    backend: B,
+    backend: &dyn Backend,
 ) -> Result<Vec<String>, ApiError> {
     let mut session = AssertionSession::new(backend)
         .cache(&state.cache)

@@ -5,7 +5,11 @@ use qassert::AssertionSession;
 use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
 use qassert_serve::{client, JobSpec, Server, ServerConfig};
-use qsim::StatevectorBackend;
+use qnoise::presets;
+use qsim::{
+    Backend, DensityMatrixBackend, HybridBackend, StabilizerBackend, StatevectorBackend,
+    TrajectoryBackend,
+};
 use std::net::{Ipv4Addr, SocketAddr};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -98,6 +102,70 @@ fn ghz_job_streams_verdicts_bit_identical_to_direct_session() {
     assert!(wire_lines[1].contains("\"kind\":\"superposition\""));
     assert!(wire_lines[2].contains("\"type\":\"counts\""));
     assert!(wire_lines[3].contains("\"type\":\"plan\""));
+
+    // Every other backend, ideal and under the job's uniform noise: the
+    // wire stream equals a direct session over the backend built here.
+    let n = circuit.circuit().num_qubits();
+    let noise = || presets::uniform(n, 0.001, 0.01, 0.02).expect("noise");
+    let noisy = ", \"noise\": {\"p1\": 0.001, \"p2\": 0.01, \"readout\": 0.02}";
+    let inputs: Vec<(String, Box<dyn Backend>)> = vec![
+        (
+            ", \"backend\": \"trajectory\"".to_string(),
+            Box::new(TrajectoryBackend::new(
+                presets::uniform(n, 0.0, 0.0, 0.0).expect("zero noise"),
+            )),
+        ),
+        (
+            format!(", \"backend\": \"trajectory\"{noisy}"),
+            Box::new(TrajectoryBackend::new(noise())),
+        ),
+        (
+            ", \"backend\": \"density-matrix\"".to_string(),
+            Box::new(DensityMatrixBackend::ideal()),
+        ),
+        (
+            format!(", \"backend\": \"density-matrix\"{noisy}"),
+            Box::new(DensityMatrixBackend::new(noise())),
+        ),
+        (
+            ", \"backend\": \"stabilizer\"".to_string(),
+            Box::new(StabilizerBackend::ideal()),
+        ),
+        (
+            format!(", \"backend\": \"stabilizer\"{noisy}"),
+            Box::new(StabilizerBackend::new(noise())),
+        ),
+        (
+            ", \"backend\": \"hybrid\"".to_string(),
+            Box::new(HybridBackend::ideal()),
+        ),
+        (
+            format!(", \"backend\": \"hybrid\"{noisy}"),
+            Box::new(HybridBackend::new(noise())),
+        ),
+    ];
+    for (extra, backend) in inputs {
+        let body = ghz_job(&extra);
+        let response = client::post_job(server.addr(), "tenant-a", &body).expect("post");
+        assert_eq!(response.status, 200, "{extra}: {}", response.body);
+        let wire_lines: Vec<&str> = response
+            .ndjson_lines()
+            .into_iter()
+            .filter(|l| !l.contains("\"type\":\"telemetry\""))
+            .collect();
+        let spec = JobSpec::from_json(&body).expect("spec");
+        let outcome = AssertionSession::new(&*backend)
+            .seed(spec.seed.expect("seed"))
+            .shot_plan(spec.plan)
+            .filter_policy(spec.filter)
+            .run(&circuit)
+            .expect("direct run");
+        let direct_lines: Vec<String> = outcome_records(&outcome, circuit.records())
+            .iter()
+            .map(Value::render)
+            .collect();
+        assert_eq!(wire_lines, direct_lines, "{extra}: wire and direct differ");
+    }
 
     server.shutdown();
 }
@@ -297,6 +365,33 @@ fn wire_errors_carry_typed_bodies() {
         response.body
     );
 
+    server.shutdown();
+}
+
+#[test]
+fn overflowing_register_declarations_get_400_and_the_server_keeps_answering() {
+    // Parsing runs on the connection workers, and there are only two,
+    // so two jobs that panicked the parser would leave none to answer.
+    let server = Server::start(ServerConfig {
+        conn_workers: 2,
+        ..test_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+    let hostile =
+        "{\"qasm\": \"OPENQASM 2.0;\\nqreg a[18446744073709551615];\\nqreg b[1];\\nh b[0];\\n\"}";
+    for _ in 0..2 {
+        let response = client::post_job(addr, "t", hostile).expect("post");
+        assert_eq!(response.status, 400, "body: {}", response.body);
+        assert!(
+            response.body.contains("\"error\":\"invalid_qasm\""),
+            "{}",
+            response.body
+        );
+        assert!(response.body.contains("\"line\":2"), "{}", response.body);
+    }
+    let response = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(response.status, 200, "body: {}", response.body);
     server.shutdown();
 }
 

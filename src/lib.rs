@@ -39,9 +39,6 @@ pub use qsim;
 
 /// The names most programs need, in one import.
 pub mod prelude {
-    #[cfg(feature = "legacy-api")]
-    #[allow(deprecated)]
-    pub use qassert::{analyze, run_with_assertions};
     pub use qassert::{
         AssertError, AssertingCircuit, Assertion, AssertionOutcome, AssertionSession,
         AssertionVerdict, EntanglementMode, ErrorReduction, FilterPolicy, Parity, SequentialTest,
