@@ -10,243 +10,19 @@
 //! ```
 
 use qassert_bench::{registry, run_by_id};
-use qsim::Backend;
 
 /// The fast, simulator-only subset `--quick` runs (CI smoke — seconds,
 /// not minutes, but still end-to-end through circuits, compiler, cache,
 /// and backends).
 const QUICK_IDS: [&str; 3] = ["fig6", "fig7", "theory"];
 
-/// `--quick` additionally smokes the batched execution path: a wide
-/// shallow instrumented circuit (the shape the batch planner exists
-/// for, shared with the `batch_throughput` bench via
-/// [`qassert_bench::workloads`]) must actually batch, and its batched
-/// counts must be bit-identical to per-op sequential execution.
-fn batch_smoke() -> Result<String, String> {
-    let circuit = qassert_bench::workloads::wide_instrumented(10, 4)
-        .circuit()
-        .clone();
-    let noise = qassert_bench::workloads::readout_noise(10);
-    let batched = qsim::TrajectoryBackend::new(noise.clone())
-        .with_seed(3)
-        .with_threads(2);
-    let unbatched = qsim::TrajectoryBackend::new(noise)
-        .with_seed(3)
-        .with_threads(2)
-        .with_batching(false);
-    let program = batched.compile(&circuit).map_err(|e| e.to_string())?;
-    if program.batched_ops() == 0 {
-        return Err("wide instrumented circuit did not batch".to_string());
-    }
-    let a = batched
-        .run_compiled(&program, 400)
-        .map_err(|e| e.to_string())?;
-    let b = unbatched.run(&circuit, 400).map_err(|e| e.to_string())?;
-    if a.counts != b.counts {
-        return Err("batched counts diverge from sequential counts".to_string());
-    }
-    Ok(format!(
-        "batch smoke: {} of {} ops batched into {} passes, counts bit-identical",
-        program.batched_ops(),
-        program.ops().len(),
-        program.batch_passes()
-    ))
-}
-
-/// `--quick` also smokes the SIMD dispatch layer: the same seeded
-/// instrumented workload executed once with every amplitude kernel
-/// forced onto the scalar reference loops and once on the detected
-/// vector ISA must produce bit-identical counts — the end-to-end CI
-/// twin of the `simd_equivalence` property suite (exit 3 on
-/// divergence).
-fn simd_smoke() -> Result<String, String> {
-    let circuit = qassert_bench::workloads::wide_instrumented(10, 4)
-        .circuit()
-        .clone();
-    let noise = qassert_bench::workloads::readout_noise(10);
-    let backend = qsim::TrajectoryBackend::new(noise)
-        .with_seed(5)
-        .with_threads(2);
-    let vector = qsim::simd::detected_backend();
-    let run_on = |be: qsim::SimdBackend| {
-        qsim::simd::set_backend_override(Some(be));
-        let result = backend.run(&circuit, 400).map_err(|e| e.to_string());
-        qsim::simd::set_backend_override(None);
-        result
-    };
-    let scalar_counts = run_on(qsim::SimdBackend::Scalar)?.counts;
-    let vector_counts = run_on(vector)?.counts;
-    if scalar_counts != vector_counts {
-        return Err(format!(
-            "forced-scalar counts diverge from {} counts",
-            vector.name()
-        ));
-    }
-    Ok(format!(
-        "simd smoke: scalar vs {} counts bit-identical (active backend: {})",
-        vector.name(),
-        qsim::simd::active_backend().name()
-    ))
-}
-
-/// `--quick` also smokes the parallel sweep path: a seeded multi-point
-/// sweep dispatched across the `ShardPool` must reproduce the serial
-/// path bit-for-bit — counts, kept histograms, and the deterministic
-/// telemetry fields. This is the end-to-end CI twin of the
-/// `sweep_equivalence` property suite (exit 3 on divergence).
-fn psweep_smoke() -> Result<String, String> {
-    use qassert::{AssertingCircuit, AssertionSession, Parity, SweepPolicy};
-    let circuits = || -> Vec<AssertingCircuit> {
-        (0..24)
-            .map(|i| {
-                let mut prep = qcircuit::QuantumCircuit::new(2, 0);
-                prep.ry(0.2 + i as f64 * 0.26, 0).expect("valid");
-                prep.cx(0, 1).expect("valid");
-                let mut ac = AssertingCircuit::new(prep);
-                ac.assert_entangled([0, 1], Parity::Even).expect("valid");
-                ac.measure_data();
-                ac
-            })
-            .collect()
-    };
-    let noise = qnoise::presets::uniform(3, 0.01, 0.04, 0.02).expect("valid noise");
-    let proto = qsim::TrajectoryBackend::new(noise);
-    let run = |policy: SweepPolicy| {
-        AssertionSession::new(&proto)
-            .private_cache(32)
-            .shots(64)
-            .threads(2)
-            .seed(7)
-            .sweep_policy(policy)
-            .run_sweep(circuits())
-            .map_err(|e| e.to_string())
-    };
-    let serial = run(SweepPolicy::Serial)?;
-    let parallel = run(SweepPolicy::Parallel)?;
-    for (a, b) in parallel.iter().zip(serial.iter()) {
-        if a.outcome().raw.counts != b.outcome().raw.counts || a.outcome().kept != b.outcome().kept
-        {
-            return Err(format!(
-                "point {} diverges between parallel and serial",
-                a.index()
-            ));
-        }
-    }
-    let (pt, st) = (&parallel.telemetry, &serial.telemetry);
-    if (
-        pt.runs,
-        pt.shots,
-        pt.cache_hits,
-        pt.cache_misses,
-        pt.prefix_hits,
-    ) != (
-        st.runs,
-        st.shots,
-        st.cache_hits,
-        st.cache_misses,
-        st.prefix_hits,
-    ) {
-        return Err("sweep telemetry diverges between parallel and serial".to_string());
-    }
-    Ok(format!(
-        "psweep smoke: {} points bit-identical across policies ({} pool tasks, {} steals)",
-        parallel.len(),
-        pt.pool_tasks,
-        pt.pool_steals
-    ))
-}
-
-/// `--quick` also smokes the sequential shot plan: a clear-cut seeded
-/// sweep under `ShotPlan::Sequential` must reach the same verdict at
-/// every point as the full fixed budget while spending meaningfully
-/// fewer shots, and must reproduce itself bit-for-bit across sweep
-/// policies. The end-to-end CI twin of the `esweep_throughput` gate
-/// (exit 3 on divergence).
-fn esweep_smoke() -> Result<String, String> {
-    use qassert::{
-        AssertingCircuit, AssertionSession, FilterPolicy, Parity, ShotPlan, StopReason, SweepPolicy,
-    };
-    // Alternating clear-cut points: correct Even-parity bell assertions
-    // (noise-level firing → Holds) and structurally violated Odd ones
-    // (every shot fires → Violated).
-    let circuits = || -> Vec<AssertingCircuit> {
-        (0..16)
-            .map(|i| {
-                let mut ac = AssertingCircuit::new(qcircuit::library::bell());
-                let parity = if i % 2 == 0 {
-                    Parity::Even
-                } else {
-                    Parity::Odd
-                };
-                ac.assert_entangled([0, 1], parity).expect("valid");
-                ac.measure_data();
-                ac
-            })
-            .collect()
-    };
-    let noise = qnoise::presets::uniform(3, 0.005, 0.02, 0.01).expect("valid noise");
-    let proto = qsim::TrajectoryBackend::new(noise);
-    let plan = ShotPlan::Sequential {
-        alpha: 0.05,
-        min_shots: 64,
-        max_shots: 2048,
-        tranche: 64,
-    };
-    let run = |plan: ShotPlan, policy: SweepPolicy| {
-        AssertionSession::new(&proto)
-            .private_cache(32)
-            .filter_policy(FilterPolicy::AllowEmpty)
-            .shot_plan(plan)
-            .threads(2)
-            .seed(11)
-            .sweep_policy(policy)
-            .run_sweep(circuits())
-            .map_err(|e| e.to_string())
-    };
-    let sequential = run(plan, SweepPolicy::Serial)?;
-    let replay = run(plan, SweepPolicy::Parallel)?;
-    let fixed = run(ShotPlan::Fixed(2048), SweepPolicy::Serial)?;
-    for ((s, r), f) in sequential.iter().zip(replay.iter()).zip(fixed.iter()) {
-        let p = s.index();
-        if s.outcome().raw.counts != r.outcome().raw.counts
-            || s.shots_used() != r.shots_used()
-            || s.stop() != r.stop()
-        {
-            return Err(format!("sequential point {p} is not policy-reproducible"));
-        }
-        if s.stop() != StopReason::Decided {
-            return Err(format!("clear-cut point {p} failed to stop early"));
-        }
-        for (sv, fv) in s.verdicts().iter().zip(f.verdicts()) {
-            if sv.verdict != fv.verdict {
-                return Err(format!(
-                    "point {p}: sequential verdict {:?} != fixed verdict {:?}",
-                    sv.verdict, fv.verdict
-                ));
-            }
-        }
-    }
-    let (used, budget) = (sequential.shots_used(), fixed.shots_used());
-    if used * 4 > budget {
-        return Err(format!(
-            "sequential plan saved too little: {used} of {budget} shots"
-        ));
-    }
-    Ok(format!(
-        "esweep smoke: verdicts match fixed plan, {used} of {budget} shots spent \
-         ({:.1}x saved), {} early stops",
-        budget as f64 / used as f64,
-        sequential.telemetry.early_stops
-    ))
-}
-
 /// `--quick` also smokes the stabilizer tableau backend at the scale
 /// it exists for: a 1,024-qubit assertion-instrumented GHZ parity run
 /// through the full `AssertionSession` machinery must hold its verdict
 /// and stop early, and at small n the tableau's counts must agree with
 /// the exact distribution. The end-to-end CI twin of the
-/// `stabilizer_equivalence` suite and the `stab_throughput` gate (exit
-/// 3 on divergence).
+/// `stabilizer_equivalence` suite and the `perf` bench's `stab` row
+/// (exit 3 on divergence).
 fn stabilizer_smoke() -> Result<String, String> {
     use qassert::{AssertingCircuit, AssertionSession, AssertionVerdict, Parity, ShotPlan};
     use qsim::Backend;
@@ -315,7 +91,7 @@ fn stabilizer_smoke() -> Result<String, String> {
 /// machinery must hold its verdict, and at small n a routed program
 /// (profitable plan asserted) must agree with the exact distribution.
 /// The end-to-end CI twin of the `hybrid_equivalence` suite and the
-/// `hybrid_throughput` gate (exit 3 on divergence).
+/// `perf` bench's `hybrid` row (exit 3 on divergence).
 fn hybrid_smoke() -> Result<String, String> {
     use qassert::{AssertingCircuit, AssertionSession, AssertionVerdict, Parity, ShotPlan};
     use qsim::Backend;
@@ -400,73 +176,6 @@ fn hybrid_smoke() -> Result<String, String> {
     ))
 }
 
-/// `--quick` also smokes the assertion service end to end: an
-/// in-process `qassert-serve` server on an ephemeral loopback port, an
-/// instrumented GHZ job submitted over real HTTP, and the streamed
-/// NDJSON verdict/counts/plan records compared **bit-identical** to
-/// the same spec executed directly through `AssertionSession` — the CI
-/// twin of the `serve_throughput` gate and `examples/serve_client.rs`
-/// (exit 3 on divergence).
-fn serve_smoke() -> Result<String, String> {
-    use qassert::AssertionSession;
-    use qassert_serve::json::Value;
-    use qassert_serve::protocol::outcome_records;
-    use qassert_serve::{client, JobSpec, Server, ServerConfig};
-
-    let body =
-        "{\"qasm\": \"OPENQASM 2.0;\\nqreg q[3];\\nh q[0];\\ncx q[0],q[1];\\ncx q[1],q[2];\\n\", \
-                \"seed\": 7, \"plan\": {\"fixed\": 512}, \
-                \"assertions\": [ \
-                  {\"kind\": \"entangled\", \"qubits\": [0, 1, 2], \"parity\": \"even\"}, \
-                  {\"kind\": \"superposition\", \"qubit\": 0} ]}";
-
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        job_workers: 2,
-        conn_workers: 4,
-        queue_capacity: 8,
-        ..ServerConfig::default()
-    })
-    .map_err(|e| format!("server start: {e}"))?;
-    let response =
-        client::post_job(server.addr(), "repro", body).map_err(|e| format!("wire job: {e}"))?;
-    if response.status != 200 {
-        return Err(format!(
-            "wire job failed: status {} body {}",
-            response.status, response.body
-        ));
-    }
-    let wire: Vec<&str> = response
-        .ndjson_lines()
-        .into_iter()
-        .filter(|l| !l.contains("\"type\":\"telemetry\""))
-        .collect();
-    server.shutdown();
-
-    let spec = JobSpec::from_json(body).map_err(|e| format!("spec: {}", e.message))?;
-    let circuit = spec
-        .build_circuit()
-        .map_err(|e| format!("circuit: {}", e.message))?;
-    let session = AssertionSession::new(qsim::StatevectorBackend::new())
-        .seed(7)
-        .shot_plan(spec.plan);
-    let outcome = session.run(&circuit).map_err(|e| e.to_string())?;
-    let direct: Vec<String> = outcome_records(&outcome, circuit.records())
-        .iter()
-        .map(Value::render)
-        .collect();
-    if wire != direct {
-        return Err(format!(
-            "wire records diverge from the direct session\n  wire:   {wire:?}\n  direct: {direct:?}"
-        ));
-    }
-    Ok(format!(
-        "serve smoke: {} NDJSON records over loopback HTTP, bit-identical to the \
-         direct session",
-        wire.len()
-    ))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -494,60 +203,19 @@ fn main() {
         selected = QUICK_IDS.iter().map(|s| s.to_string()).collect();
     }
     if quick {
-        // The batched hot path is part of the CI smoke gate.
-        match batch_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("batch smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // So is scalar-vs-vector bit-identity of the SIMD kernels.
-        match simd_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("simd smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // So is parallel-sweep bit-identity.
-        match psweep_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("psweep smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // And sequential-plan early termination.
-        match esweep_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("esweep smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // And the stabilizer tableau backend at scale.
-        match stabilizer_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("stabilizer smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // And hybrid Clifford routing end to end.
-        match hybrid_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("hybrid smoke FAILED: {why}");
-                std::process::exit(3);
-            }
-        }
-        // And the assertion service over real loopback HTTP.
-        match serve_smoke() {
-            Ok(summary) => println!("{summary}"),
-            Err(why) => {
-                eprintln!("serve smoke FAILED: {why}");
-                std::process::exit(3);
+        // The tableau at scale and hybrid routing, each end to end
+        // through `AssertionSession`, which no perf row drives.
+        let smokes = [
+            ("stabilizer", stabilizer_smoke as fn() -> _),
+            ("hybrid", hybrid_smoke),
+        ];
+        for (name, smoke) in smokes {
+            match smoke() {
+                Ok(summary) => println!("{summary}"),
+                Err(why) => {
+                    eprintln!("{name} smoke FAILED: {why}");
+                    std::process::exit(3);
+                }
             }
         }
     }

@@ -14,8 +14,6 @@
 //! ```
 
 pub mod experiments;
-pub mod harness;
-pub mod workloads;
 
 use qassert::ExperimentReport;
 

@@ -252,8 +252,9 @@ enum Stmt {
 ///
 /// Supports the statement subset produced by [`to_qasm`]: register
 /// declarations, the qelib1 gates used by this workspace, `measure`,
-/// `reset`, `barrier`, single-register `if(c==v)` conditions, and the
-/// `post_select` pragma.
+/// `reset`, `barrier`, `if(c==v)` conditions on gates and `reset` where
+/// `c` is a 1-bit register and `v` is 0 or 1, and the `post_select`
+/// pragma.
 ///
 /// # Errors
 ///
@@ -320,39 +321,6 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
 
     let mut circuit = QuantumCircuit::new(num_qubits, num_clbits);
 
-    let lookup_q =
-        |name: &str, idx: usize, span: Span| -> Result<QubitId, QasmError> {
-            let reg = qregs.iter().find(|r| r.name == name).ok_or_else(|| {
-                QasmError::UnknownRegister {
-                    span,
-                    name: name.to_string(),
-                }
-            })?;
-            if idx >= reg.size {
-                return Err(QasmError::Malformed {
-                    span,
-                    reason: format!("index {idx} out of range for register {name}[{}]", reg.size),
-                });
-            }
-            Ok(QubitId::from(reg.offset + idx))
-        };
-    let lookup_c =
-        |name: &str, idx: usize, span: Span| -> Result<ClbitId, QasmError> {
-            let reg = cregs.iter().find(|r| r.name == name).ok_or_else(|| {
-                QasmError::UnknownRegister {
-                    span,
-                    name: name.to_string(),
-                }
-            })?;
-            if idx >= reg.size {
-                return Err(QasmError::Malformed {
-                    span,
-                    reason: format!("index {idx} out of range for register {name}[{}]", reg.size),
-                });
-            }
-            Ok(ClbitId::from(reg.offset + idx))
-        };
-
     for (span, stmt) in stream {
         match stmt {
             Stmt::Pragma(p) => {
@@ -366,12 +334,12 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
                 }
                 let operand_span = sub_span(&p, parts[1], span);
                 let (name, idx) = parse_indexed(parts[1], operand_span)?;
-                let q = lookup_q(&name, idx, operand_span)?;
+                let q = QubitId::from(lookup(&qregs, &name, idx, operand_span)?);
                 let outcome = parts[2] == "1";
                 circuit.append(Instruction::post_select(q, outcome))?;
             }
             Stmt::Code(stmt) => {
-                parse_code_statement(&stmt, span, &mut circuit, &lookup_q, &lookup_c)?;
+                parse_code_statement(&stmt, span, &mut circuit, &qregs, &cregs)?;
             }
         }
     }
@@ -379,18 +347,48 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
     Ok(circuit)
 }
 
+/// Resolves register `name` among `regs`.
+fn find_register<'r>(
+    regs: &'r [Register],
+    name: &str,
+    span: Span,
+) -> Result<&'r Register, QasmError> {
+    regs.iter()
+        .find(|r| r.name == name)
+        .ok_or_else(|| QasmError::UnknownRegister {
+            span,
+            name: name.to_string(),
+        })
+}
+
+/// Resolves `name[idx]` among `regs` to its flat wire index.
+fn lookup(regs: &[Register], name: &str, idx: usize, span: Span) -> Result<usize, QasmError> {
+    let reg = find_register(regs, name, span)?;
+    if idx >= reg.size {
+        return Err(QasmError::Malformed {
+            span,
+            reason: format!("index {idx} out of range for register {name}[{}]", reg.size),
+        });
+    }
+    Ok(reg.offset + idx)
+}
+
 /// Parses one non-pragma body statement (gate application, `measure`,
-/// `reset`, `barrier`, optionally behind an `if(c==v)` condition) and
-/// appends it to `circuit`.
+/// `reset` or `barrier`; a gate or `reset` may sit behind an `if(c==v)`
+/// condition) and appends it to `circuit`.
 fn parse_code_statement(
     stmt: &str,
     span: Span,
     circuit: &mut QuantumCircuit,
-    lookup_q: &impl Fn(&str, usize, Span) -> Result<QubitId, QasmError>,
-    lookup_c: &impl Fn(&str, usize, Span) -> Result<ClbitId, QasmError>,
+    qregs: &[Register],
+    cregs: &[Register],
 ) -> Result<(), QasmError> {
     let whole = stmt;
     let token_span = |token: &str| sub_span(whole, token, span);
+    let lookup_q =
+        |name: &str, idx: usize, span: Span| lookup(qregs, name, idx, span).map(QubitId::from);
+    let lookup_c =
+        |name: &str, idx: usize, span: Span| lookup(cregs, name, idx, span).map(ClbitId::from);
 
     let (stmt, condition) = if let Some(rest) = stmt.strip_prefix("if(") {
         let close = rest.find(')').ok_or_else(|| QasmError::Malformed {
@@ -409,18 +407,42 @@ fn parse_code_statement(
             span: token_span(value_src),
             reason: "condition value must be an integer".to_string(),
         })?;
-        let clbit = lookup_c(reg_name, 0, token_span(reg_name))?;
+        // OpenQASM 2.0 compares the whole register with `v`; a circuit
+        // condition tests one clbit, so only a 1-bit register maps onto
+        // it exactly.
+        let reg = find_register(cregs, reg_name, token_span(reg_name))?;
+        if reg.size != 1 {
+            return Err(QasmError::Malformed {
+                span: token_span(reg_name),
+                reason: format!(
+                    "condition register {reg_name}[{}] must be 1 bit wide",
+                    reg.size
+                ),
+            });
+        }
+        if value > 1 {
+            return Err(QasmError::Malformed {
+                span: token_span(value_src),
+                reason: format!("a 1-bit register never equals {value}"),
+            });
+        }
         (
             tail,
             Some(Condition {
-                clbit,
-                value: value != 0,
+                clbit: ClbitId::from(reg.offset),
+                value: value == 1,
             }),
         )
     } else {
         (stmt, None)
     };
     let span = token_span(stmt);
+    if condition.is_some() && (stmt.starts_with("measure ") || stmt.starts_with("barrier ")) {
+        return Err(QasmError::Malformed {
+            span,
+            reason: "only gates and reset can be conditioned".to_string(),
+        });
+    }
 
     if let Some(rest) = stmt.strip_prefix("measure ") {
         let arrow = rest.find("->").ok_or_else(|| QasmError::Malformed {
@@ -806,6 +828,27 @@ mod tests {
         let cond = parsed.instructions()[1].condition().unwrap();
         assert_eq!(cond.clbit.index(), 1);
         assert!(cond.value);
+    }
+
+    #[test]
+    fn conditions_outside_the_one_bit_form_are_malformed() {
+        // (register and statement, span of the offending token)
+        let cases = [
+            ("creg c[2];\nif(c==2) x q[0];", Span::new(4, 4)),
+            ("creg c[1];\nif(c==2) x q[0];", Span::new(4, 7)),
+            (
+                "creg c[1];\nif(c==1) measure q[0] -> c[0];",
+                Span::new(4, 10),
+            ),
+            ("creg c[1];\nif(c==1) barrier q[0];", Span::new(4, 10)),
+        ];
+        for (body, at) in cases {
+            let src = format!("OPENQASM 2.0;\nqreg q[1];\n{body}");
+            match from_qasm(&src) {
+                Err(QasmError::Malformed { span, .. }) => assert_eq!(span, at, "{body}"),
+                other => panic!("expected Malformed for {body:?}, got {other:?}"),
+            }
+        }
     }
 
     #[test]

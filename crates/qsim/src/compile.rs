@@ -52,7 +52,7 @@ pub struct CompileOptions {
     /// nodes executed as one blocked pass per shot (default: on).
     /// Batched execution is bit-identical to sequential execution of the
     /// same op stream — the off position exists for the equivalence
-    /// suite and the `batch_throughput` benchmark's unbatched reference.
+    /// suite and the unbatched leg of the `perf` bench's `batch` row.
     pub batching: bool,
 }
 

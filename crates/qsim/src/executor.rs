@@ -730,7 +730,7 @@ where
 
 /// The pre-pool sharding strategy: scoped worker threads spawned per
 /// call. Retained as the **reference implementation** the equivalence
-/// suite and the `sweep_throughput` benchmark compare the pooled
+/// suite and the `perf` bench's `sweep` row compare the pooled
 /// harness against — for any `(seed, threads)` both produce identical
 /// counts; the pool only removes the per-call spawn cost.
 ///

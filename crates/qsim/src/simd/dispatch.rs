@@ -10,8 +10,8 @@
 //!   `auto`), read once on first dispatch — how CI forces the scalar
 //!   fallback for a whole test binary,
 //! * [`set_backend_override`], a process-global programmatic override —
-//!   how benches and the repro smoke time forced-scalar vs dispatched
-//!   execution inside one process.
+//!   how the `perf` bench times forced-scalar vs dispatched execution
+//!   inside one process.
 //!
 //! Forcing a backend the host cannot execute (e.g. `QSIM_SIMD=avx2` on
 //! a CPU without AVX2) panics at the first dispatch rather than
@@ -100,9 +100,9 @@ const OVERRIDE_CODES: [SimdBackend; 3] =
     [SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Neon];
 
 /// Forces every subsequent dispatch onto `backend` (`None` restores the
-/// `QSIM_SIMD` / auto-detected choice). Process-global: benches and
-/// smoke tests use it to time forced-scalar vs dispatched execution in
-/// one process; concurrent kernel calls observe the switch at their
+/// `QSIM_SIMD` / auto-detected choice). Process-global: the `perf`
+/// bench uses it to time forced-scalar vs dispatched execution in one
+/// process; concurrent kernel calls observe the switch at their
 /// next dispatch, which is safe precisely because all backends are
 /// bit-identical.
 ///

@@ -1,9 +1,9 @@
 //! A minimal blocking HTTP/1.1 client for the serve wire protocol.
 //!
-//! Shared by the end-to-end tests, the `serve_throughput` bench, the
-//! `serve_client` example, and the repro smoke — everything that talks
-//! to the server in-process does it through this one code path, so
-//! parity checks exercise the same bytes a real client would see.
+//! Shared by the end-to-end tests, the `perf` bench's `serve` row and
+//! the `serve_client` example — everything that talks to the server
+//! in-process does it through this one code path, so parity checks
+//! exercise the same bytes a real client would see.
 
 use crate::http::decode_chunked;
 use std::io::{BufRead, BufReader, Read, Write};

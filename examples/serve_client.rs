@@ -12,8 +12,7 @@
 //! counts, and plan records are **bit-identical** to the same job
 //! executed directly through [`AssertionSession`] — the service
 //! frontend adds transport, never a different answer. Exits 3 on any
-//! divergence, which lets this example double as a smoke check (the
-//! same scenario runs inside `repro --quick`).
+//! divergence, which lets this example double as a smoke check.
 
 use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
