@@ -383,9 +383,6 @@ pub struct AssertionSession<'c, B: Backend> {
     backend: B,
     cache: CacheRef<'c>,
     plan: ShotPlan,
-    /// Firing-rate threshold of the analysis verdicts (see
-    /// [`AssertionSession::verdict_threshold`]).
-    threshold: f64,
     threads: Option<usize>,
     seed: Option<u64>,
     filter: FilterPolicy,
@@ -443,7 +440,6 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
             backend,
             cache: CacheRef::Global,
             plan: ShotPlan::default(),
-            threshold: DEFAULT_VERDICT_THRESHOLD,
             threads: None,
             seed: None,
             filter: FilterPolicy::default(),
@@ -517,29 +513,6 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     #[must_use]
     pub fn shots(self, shots: u64) -> Self {
         self.shot_plan(ShotPlan::Fixed(shots))
-    }
-
-    /// Sets the firing-rate threshold the per-assertion verdicts test
-    /// against (default
-    /// [`DEFAULT_VERDICT_THRESHOLD`](crate::statistical::DEFAULT_VERDICT_THRESHOLD)):
-    /// rates decisively below it report
-    /// [`AssertionVerdict::Holds`](crate::statistical::AssertionVerdict::Holds),
-    /// decisively above it
-    /// [`AssertionVerdict::Violated`](crate::statistical::AssertionVerdict::Violated).
-    /// Set it between the backend's noise-level firing rate and the
-    /// structural rate of a genuinely violated assertion.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `threshold` is in `(0, 1)`.
-    #[must_use]
-    pub fn verdict_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold < 1.0,
-            "verdict threshold must be in (0, 1), got {threshold}"
-        );
-        self.threshold = threshold;
-        self
     }
 
     /// Overrides the backend's shard/thread count for per-shot
@@ -784,11 +757,11 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     }
 
     /// The sequential test the session's verdicts evaluate under: the
-    /// session's firing threshold at the plan's significance (fixed
-    /// plans use [`DEFAULT_VERDICT_ALPHA`]).
+    /// [`DEFAULT_VERDICT_THRESHOLD`] firing rate at the plan's
+    /// significance (fixed plans use [`DEFAULT_VERDICT_ALPHA`]).
     fn verdict_test(&self) -> SequentialTest {
         SequentialTest::new(
-            self.threshold,
+            DEFAULT_VERDICT_THRESHOLD,
             self.plan.alpha().unwrap_or(DEFAULT_VERDICT_ALPHA),
         )
     }

@@ -606,12 +606,18 @@ fn gate_from_name(name: &str, params: &[f64]) -> Option<Gate> {
     Some(g)
 }
 
+/// The deepest nesting of parentheses and unary signs, counted
+/// together, that a parameter expression may use. The evaluator
+/// recurses once per level, so the cap keeps hostile input from
+/// overflowing the stack.
+const MAX_EXPR_DEPTH: usize = 64;
+
 /// Evaluates a QASM parameter expression: numbers, `pi`, unary minus,
 /// `+ - * /`, and parentheses.
 fn parse_param_expr(src: &str) -> Result<f64, String> {
     let tokens = tokenize(src)?;
     let mut pos = 0;
-    let v = parse_sum(&tokens, &mut pos)?;
+    let v = parse_sum(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(format!("trailing tokens in expression '{src}'"));
     }
@@ -689,17 +695,18 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, String> {
     Ok(out)
 }
 
-fn parse_sum(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_product(tokens, pos)?;
+/// `depth` counts the parentheses and unary signs enclosing `pos`.
+fn parse_sum(tokens: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_product(tokens, pos, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Tok::Plus => {
                 *pos += 1;
-                acc += parse_product(tokens, pos)?;
+                acc += parse_product(tokens, pos, depth)?;
             }
             Tok::Minus => {
                 *pos += 1;
-                acc -= parse_product(tokens, pos)?;
+                acc -= parse_product(tokens, pos, depth)?;
             }
             _ => break,
         }
@@ -707,17 +714,17 @@ fn parse_sum(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_product(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    let mut acc = parse_atom(tokens, pos)?;
+fn parse_product(tokens: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let mut acc = parse_atom(tokens, pos, depth)?;
     while let Some(tok) = tokens.get(*pos) {
         match tok {
             Tok::Star => {
                 *pos += 1;
-                acc *= parse_atom(tokens, pos)?;
+                acc *= parse_atom(tokens, pos, depth)?;
             }
             Tok::Slash => {
                 *pos += 1;
-                acc /= parse_atom(tokens, pos)?;
+                acc /= parse_atom(tokens, pos, depth)?;
             }
             _ => break,
         }
@@ -725,8 +732,14 @@ fn parse_product(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
     Ok(acc)
 }
 
-fn parse_atom(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
-    match tokens.get(*pos) {
+fn parse_atom(tokens: &[Tok], pos: &mut usize, depth: usize) -> Result<f64, String> {
+    let tok = tokens.get(*pos);
+    if depth >= MAX_EXPR_DEPTH && matches!(tok, Some(Tok::Minus | Tok::Plus | Tok::LParen)) {
+        return Err(format!(
+            "expression nests parentheses and signs deeper than {MAX_EXPR_DEPTH} levels"
+        ));
+    }
+    match tok {
         Some(Tok::Num(v)) => {
             *pos += 1;
             Ok(*v)
@@ -737,15 +750,15 @@ fn parse_atom(tokens: &[Tok], pos: &mut usize) -> Result<f64, String> {
         }
         Some(Tok::Minus) => {
             *pos += 1;
-            Ok(-parse_atom(tokens, pos)?)
+            Ok(-parse_atom(tokens, pos, depth + 1)?)
         }
         Some(Tok::Plus) => {
             *pos += 1;
-            parse_atom(tokens, pos)
+            parse_atom(tokens, pos, depth + 1)
         }
         Some(Tok::LParen) => {
             *pos += 1;
-            let v = parse_sum(tokens, pos)?;
+            let v = parse_sum(tokens, pos, depth + 1)?;
             if tokens.get(*pos) != Some(&Tok::RParen) {
                 return Err("missing closing parenthesis".to_string());
             }
@@ -1022,6 +1035,38 @@ mod tests {
         assert!(parse_param_expr("(1").is_err());
         assert!(parse_param_expr("&").is_err());
         assert!(parse_param_expr("").is_err());
+    }
+
+    #[test]
+    fn deeply_nested_expressions_are_malformed_not_a_stack_overflow() {
+        let at_cap = format!(
+            "{}1{}",
+            "(".repeat(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_DEPTH)
+        );
+        assert_eq!(parse_param_expr(&at_cap), Ok(1.0));
+        assert_eq!(
+            parse_param_expr(&format!("{}1", "-".repeat(MAX_EXPR_DEPTH))),
+            Ok(1.0)
+        );
+        for expr in [
+            format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000)),
+            format!("{}1", "-".repeat(200_000)),
+            format!(
+                "{}1{}",
+                "-(".repeat(MAX_EXPR_DEPTH),
+                ")".repeat(MAX_EXPR_DEPTH)
+            ),
+        ] {
+            let src = format!("OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];\n");
+            match from_qasm(&src) {
+                Err(QasmError::Malformed { span, reason }) => {
+                    assert_eq!(span, Span::new(3, 4), "the expression's span");
+                    assert!(reason.contains("deeper than 64"), "{reason}");
+                }
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

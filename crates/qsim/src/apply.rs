@@ -8,7 +8,7 @@
 //! `n..2n`, with conjugated matrices on the column side).
 //!
 //! The 2×2 sweeps dispatch onto the [`crate::simd`] run primitives: the
-//! pair walk is decomposed into contiguous runs ([`RunShape`] — control
+//! pair walk is decomposed into contiguous runs (`RunShape` — control
 //! masks resolved up front, never per pair) and each run streams through
 //! the active backend's `general` kernel, which performs exactly
 //! [`Mat2::apply`]'s operation sequence per pair on every backend. The

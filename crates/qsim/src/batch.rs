@@ -5,10 +5,11 @@
 //! sandwiches, CX fans into ancillas), and every one of them used to
 //! cost a full sweep over the amplitude array per shot. The planner in
 //! this module walks the compiled op stream once at compile time and
-//! groups runs of [`CompiledKind::Unitary1q`] / [`Controlled1q`] ops on
-//! pairwise-disjoint qubits into [`PlanNode::BatchedApply`] nodes; the
-//! per-shot executors hand each node to a [`BatchKernel`] that applies
-//! the whole group in **one blocked pass** over the state.
+//! groups runs of [`CompiledKind::Unitary1q`] /
+//! [`CompiledKind::Controlled1q`] ops on pairwise-disjoint qubits into
+//! [`PlanNode::BatchedApply`] nodes; the per-shot executors hand each
+//! node to a [`BatchKernel`] that applies the whole group in **one
+//! blocked pass** over the state.
 //!
 //! # Layers, contiguity, and bit-identity
 //!

@@ -59,8 +59,9 @@ pub enum SimError {
 
 /// Why a compiled program is ineligible for the stabilizer backend.
 ///
-/// Produced by the Clifford-eligibility pass in [`crate::compile`],
-/// which classifies every **source** instruction (pre-fusion, via
+/// Produced by the Clifford-eligibility pass in
+/// [`crate::compile`](mod@crate::compile), which classifies every
+/// **source** instruction (pre-fusion, via
 /// [`qcircuit::Gate::clifford_kind`]) and every bound noise channel
 /// (via [`qnoise::Kraus::as_pauli_channel`]).
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -39,7 +39,7 @@
 //! RNG stream is derived from the backend seed by [`shard_seed`], and
 //! results are order-independently merged, so counts are identical for a
 //! given `(seed, threads)` regardless of scheduling. Shards execute on
-//! the persistent work-stealing [`ShardPool`](crate::ShardPool) — a
+//! the persistent work-stealing [`ShardPool`] — a
 //! sweep issuing thousands of small [`Backend::run_compiled`] calls pays
 //! thread spawn cost zero times, not once per call. The previous
 //! scoped-thread strategy survives as [`run_compiled_sharded_scoped`],

@@ -36,7 +36,7 @@
 //! Control masks are resolved entirely at compile time, never per pair:
 //! a control bit at or above the block becomes a whole-block skip mask
 //! (`block_masks`), and a control bit inside the block folds into the
-//! op's [`RunShape`] — the precomputed skip-stride table that walks only
+//! op's `RunShape` — the precomputed skip-stride table that walks only
 //! the passing pairs as contiguous runs. The inner loops are branch-free
 //! over each run, which is also what lets the SIMD backends stream full
 //! vectors.
@@ -44,7 +44,7 @@
 //! # Coefficient classes and SIMD
 //!
 //! Each op's 2×2 matrix is classified once at plan time
-//! ([`OpClass`]): phase gates (S, T, Z, P, CZ) touch only the set-bit
+//! (`OpClass`): phase gates (S, T, Z, P, CZ) touch only the set-bit
 //! amplitude, X/CX reduce to swaps, real matrices (H, Ry) drop the
 //! imaginary half of the complex products. Specialized products elide
 //! only multiplications by exact `0.0`/`1.0` coefficients, which is

@@ -11,11 +11,11 @@
 //!   partial trace,
 //! * [`Counts`] — outcome histograms with the post-selection filtering
 //!   ([`Counts::filter_bit`]) at the heart of the paper's NISQ use case,
-//! * [`compile`] / [`program`] — the compile-once execution layer:
-//!   circuits lower to a [`CompiledProgram`] (matrices pre-materialized,
-//!   adjacent single-qubit gates fused, noise channels pre-bound, the
-//!   statevector fast path decided up front) that the per-shot hot loops
-//!   execute,
+//! * [`compile`](mod@compile) / [`program`] — the compile-once
+//!   execution layer: circuits lower to a [`CompiledProgram`]
+//!   (matrices pre-materialized, adjacent single-qubit gates fused,
+//!   noise channels pre-bound, the statevector fast path decided up
+//!   front) that the per-shot hot loops execute,
 //! * [`batch`] / [`kernel`] — the batched execution layer: a compile-time
 //!   planner groups contiguous runs of disjoint 1q/controlled-1q ops
 //!   (the wide layers assertion instrumentation produces) into

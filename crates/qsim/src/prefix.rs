@@ -128,7 +128,7 @@ impl PrefixRegistry {
     /// # Panics
     ///
     /// Panics when `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 1, "registry capacity must be at least 1");
         PrefixRegistry {
             inner: Mutex::new(Inner {

@@ -9,7 +9,7 @@
 //!   loop never dispatches on [`qcircuit::Gate`] variants or rebuilds a
 //!   matrix,
 //! * runs of adjacent single-qubit gates on one wire are **fused** into a
-//!   single 2×2 matrix by [`crate::compile`],
+//!   single 2×2 matrix by [`crate::compile`](mod@crate::compile),
 //! * noise channels from a [`qnoise::NoiseModel`] are **pre-bound** to
 //!   the op they follow ([`CompiledOp::noise`]), replacing the per-gate
 //!   per-shot `channels_for` lookup,

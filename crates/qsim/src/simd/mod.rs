@@ -1,11 +1,11 @@
 //! Explicit-width SIMD amplitude kernels with runtime CPU-feature
 //! dispatch.
 //!
-//! The hot loops of the simulator — the blocked [`BatchKernel`]
-//! (crate::kernel::BatchKernel) passes and the shared 2×2 sweeps in
-//! [`crate::apply`] (which the density-matrix row/column kernels reuse)
-//! — bottom out in five *run primitives* over contiguous spans of
-//! interleaved `Complex` amplitudes:
+//! The hot loops of the simulator — the blocked
+//! [`BatchKernel`](crate::kernel::BatchKernel) passes and the shared
+//! 2×2 sweeps in [`crate::apply`] (which the density-matrix row/column
+//! kernels reuse) — bottom out in five *run primitives* over contiguous
+//! spans of interleaved `Complex` amplitudes:
 //!
 //! * `cmul` — scale a span by one complex coefficient (Phase/Scale ops),
 //! * `swap` — exchange two spans (X/CX),
@@ -14,13 +14,13 @@
 //! * `general` — full complex 2×2 ([`Mat2::apply`] per pair).
 //!
 //! Each primitive has one implementation per instruction set (the
-//! [`Isa`] trait): [`scalar`] is the original per-pair arithmetic kept
-//! verbatim, [`x86`] packs two amplitudes per 256-bit AVX2 vector, and
-//! [`aarch64`] maps one amplitude onto a 128-bit NEON vector. The CPU
+//! `Isa` trait): `scalar` is the original per-pair arithmetic kept
+//! verbatim, `x86` packs two amplitudes per 256-bit AVX2 vector, and
+//! `aarch64` maps one amplitude onto a 128-bit NEON vector. The CPU
 //! is probed once per process and every kernel entry point dispatches
 //! through [`active_backend`]; `QSIM_SIMD=scalar|avx2|neon|auto` (env)
 //! and [`set_backend_override`] (programmatic) force a specific
-//! backend — see [`dispatch`].
+//! backend — see the `dispatch` module.
 //!
 //! # The bit-exactness contract
 //!
@@ -40,11 +40,11 @@
 //!
 //! 1. Add a variant to [`SimdBackend`] with its `name`/`is_available`
 //!    arms (runtime feature detection, `cfg`-gated per `target_arch`).
-//! 2. Implement [`Isa`] in a new `cfg`-gated submodule using only
+//! 2. Implement `Isa` in a new `cfg`-gated submodule using only
 //!    unfused multiply/add/sub lanes, matching the scalar operation
 //!    sequence per element (the two identities above are the only
 //!    rewrites allowed). Handle run tails shorter than the vector
-//!    width by deferring to [`scalar::ScalarIsa`].
+//!    width by deferring to `scalar::ScalarIsa`.
 //! 3. Add the backend's arm to every dispatch `match` (they are
 //!    exhaustive — the compiler lists the sites) behind a
 //!    `#[target_feature(enable = ...)]` wrapper so the generic walk

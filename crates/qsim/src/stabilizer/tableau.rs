@@ -19,7 +19,7 @@
 //!
 //! # Phase bookkeeping
 //!
-//! [`Tableau::rowsum`] multiplies one row into another tracking the
+//! `Tableau::rowsum` multiplies one row into another tracking the
 //! phase exponent mod 4 with word-parallel bit logic (the `g` function
 //! of Aaronson & Gottesman's CHP algorithm, evaluated 64 columns at a
 //! time with popcounts). Products of commuting stabilizer-group

@@ -42,12 +42,15 @@ USAGE:
 OPTIONS:
     --addr <HOST:PORT>      Bind address [default: 127.0.0.1:7177]
                             (port 0 picks an ephemeral port)
-    --job-workers <N>       Concurrent assertion sessions
-                            [default: min(cores, 4)]
-    --conn-workers <N>      Connection handler threads
-                            [default: min(2*cores, 16)]
-    --queue-capacity <N>    Admission bound on queued jobs; beyond it
-                            submissions get a typed 429 [default: 64]
+    --job-workers <N>       Jobs executing at once (concurrent assertion
+                            sessions); further admitted jobs wait for a
+                            turn [default: min(cores, 4)]
+    --conn-workers <N>      Threads serving connections, each one request
+                            at a time from accept to last byte, its job
+                            included [default: 2*cores within 4..=16]
+    --queue-capacity <N>    Admission bound on jobs waiting for a turn;
+                            beyond it submissions get a typed 429
+                            [default: 64]
     --max-body-bytes <N>    Request body limit (413 beyond it)
                             [default: 1048576]
     --cache-capacity <N>    Shared compiled-program cache entries
@@ -109,10 +112,10 @@ fn main() {
         Err(e) => fail(&format!("cannot bind {}: {e}", config.addr)),
     };
     eprintln!(
-        "qassert-serve listening on {} ({} job workers, {} conn workers, queue {})",
+        "qassert-serve listening on {} (conn workers {}, job turns {}, queue {})",
         server.addr(),
-        config.job_workers,
         config.conn_workers,
+        config.job_workers,
         config.queue_capacity
     );
 

@@ -17,13 +17,19 @@
 //! (terminate it in front).
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 /// How long a connection may sit idle mid-request before the read
 /// fails: slow-loris protection for the blocking worker threads.
 pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Bound on the request head (request line plus headers) in bytes.
+/// `read_line` grows its buffer until a newline arrives, so without it
+/// a client streaming newline-free bytes could grow server memory
+/// without limit.
+pub const MAX_HEAD_BYTES: u64 = 16 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -55,7 +61,8 @@ impl Request {
 pub enum RequestError {
     /// The peer closed before sending a complete request.
     Closed,
-    /// The request was syntactically invalid (maps to 400).
+    /// The request was syntactically invalid or its head exceeded
+    /// [`MAX_HEAD_BYTES`] (maps to 400).
     Malformed(String),
     /// The announced body exceeds the server's limit (maps to 413).
     BodyTooLarge {
@@ -78,10 +85,10 @@ pub fn read_request(stream: &TcpStream, max_body: usize) -> Result<Request, Requ
     stream
         .set_read_timeout(Some(READ_TIMEOUT))
         .map_err(RequestError::Io)?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream).take(MAX_HEAD_BYTES);
 
     let mut line = String::new();
-    if reader.read_line(&mut line).map_err(RequestError::Io)? == 0 {
+    if !read_head_line(&mut reader, &mut line)? {
         return Err(RequestError::Closed);
     }
     let mut parts = line.split_whitespace();
@@ -105,7 +112,7 @@ pub fn read_request(stream: &TcpStream, max_body: usize) -> Result<Request, Requ
     let mut headers = Vec::new();
     loop {
         let mut line = String::new();
-        if reader.read_line(&mut line).map_err(RequestError::Io)? == 0 {
+        if !read_head_line(&mut reader, &mut line)? {
             return Err(RequestError::Malformed("truncated headers".into()));
         }
         let line = line.trim_end_matches(['\r', '\n']);
@@ -138,7 +145,10 @@ pub fn read_request(stream: &TcpStream, max_body: usize) -> Result<Request, Requ
         });
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(RequestError::Io)?;
+    reader
+        .into_inner()
+        .read_exact(&mut body)
+        .map_err(RequestError::Io)?;
 
     Ok(Request {
         method,
@@ -146,6 +156,25 @@ pub fn read_request(stream: &TcpStream, max_body: usize) -> Result<Request, Requ
         headers,
         body,
     })
+}
+
+/// Appends one head line to `line`; `Ok(false)` at end of stream.
+///
+/// # Errors
+///
+/// `Malformed` once the line would run past [`MAX_HEAD_BYTES`] of head,
+/// `Io` on socket failure.
+fn read_head_line(
+    reader: &mut Take<BufReader<&TcpStream>>,
+    line: &mut String,
+) -> Result<bool, RequestError> {
+    let read = reader.read_line(line).map_err(RequestError::Io)?;
+    if reader.limit() == 0 && !line.ends_with('\n') {
+        return Err(RequestError::Malformed(format!(
+            "request head exceeds {MAX_HEAD_BYTES} bytes"
+        )));
+    }
+    Ok(read > 0)
 }
 
 /// The reason phrase for the status codes this service emits.
@@ -158,7 +187,6 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
-        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }
@@ -320,19 +348,22 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_typed_errors() {
+        let padded = "a".repeat(MAX_HEAD_BYTES as usize / 2);
+        let long_head = format!("GET / HTTP/1.1\r\nx-a: {padded}\r\nx-b: {padded}\r\n\r\n");
         for (raw, what) in [
-            (&b"GARBAGE\r\n\r\n"[..], "no target"),
-            (&b"GET / SPDY/3\r\n\r\n"[..], "bad version"),
+            (b"GARBAGE\r\n\r\n".to_vec(), "no target"),
+            (b"GET / SPDY/3\r\n\r\n".to_vec(), "bad version"),
             (
-                &b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"[..],
+                b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n".to_vec(),
                 "bad header",
             ),
+            (long_head.into_bytes(), "head past the bound"),
         ] {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
             let client = std::thread::spawn(move || {
                 let mut stream = TcpStream::connect(addr).expect("connect");
-                stream.write_all(raw).expect("write");
+                stream.write_all(&raw).expect("write");
             });
             let (stream, _) = listener.accept().expect("accept");
             let err = read_request(&stream, 1024).unwrap_err();

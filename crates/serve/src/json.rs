@@ -203,17 +203,22 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. Job documents
+/// nest at most four levels; the parser recurses once per level, so
+/// the cap keeps a hostile body from overflowing its thread's stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document (the whole input must be one value plus
 /// whitespace).
 ///
 /// # Errors
 ///
 /// Returns a description of the first syntax problem and its byte
-/// offset.
+/// offset; nesting deeper than 64 arrays/objects is one.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -231,12 +236,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -326,7 +335,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'{'));
     *pos += 1;
     let mut members = BTreeMap::new();
@@ -346,7 +355,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -360,7 +369,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'['));
     *pos += 1;
     let mut items = Vec::new();
@@ -370,7 +379,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -427,6 +436,17 @@ mod tests {
         for src in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "tru", "{]}", ""] {
             assert!(parse(src).is_err(), "{src:?} must fail");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let hostile = format!("{}{}", "{\"a\":[".repeat(50_000), "0");
+        assert!(parse(&hostile).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! process-wide [`ProgramCache`](qsim::ProgramCache), prefix registry,
 //! and [`ShardPool`](qsim::ShardPool) across all tenants), and streams
 //! verdicts back as NDJSON. Everything is `std`-only: a hand-rolled
-//! HTTP/1.1 subset on blocking sockets and a connection thread pool —
-//! no async runtime.
+//! HTTP/1.1 subset on blocking sockets, served one thread per request
+//! by a fixed set of connection workers — no async runtime.
 //!
 //! # Wire protocol
 //!
@@ -80,6 +80,7 @@
 //!
 //! | Status | `error`             | Meaning                                     |
 //! |--------|---------------------|---------------------------------------------|
+//! | 400    | `malformed_request` | Bad HTTP framing, or a head past 16 KiB     |
 //! | 400    | `invalid_json` etc. | Body unparseable / bad field                |
 //! | 400    | `invalid_qasm`      | QASM rejected; `line`/`col` locate it       |
 //! | 404/405| —                   | Unknown route / wrong method                |
@@ -87,7 +88,6 @@
 //! | 422    | `execution_failed`  | Well-formed job the backend cannot run      |
 //! | 429    | `queue_full`        | Admission control: job was **not** executed |
 //! | 500    | `internal`          | Job panicked; `message` has the panic text  |
-//! | 503    | `shutting_down`     | Server draining; retry elsewhere            |
 //!
 //! A 429 is decided before compilation or execution — rejection under
 //! overload costs the server one queue-depth check. Graceful shutdown
@@ -98,11 +98,10 @@ pub mod client;
 pub mod http;
 pub mod json;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod server;
 
 pub use client::{get, post_job, request, HttpResponse};
 pub use json::Value;
 pub use protocol::{ApiError, JobSpec};
-pub use queue::{JobQueue, SubmitError};
 pub use server::{Server, ServerConfig};

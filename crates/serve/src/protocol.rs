@@ -528,16 +528,6 @@ pub fn queue_full_error(capacity: usize) -> ApiError {
     }
 }
 
-/// The body of a shutdown rejection (503): the server is draining.
-pub fn shutting_down_error() -> ApiError {
-    ApiError {
-        status: 503,
-        code: "shutting_down",
-        message: "server is draining; no new jobs are admitted".to_string(),
-        details: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

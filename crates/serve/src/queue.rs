@@ -1,180 +1,210 @@
-//! A bounded multi-tenant job queue with fair dequeue.
+//! Bounded, fair admission of jobs to a fixed number of execution turns.
 //!
-//! Admission control happens at [`JobQueue::submit`]: the queue holds
-//! at most `capacity` jobs *total*; a full queue rejects immediately
-//! ([`SubmitError::Full`] — the server turns this into a typed 429
-//! **before** any execution work happens), so latency under overload
-//! is bounded by queue depth rather than unbounded buffering.
+//! A job runs on the connection worker that parsed it, once that worker
+//! holds a [`Turn`]; at most `turns` are held at once.
 //!
-//! Fairness happens at [`JobQueue::pop`]: jobs are grouped per tenant
-//! (the API-token header) and dequeued round-robin across tenants, so
-//! one tenant flooding the queue delays its *own* backlog, not other
-//! tenants' next job. Within a tenant, order is FIFO.
+//! Admission control happens at [`JobQueue::submit`]: at most
+//! `capacity` jobs wait for a turn *in total*; one more is rejected
+//! immediately ([`SubmitError::Full`] — the server turns this into a
+//! typed 429 **before** any execution work happens), so latency under
+//! overload is bounded by queue depth rather than unbounded buffering.
+//!
+//! Fairness happens when a turn frees: waiting jobs are grouped per
+//! tenant (the API-token header) and granted turns round-robin across
+//! tenants, so one tenant flooding the queue delays its *own* backlog,
+//! not other tenants' next job. Within a tenant, order is FIFO.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Why a submission was not enqueued.
+/// Why a submission was not admitted.
 #[derive(Debug, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The queue is at capacity; the job was NOT admitted.
+pub(crate) enum SubmitError {
+    /// `capacity` jobs already wait; the job was NOT admitted.
     Full {
         /// The configured bound that tripped.
         capacity: usize,
     },
-    /// The queue is closed (server draining); the job was NOT admitted.
-    Closed,
 }
 
-struct Inner<T> {
-    /// Per-tenant FIFO lanes, in first-appearance order. Lanes persist
-    /// for the queue's lifetime: the tenant set is bounded by distinct
-    /// API tokens seen, which admission control keeps small relative
-    /// to job volume.
-    lanes: Vec<(String, VecDeque<T>)>,
+struct Inner {
+    /// Per-tenant FIFO lanes of waiting jobs' tickets, in
+    /// first-appearance order. Lanes persist for the queue's lifetime:
+    /// the tenant set is bounded by distinct API tokens seen, which
+    /// admission control keeps small relative to job volume.
+    lanes: Vec<(String, VecDeque<u64>)>,
     /// Round-robin cursor over `lanes`.
     cursor: usize,
-    /// Total queued jobs across all lanes.
-    len: usize,
-    closed: bool,
+    /// Jobs waiting for a turn, across all lanes.
+    waiting: usize,
+    /// Turns currently held.
+    held: usize,
+    next_ticket: u64,
 }
 
-/// The bounded fair queue. `T` is the job payload.
-pub struct JobQueue<T> {
-    inner: Mutex<Inner<T>>,
-    available: Condvar,
+/// The bounded fair queue of jobs waiting for an execution turn.
+pub(crate) struct JobQueue {
+    inner: Mutex<Inner>,
+    /// Signalled whenever a turn frees or is taken with more waiting.
+    changed: Condvar,
     capacity: usize,
+    turns: usize,
 }
 
-impl<T> JobQueue<T> {
-    /// Creates a queue admitting at most `capacity` queued jobs.
+/// The right to execute one job. Dropping it, on return or unwind,
+/// frees the turn for the next waiting job.
+pub(crate) struct Turn<'q>(&'q JobQueue);
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        // Every critical section leaves `Inner` consistent, so a
+        // poisoned lock still guards valid data, and `Drop` must not
+        // panic.
+        let mut inner = self.0.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.held -= 1;
+        drop(inner);
+        self.0.changed.notify_all();
+    }
+}
+
+impl JobQueue {
+    /// Creates a queue admitting at most `capacity` waiting jobs to at
+    /// most `turns` concurrent turns.
     ///
     /// # Panics
     ///
-    /// Panics when `capacity == 0` (nothing could ever be admitted).
-    pub fn new(capacity: usize) -> Self {
+    /// Panics when `capacity == 0` or `turns == 0` (nothing could ever
+    /// be admitted or run).
+    pub(crate) fn new(capacity: usize, turns: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be at least 1");
+        assert!(turns >= 1, "turns must be at least 1");
         JobQueue {
             inner: Mutex::new(Inner {
                 lanes: Vec::new(),
                 cursor: 0,
-                len: 0,
-                closed: false,
+                waiting: 0,
+                held: 0,
+                next_ticket: 0,
             }),
-            available: Condvar::new(),
+            changed: Condvar::new(),
             capacity,
+            turns,
         }
     }
 
     /// The configured admission bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Jobs currently queued (momentary gauge for `/healthz`).
-    pub fn depth(&self) -> usize {
-        self.inner.lock().expect("queue lock").len
+    /// Jobs currently waiting for a turn (momentary gauge).
+    pub(crate) fn depth(&self) -> usize {
+        self.inner.lock().expect("queue lock").waiting
     }
 
-    /// Admits a job for `tenant`, or rejects without side effects.
+    /// Turns currently held, i.e. jobs executing (momentary gauge).
+    pub(crate) fn running(&self) -> usize {
+        self.inner.lock().expect("queue lock").held
+    }
+
+    /// Admits a job for `tenant` and blocks until its fair turn, or
+    /// rejects it without side effects.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Full`] at capacity, [`SubmitError::Closed`] once
-    /// [`JobQueue::close`] has been called. In both cases the job is
-    /// returned to the caller untouched inside the error path — it
+    /// [`SubmitError::Full`] when `capacity` jobs already wait; the job
     /// never entered the queue.
-    pub fn submit(&self, tenant: &str, job: T) -> Result<(), SubmitError> {
+    pub(crate) fn submit(&self, tenant: &str) -> Result<Turn<'_>, SubmitError> {
         let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err(SubmitError::Closed);
-        }
-        if inner.len >= self.capacity {
+        if inner.waiting >= self.capacity {
             return Err(SubmitError::Full {
                 capacity: self.capacity,
             });
         }
+        let ticket = inner.next_ticket;
+        inner.next_ticket += 1;
         match inner.lanes.iter_mut().find(|(name, _)| name == tenant) {
-            Some((_, lane)) => lane.push_back(job),
-            None => {
-                let mut lane = VecDeque::new();
-                lane.push_back(job);
-                inner.lanes.push((tenant.to_string(), lane));
-            }
+            Some((_, lane)) => lane.push_back(ticket),
+            None => inner
+                .lanes
+                .push((tenant.to_string(), VecDeque::from([ticket]))),
         }
-        inner.len += 1;
-        drop(inner);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until a job is available (fair round-robin across
-    /// tenants) or the queue is closed *and* drained; `None` means the
-    /// worker should exit.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().expect("queue lock");
+        inner.waiting += 1;
         loop {
-            if inner.len > 0 {
+            if inner.held < self.turns {
+                // The lane whose front job is next in round-robin order.
                 let lanes = inner.lanes.len();
-                for probe in 0..lanes {
-                    let lane = (inner.cursor + probe) % lanes;
-                    if let Some(job) = inner.lanes[lane].1.pop_front() {
-                        // Advance past the lane we served so the next
-                        // pop starts at the following tenant.
-                        inner.cursor = (lane + 1) % lanes;
-                        inner.len -= 1;
-                        return Some(job);
+                let lane = (0..lanes)
+                    .map(|probe| (inner.cursor + probe) % lanes)
+                    .find(|&lane| !inner.lanes[lane].1.is_empty())
+                    .expect("this job is waiting");
+                if inner.lanes[lane].1.front() == Some(&ticket) {
+                    inner.lanes[lane].1.pop_front();
+                    // Advance past the lane we served so the next turn
+                    // goes to the following tenant.
+                    inner.cursor = (lane + 1) % inner.lanes.len();
+                    inner.waiting -= 1;
+                    inner.held += 1;
+                    if inner.held < self.turns && inner.waiting > 0 {
+                        // A turn is still free for the next job in line.
+                        self.changed.notify_all();
                     }
+                    return Ok(Turn(self));
                 }
-                unreachable!("len > 0 implies a non-empty lane");
             }
-            if inner.closed {
-                return None;
-            }
-            inner = self.available.wait(inner).expect("queue wait");
+            inner = self.changed.wait(inner).expect("queue wait");
         }
-    }
-
-    /// Closes the queue: new submissions fail with
-    /// [`SubmitError::Closed`], but already-admitted jobs remain
-    /// poppable — workers drain the backlog, then [`JobQueue::pop`]
-    /// returns `None`. This is the graceful-shutdown half of the
-    /// drain contract.
-    pub fn close(&self) {
-        self.inner.lock().expect("queue lock").closed = true;
-        self.available.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Holds the only turn of `q` while `jobs` (tenant, label) submit
+    /// one after another, then frees it; returns the labels in the
+    /// order their jobs were granted turns.
+    fn grant_order(q: &JobQueue, jobs: &[(&str, &str)]) -> Vec<String> {
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let held = q.submit("holder").expect("a free turn");
+            for (queued, &(tenant, label)) in jobs.iter().enumerate() {
+                let order = &order;
+                scope.spawn(move || {
+                    let _turn = q.submit(tenant).expect("admitted");
+                    order.lock().expect("order lock").push(label.to_string());
+                });
+                while q.depth() <= queued {
+                    std::thread::yield_now();
+                }
+            }
+            drop(held);
+        });
+        order.into_inner().expect("order lock")
+    }
 
     #[test]
     fn fifo_within_a_tenant() {
-        let q = JobQueue::new(8);
-        for i in 0..4 {
-            q.submit("alice", i).unwrap();
-        }
-        q.close();
-        assert_eq!(
-            std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
+        let q = JobQueue::new(8, 1);
+        let jobs = [
+            ("alice", "0"),
+            ("alice", "1"),
+            ("alice", "2"),
+            ("alice", "3"),
+        ];
+        assert_eq!(grant_order(&q, &jobs), ["0", "1", "2", "3"]);
     }
 
     #[test]
     fn round_robin_across_tenants() {
-        let q = JobQueue::new(16);
+        let q = JobQueue::new(16, 1);
         // alice floods, bob and carol each submit one.
-        for i in 0..5 {
-            q.submit("alice", format!("a{i}")).unwrap();
-        }
-        q.submit("bob", "b0".to_string()).unwrap();
-        q.submit("carol", "c0".to_string()).unwrap();
-        q.close();
-        let order: Vec<String> = std::iter::from_fn(|| q.pop()).collect();
+        let mut jobs: Vec<(&str, &str)> = ["a0", "a1", "a2", "a3", "a4"]
+            .into_iter()
+            .map(|label| ("alice", label))
+            .collect();
+        jobs.extend([("bob", "b0"), ("carol", "c0")]);
+        let order = grant_order(&q, &jobs);
         // bob and carol are served within the first rotation, not after
         // alice's whole backlog.
         let pos = |s: &str| order.iter().position(|x| x == s).unwrap();
@@ -187,54 +217,50 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_without_admitting() {
-        let q = JobQueue::new(2);
-        q.submit("t", 1).unwrap();
-        q.submit("t", 2).unwrap();
-        assert_eq!(q.submit("t", 3), Err(SubmitError::Full { capacity: 2 }));
-        assert_eq!(q.depth(), 2, "the rejected job never entered");
-        // Popping frees capacity again.
-        assert_eq!(q.pop(), Some(1));
-        q.submit("t", 4).unwrap();
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn close_drains_backlog_then_stops() {
-        let q = JobQueue::new(4);
-        q.submit("t", 1).unwrap();
-        q.submit("t", 2).unwrap();
-        q.close();
-        assert_eq!(q.submit("t", 3), Err(SubmitError::Closed));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None, "drained and closed");
-        assert_eq!(q.pop(), None, "stays closed");
-    }
-
-    #[test]
-    fn blocked_workers_wake_on_submit_and_close() {
-        let q = std::sync::Arc::new(JobQueue::new(4));
-        let popped = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let q = std::sync::Arc::clone(&q);
-            let popped = std::sync::Arc::clone(&popped);
-            handles.push(std::thread::spawn(move || {
-                while q.pop().is_some() {
-                    popped.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for i in 0..10 {
-            // Mixed tenants, racing the workers.
-            while q.submit(if i % 2 == 0 { "x" } else { "y" }, i).is_err() {
+        let q = JobQueue::new(2, 1);
+        std::thread::scope(|scope| {
+            let held = q.submit("t").expect("a free turn");
+            for _ in 0..2 {
+                scope.spawn(|| drop(q.submit("t").expect("admitted")));
+            }
+            while q.depth() < 2 {
                 std::thread::yield_now();
             }
-        }
-        q.close();
-        for h in handles {
-            h.join().expect("worker");
-        }
-        assert_eq!(popped.load(Ordering::Relaxed), 10, "every job ran once");
+            assert_eq!(q.submit("t").err(), Some(SubmitError::Full { capacity: 2 }));
+            assert_eq!(q.depth(), 2, "the rejected job never entered");
+            drop(held);
+        });
+        // Granting turns frees capacity again.
+        assert_eq!((q.depth(), q.running()), (0, 0));
+        assert!(q.submit("t").is_ok());
+    }
+
+    #[test]
+    fn at_most_job_workers_turns_are_held() {
+        let q = JobQueue::new(4, 2);
+        let first = q.submit("x").expect("a free turn");
+        let second = q.submit("y").expect("a free turn");
+        std::thread::scope(|scope| {
+            let third = scope.spawn(|| {
+                let _turn = q.submit("z").expect("admitted");
+                q.running()
+            });
+            while q.depth() < 1 {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                q.running(),
+                2,
+                "the third job waits while both turns are held"
+            );
+            drop(first);
+            assert_eq!(
+                third.join().expect("third job"),
+                2,
+                "the freed turn went to the waiting job"
+            );
+        });
+        drop(second);
+        assert_eq!((q.depth(), q.running()), (0, 0));
     }
 }

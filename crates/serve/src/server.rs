@@ -1,50 +1,47 @@
-//! The server: listener, connection workers, job workers, shared
-//! session infrastructure, and graceful shutdown.
+//! The server: connection workers, shared session infrastructure, and
+//! graceful shutdown.
 //!
 //! # Threading model
 //!
 //! ```text
-//! accept thread ──> connection channel ──> conn workers (parse, route,
-//!  (blocks in                               admission, write response)
-//!   accept())                                     │ submit
-//!      ^                                          v
-//!      │                                    JobQueue (bounded, fair)
-//!      │                                          │ pop
-//!      │                                          v
-//!  shutdown flag +                     job workers (AssertionSession
-//!  loopback wake                       over the shared cache/registry/
-//!                                      shard pool, panics caught)
-//!                                      ──result channel──> the
-//!                                      submitting conn worker
+//! conn worker (× conn_workers; each blocks in accept() on its own
+//!   │          listener clone and serves one connection at a time)
+//!   │ read and route the request; for a job, parse the JSON and QASM
+//!   │ and instrument the assertions (bad input: 400, no queue slot)
+//!   v
+//! JobQueue::submit(tenant) ──(queue_capacity jobs wait)──> 429
+//!   │ blocks until the job's fair turn: round-robin across tenants,
+//!   │ FIFO within one, at most job_workers turns held
+//!   v
+//! execute: AssertionSession over the shared cache, prefix registry
+//!   │ and shard pool; a panic is caught and answered 500
+//!   v
+//! drop the turn, write the response, back to accept()
 //! ```
 //!
-//! Every thread blocks until it has work: the accept thread in
-//! `accept()`, connection workers on the connection channel, their own
-//! socket and the job result channel, job workers on the queue. No
-//! thread polls, so an idle server costs nothing and a request waits
-//! for no tick. Execution capacity is `job_workers` sessions;
-//! everything beyond that waits in the queue, and everything beyond
-//! the queue bound is rejected with a typed 429 **before** any compile
-//! or shot work. A job that panics is answered with a 500 `internal`
+//! One thread carries each request from accept to its last byte. Every
+//! thread blocks until it has work: in `accept()`, on its socket, or
+//! waiting for a turn. No thread polls, so an idle server costs nothing
+//! and a request waits for no tick. Execution capacity is `job_workers`
+//! turns; jobs beyond that wait in the queue, and jobs beyond the
+//! queue bound are rejected with a typed 429 **before** any compile or
+//! shot work. A job that panics is answered with a 500 `internal`
 //! error; its worker lives on and the gauges stay correct.
 //!
 //! # Graceful shutdown
 //!
 //! [`Server::shutdown`] (also triggered by dropping the server):
-//! 1. the shutdown flag is set and one loopback connect wakes the
-//!    blocked accept; the accept thread sees the flag and exits,
-//! 2. connection workers finish the requests they already accepted —
-//!    responses for queued jobs complete because job workers are still
-//!    running — then exit as the connection channel drains,
-//! 3. the queue closes: late submissions get 503, admitted jobs are
-//!    drained to completion,
-//! 4. job workers exit on the drained queue; every thread is joined.
+//! 1. the shutdown flag is set,
+//! 2. one loopback connect per worker wakes the blocked `accept()`s; a
+//!    worker that accepts a connection after the flag is set drops it
+//!    and exits,
+//! 3. a worker busy with a request first finishes it, job included, so
+//!    every admitted job drains to a complete response,
+//! 4. every worker is joined; the last one closes the listener.
 
 use crate::http::{self, Request, RequestError};
 use crate::json::{obj, Value};
-use crate::protocol::{
-    outcome_records, queue_full_error, shutting_down_error, telemetry_record, ApiError, JobSpec,
-};
+use crate::protocol::{outcome_records, queue_full_error, telemetry_record, ApiError, JobSpec};
 use crate::queue::{JobQueue, SubmitError};
 use qassert::{AssertingCircuit, AssertionSession, SessionTelemetry};
 use qnoise::presets;
@@ -55,15 +52,15 @@ use qsim::{
 };
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// How long the accept thread backs off after a failed `accept()`
-/// (for example `EMFILE`), so fd exhaustion cannot spin it.
+/// How long a worker backs off after a failed `accept()` (for example
+/// `EMFILE`), so fd exhaustion cannot spin it.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// Bound on the shutdown wake's loopback connect.
+/// Bound on each shutdown wake's loopback connect.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server sizing and limits.
@@ -71,13 +68,15 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (tests, benches).
     pub addr: String,
-    /// Threads executing jobs (concurrent `AssertionSession`s).
+    /// Jobs executing at once (concurrent `AssertionSession`s); further
+    /// admitted jobs wait in the queue for a turn.
     pub job_workers: usize,
-    /// Threads parsing/answering connections. Must exceed
-    /// `job_workers` a little so queue-full rejections are answered
-    /// while every job worker is busy.
+    /// Threads accepting and serving connections, one request at a
+    /// time, its job included. Must exceed `job_workers` a little so
+    /// health checks and queue-full rejections are answered while
+    /// every turn is held.
     pub conn_workers: usize,
-    /// Bound on queued (admitted, not yet executing) jobs.
+    /// Bound on jobs waiting for a turn (admitted, not yet executing).
     pub queue_capacity: usize,
     /// Bound on request body size in bytes (413 beyond it).
     pub max_body_bytes: usize,
@@ -101,44 +100,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted job: the parsed spec, the instrumented circuit, and
-/// the channel its results flow back on.
-struct Job {
-    spec: JobSpec,
-    circuit: AssertingCircuit,
-    results: mpsc::Sender<Result<Vec<String>, ApiError>>,
-}
-
 /// State shared by every worker thread.
 struct ServeState {
     cache: ProgramCache,
     prefixes: Arc<PrefixRegistry>,
-    queue: JobQueue<Job>,
+    queue: JobQueue,
     max_body_bytes: usize,
-    /// Jobs currently executing on a job worker (gauge).
-    jobs_running: AtomicUsize,
+    /// Set once by [`Server::shutdown`]; a worker reads it after every
+    /// `accept()`.
+    shutting_down: AtomicBool,
     /// Jobs completed (success, execution failure or panic) since start.
     jobs_done: AtomicU64,
     /// Submissions rejected by admission control (429) since start.
     jobs_rejected: AtomicU64,
-}
-
-/// Counts one job as running for as long as it is alive: dropping it,
-/// on return or unwind, moves the job from running to done.
-struct Running<'s>(&'s ServeState);
-
-impl<'s> Running<'s> {
-    fn start(state: &'s ServeState) -> Self {
-        state.jobs_running.fetch_add(1, Ordering::SeqCst);
-        Running(state)
-    }
-}
-
-impl Drop for Running<'_> {
-    fn drop(&mut self) {
-        self.0.jobs_running.fetch_sub(1, Ordering::SeqCst);
-        self.0.jobs_done.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 impl ServeState {
@@ -150,10 +124,7 @@ impl ServeState {
             ("status", Value::from("ok")),
             ("queue_depth", Value::from(self.queue.depth())),
             ("queue_capacity", Value::from(self.queue.capacity())),
-            (
-                "jobs_running",
-                Value::from(self.jobs_running.load(Ordering::Relaxed)),
-            ),
+            ("jobs_running", Value::from(self.queue.running())),
             ("pool_workers", Value::from(pool.workers)),
             ("pool_queue_depth", Value::from(pool.queue_depth)),
         ])
@@ -168,10 +139,7 @@ impl ServeState {
         obj([
             ("queue_depth", Value::from(self.queue.depth())),
             ("queue_capacity", Value::from(self.queue.capacity())),
-            (
-                "jobs_running",
-                Value::from(self.jobs_running.load(Ordering::Relaxed)),
-            ),
+            ("jobs_running", Value::from(self.queue.running())),
             (
                 "jobs_done",
                 Value::from(self.jobs_done.load(Ordering::Relaxed)),
@@ -195,109 +163,51 @@ impl ServeState {
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServeState>,
-    shutdown: Arc<AtomicBool>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    conn_handles: Vec<std::thread::JoinHandle<()>>,
-    job_handles: Vec<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the worker threads.
+    /// Binds the listener and spawns the `conn_workers` threads.
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates a failure to bind, to clone the listener or to spawn
+    /// a worker; workers already spawned are shut down first.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-
-        let state = Arc::new(ServeState {
-            cache: ProgramCache::new(config.cache_capacity.max(1)),
-            prefixes: Arc::new(PrefixRegistry::new()),
-            queue: JobQueue::new(config.queue_capacity),
-            max_body_bytes: config.max_body_bytes,
-            jobs_running: AtomicUsize::new(0),
-            jobs_done: AtomicU64::new(0),
-            jobs_rejected: AtomicU64::new(0),
-        });
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        // Connections flow accept loop -> channel -> conn workers; the
-        // receiver is shared behind a mutex (a multi-consumer channel
-        // out of std's single-consumer one).
-        let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let mut conn_handles = Vec::new();
+        let mut server = Server {
+            addr: listener.local_addr()?,
+            state: Arc::new(ServeState {
+                cache: ProgramCache::new(config.cache_capacity.max(1)),
+                prefixes: Arc::new(PrefixRegistry::new()),
+                queue: JobQueue::new(config.queue_capacity, config.job_workers.max(1)),
+                max_body_bytes: config.max_body_bytes,
+                shutting_down: AtomicBool::new(false),
+                jobs_done: AtomicU64::new(0),
+                jobs_rejected: AtomicU64::new(0),
+            }),
+            workers: Vec::new(),
+        };
         for i in 0..config.conn_workers.max(1) {
-            let state = Arc::clone(&state);
-            let conn_rx = Arc::clone(&conn_rx);
-            conn_handles.push(
+            let listener = listener.try_clone()?;
+            let state = Arc::clone(&server.state);
+            server.workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-conn-{i}"))
                     .spawn(move || loop {
-                        let next = conn_rx.lock().expect("conn channel lock").recv();
-                        match next {
-                            Ok(stream) => handle_connection(&state, stream),
-                            Err(_) => return, // accept loop gone: drain done
+                        let accepted = listener.accept();
+                        // Pairs with the Release store in shutdown_in_place.
+                        if state.shutting_down.load(Ordering::Acquire) {
+                            return; // a shutdown wake, or a late client
                         }
-                    })
-                    .expect("spawn conn worker"),
+                        match accepted {
+                            Ok((stream, _)) => handle_connection(&state, stream),
+                            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+                        }
+                    })?,
             );
         }
-
-        let mut job_handles = Vec::new();
-        for i in 0..config.job_workers.max(1) {
-            let state = Arc::clone(&state);
-            job_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-job-{i}"))
-                    .spawn(move || {
-                        while let Some(job) = state.queue.pop() {
-                            let result = {
-                                let _running = Running::start(&state);
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    execute(&state, &job.spec, &job.circuit)
-                                }))
-                                .unwrap_or_else(|payload| Err(panicked(payload.as_ref())))
-                            };
-                            // The conn worker may have gone away (client
-                            // hangup); the job's work is done either way.
-                            let _ = job.results.send(result);
-                        }
-                    })
-                    .expect("spawn job worker"),
-            );
-        }
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_handle = std::thread::Builder::new()
-            .name("serve-accept".to_string())
-            .spawn(move || {
-                // Blocks in accept(); shutdown_in_place wakes it with a
-                // loopback connect after setting the flag.
-                while !accept_shutdown.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if conn_tx.send(stream).is_err() {
-                                return; // workers gone; nothing to serve
-                            }
-                        }
-                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
-                    }
-                }
-                // conn_tx drops here, letting conn workers drain out.
-            })
-            .expect("spawn accept loop");
-
-        Ok(Server {
-            addr,
-            state,
-            shutdown,
-            accept_handle: Some(accept_handle),
-            conn_handles,
-            job_handles,
-        })
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the ephemeral port).
@@ -313,24 +223,15 @@ impl Server {
     }
 
     fn shutdown_in_place(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept_handle.take() {
-            // Wake the blocked accept(). The woken thread sees the flag
-            // and exits; the wake connection reaches a conn worker as an
-            // empty request and is dropped. A failed connect means the
-            // accept thread is not blocked (it has exited, or a backlog
-            // or back-off will bring it back to the flag).
+        self.state.shutting_down.store(true, Ordering::Release);
+        // Each connect returns one blocked accept(), or waits in the
+        // backlog for a worker finishing a request; either way every
+        // worker accepts once more, sees the flag and exits. A failed
+        // connect leaves a worker to the next connection that arrives.
+        for _ in &self.workers {
             let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
-            let _ = handle.join();
         }
-        // Conn workers exit once the (now sender-less) channel drains;
-        // their queued jobs still execute because job workers are
-        // alive until the queue closes *and* drains below.
-        for handle in self.conn_handles.drain(..) {
-            let _ = handle.join();
-        }
-        self.state.queue.close();
-        for handle in self.job_handles.drain(..) {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -370,166 +271,75 @@ fn panicked(payload: &(dyn std::any::Any + Send)) -> ApiError {
 }
 
 /// Serves one connection: parse, route, respond, close.
-fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
-    let request = match http::read_request(&stream, state.max_body_bytes) {
-        Ok(request) => request,
-        Err(RequestError::Closed) => return,
+fn handle_connection(state: &ServeState, mut stream: TcpStream) {
+    let response = match http::read_request(&stream, state.max_body_bytes) {
+        Err(RequestError::Closed | RequestError::Io(_)) => return,
         Err(RequestError::Malformed(reason)) => {
-            let err = ApiError::bad_request("malformed_request", reason);
-            let _ = http::write_response(
-                &mut stream,
-                err.status,
-                "application/json",
-                err.body().as_bytes(),
-            );
-            return;
+            Err(ApiError::bad_request("malformed_request", reason))
         }
-        Err(RequestError::BodyTooLarge { announced, limit }) => {
-            let err = ApiError {
-                status: 413,
-                code: "body_too_large",
-                message: format!("body of {announced} bytes exceeds the {limit}-byte limit"),
-                details: vec![("limit", Value::from(limit))],
-            };
-            let _ = http::write_response(
-                &mut stream,
-                err.status,
-                "application/json",
-                err.body().as_bytes(),
-            );
-            return;
-        }
-        Err(RequestError::Io(_)) => return,
-    };
-
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/jobs") => handle_job(state, stream, &request),
-        ("GET", "/healthz") => {
-            let _ = http::write_response(
-                &mut stream,
-                200,
-                "application/json",
-                state.health_body().as_bytes(),
-            );
-        }
-        ("GET", "/metrics") => {
-            let _ = http::write_response(
-                &mut stream,
-                200,
-                "application/json",
-                state.metrics_body().as_bytes(),
-            );
-        }
-        (_, "/v1/jobs" | "/healthz" | "/metrics") => {
-            let err = ApiError {
+        Err(RequestError::BodyTooLarge { announced, limit }) => Err(ApiError {
+            status: 413,
+            code: "body_too_large",
+            message: format!("body of {announced} bytes exceeds the {limit}-byte limit"),
+            details: vec![("limit", Value::from(limit))],
+        }),
+        Ok(request) => match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/v1/jobs") => match handle_job(state, &request) {
+                Ok(lines) => {
+                    let _ = http::write_ndjson(&mut stream, &lines);
+                    return;
+                }
+                Err(err) => Err(err),
+            },
+            ("GET", "/healthz") => Ok(state.health_body()),
+            ("GET", "/metrics") => Ok(state.metrics_body()),
+            (method, "/v1/jobs" | "/healthz" | "/metrics") => Err(ApiError {
                 status: 405,
                 code: "method_not_allowed",
-                message: format!("method {} not allowed here", request.method),
+                message: format!("method {method} not allowed here"),
                 details: Vec::new(),
-            };
-            let _ = http::write_response(
-                &mut stream,
-                err.status,
-                "application/json",
-                err.body().as_bytes(),
-            );
-        }
-        (_, path) => {
-            let err = ApiError {
+            }),
+            (_, path) => Err(ApiError {
                 status: 404,
                 code: "not_found",
                 message: format!("no route for '{path}'"),
                 details: Vec::new(),
-            };
-            let _ = http::write_response(
-                &mut stream,
-                err.status,
-                "application/json",
-                err.body().as_bytes(),
-            );
-        }
-    }
+            }),
+        },
+    };
+    let (status, body) = match response {
+        Ok(body) => (200, body),
+        Err(err) => (err.status, err.body()),
+    };
+    // The peer may have hung up; there is nobody left to tell.
+    let _ = http::write_response(&mut stream, status, "application/json", body.as_bytes());
 }
 
-/// Parses, admits, and streams one job submission.
-fn handle_job(state: &Arc<ServeState>, mut stream: TcpStream, request: &Request) {
-    let answer = |stream: &mut TcpStream, err: ApiError| {
-        let _ = http::write_response(
-            stream,
-            err.status,
-            "application/json",
-            err.body().as_bytes(),
-        );
-    };
-
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => {
-            answer(
-                &mut stream,
-                ApiError::bad_request("invalid_json", "body is not valid UTF-8"),
-            );
-            return;
-        }
-    };
-    let spec = match JobSpec::from_json(body) {
-        Ok(spec) => spec,
-        Err(err) => {
-            answer(&mut stream, err);
-            return;
-        }
-    };
+/// Parses, admits and executes one job submission, returning its
+/// NDJSON records.
+fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiError> {
+    let body = std::str::from_utf8(&request.body)
+        .map_err(|_| ApiError::bad_request("invalid_json", "body is not valid UTF-8"))?;
+    let spec = JobSpec::from_json(body)?;
     // Parse the QASM and instrument the assertions *before* admission:
     // a malformed job must cost a 400, never a queue slot.
-    let circuit = match spec.build_circuit() {
-        Ok(circuit) => circuit,
-        Err(err) => {
-            answer(&mut stream, err);
-            return;
-        }
-    };
+    let circuit = spec.build_circuit()?;
 
     let tenant = request.header("x-api-token").unwrap_or("anonymous");
-    let (results_tx, results_rx) = mpsc::channel();
-    let job = Job {
-        spec,
-        circuit,
-        results: results_tx,
-    };
-    match state.queue.submit(tenant, job) {
-        Err(SubmitError::Full { capacity }) => {
+    let turn = state
+        .queue
+        .submit(tenant)
+        .map_err(|SubmitError::Full { capacity }| {
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            answer(&mut stream, queue_full_error(capacity));
-            return;
-        }
-        Err(SubmitError::Closed) => {
-            answer(&mut stream, shutting_down_error());
-            return;
-        }
-        Ok(()) => {}
-    }
-
-    // The job is admitted; the status line depends on whether execution
-    // succeeds, so wait for the result before writing anything.
-    match results_rx.recv() {
-        Ok(Ok(lines)) => {
-            let _ = http::write_ndjson(&mut stream, &lines);
-        }
-        Ok(Err(err)) => answer(&mut stream, err),
-        Err(_) => {
-            // The job was dropped unanswered. Job workers catch panics
-            // in execution, so this is strictly a belt-and-braces path.
-            answer(
-                &mut stream,
-                ApiError {
-                    status: 500,
-                    code: "internal",
-                    message: "job worker failed".to_string(),
-                    details: Vec::new(),
-                },
-            );
-        }
-    }
+            queue_full_error(capacity)
+        })?;
+    let result = catch_unwind(AssertUnwindSafe(|| execute(state, &spec, &circuit)))
+        .unwrap_or_else(|payload| Err(panicked(payload.as_ref())));
+    // Free the turn before the response is written: a slow reader must
+    // not hold up the next job.
+    drop(turn);
+    state.jobs_done.fetch_add(1, Ordering::Relaxed);
+    result
 }
 
 /// Executes one admitted job on the requested backend through a

@@ -2,6 +2,7 @@
 //! the crate's own blocking client.
 
 use qassert::AssertionSession;
+use qassert_serve::http::{MAX_HEAD_BYTES, READ_TIMEOUT};
 use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
 use qassert_serve::{client, JobSpec, Server, ServerConfig};
@@ -10,7 +11,8 @@ use qsim::{
     Backend, DensityMatrixBackend, HybridBackend, StabilizerBackend, StatevectorBackend,
     TrajectoryBackend,
 };
-use std::net::{Ipv4Addr, SocketAddr};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -515,4 +517,52 @@ fn idle_server_shuts_down_promptly() {
         );
         shutdown.join().expect("shutdown thread");
     }
+}
+
+#[test]
+fn deeply_nested_json_gets_400_and_the_server_keeps_answering() {
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr();
+    let response = client::post_job(addr, "t", &"[".repeat(50_000)).expect("post");
+    assert_eq!(response.status, 400, "body: {}", response.body);
+    assert!(
+        response.body.contains("\"error\":\"invalid_json\""),
+        "{}",
+        response.body
+    );
+    let response = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    server.shutdown();
+}
+
+#[test]
+fn newline_free_request_heads_stop_at_the_head_bound() {
+    let server = Server::start(test_config()).expect("start");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(READ_TIMEOUT))
+        .expect("read timeout");
+    let start = Instant::now();
+    // The server stops reading at its bound, so the write may fail.
+    let _ = stream.write_all(&vec![b'a'; 4 * MAX_HEAD_BYTES as usize]);
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let elapsed = start.elapsed();
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        elapsed < READ_TIMEOUT / 5,
+        "an unbounded head held the connection for {elapsed:?}"
+    );
+    // A 400, or a bare close when unread bytes reset the connection
+    // before the response arrives.
+    assert!(
+        response.is_empty()
+            || (response.starts_with("HTTP/1.1 400 ")
+                && response.contains("\"error\":\"malformed_request\"")),
+        "{response}"
+    );
+    let response = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    server.shutdown();
 }
