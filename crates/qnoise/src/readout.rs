@@ -104,21 +104,6 @@ impl ReadoutError {
     pub fn is_ideal(&self) -> bool {
         self.p_meas1_given0 == 0.0 && self.p_meas0_given1 == 0.0
     }
-
-    /// Samples a recorded bit for a true outcome using `rand_value`
-    /// drawn uniformly from `[0, 1)`.
-    pub fn sample_recorded(&self, actual: bool, rand_value: f64) -> bool {
-        let flip = if actual {
-            self.p_meas0_given1
-        } else {
-            self.p_meas1_given0
-        };
-        if rand_value < flip {
-            !actual
-        } else {
-            actual
-        }
-    }
 }
 
 impl Default for ReadoutError {
@@ -154,8 +139,6 @@ mod tests {
         assert!(ro.is_ideal());
         assert_eq!(ro.p_record(false, true), 0.0);
         assert_eq!(ro.p_record(true, true), 1.0);
-        assert!(!ro.sample_recorded(false, 0.0));
-        assert!(ro.sample_recorded(true, 0.999));
     }
 
     #[test]
@@ -173,17 +156,6 @@ mod tests {
         assert!((ro.p_recorded_one(0.0) - 0.1).abs() < 1e-15);
         assert!((ro.p_recorded_one(1.0) - 0.8).abs() < 1e-15);
         assert!((ro.p_recorded_one(0.5) - 0.45).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sampling_respects_thresholds() {
-        let ro = ReadoutError::new(0.25, 0.5).unwrap();
-        // True 0: flips when r < 0.25.
-        assert!(ro.sample_recorded(false, 0.2));
-        assert!(!ro.sample_recorded(false, 0.3));
-        // True 1: flips when r < 0.5.
-        assert!(!ro.sample_recorded(true, 0.4));
-        assert!(ro.sample_recorded(true, 0.6));
     }
 
     #[test]

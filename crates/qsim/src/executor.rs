@@ -54,14 +54,15 @@ use crate::batch::PlanNode;
 use crate::compile::{compile_with, CompileOptions};
 use crate::counts::Counts;
 use crate::density::DensityMatrix;
+use crate::draws::Draws;
 use crate::error::SimError;
 use crate::pool::ShardPool;
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram};
 use crate::statevector::StateVector;
-use qcircuit::{OpKind, QuantumCircuit, QubitId};
-use qnoise::{Kraus, NoiseModel};
+use qcircuit::{Condition, OpKind, QuantumCircuit, QubitId};
+use qnoise::{Kraus, NoiseModel, ReadoutError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Mutex;
 
 /// Branches whose probability weight falls below this are pruned by the
@@ -292,11 +293,12 @@ pub struct ShotRecord {
 }
 
 /// Samples a Kraus operator of `channel` (Born-weighted) and applies it.
-fn sample_kraus<R: Rng + ?Sized>(
+/// A single-operator channel draws nothing.
+fn sample_kraus<D: Draws + ?Sized>(
     state: &mut StateVector,
     channel: &Kraus,
     qubits: &[QubitId],
-    rng: &mut R,
+    draws: &mut D,
 ) -> Result<(), SimError> {
     let ops = channel.ops();
     if ops.len() == 1 {
@@ -304,20 +306,50 @@ fn sample_kraus<R: Rng + ?Sized>(
         state.normalize();
         return Ok(());
     }
-    let r: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, k) in ops.iter().enumerate() {
+    // Each weight costs a state clone, so the pick computes them on
+    // demand and the last candidate computed is the one it chose. An
+    // operator that does not fit the state ends the pick with its error.
+    let mut chosen = None;
+    draws.pick(ops.iter().map(|k| {
         let mut candidate = state.clone();
-        candidate.apply_matrix(k, qubits)?;
-        let p = candidate.norm_sqr();
-        acc += p;
-        if r < acc || i == ops.len() - 1 {
-            candidate.normalize();
-            *state = candidate;
-            return Ok(());
-        }
+        let applied = candidate.apply_matrix(k, qubits);
+        let weight = if applied.is_ok() {
+            candidate.norm_sqr()
+        } else {
+            f64::INFINITY
+        };
+        chosen = Some(applied.map(|()| candidate));
+        weight
+    }));
+    let mut candidate = chosen.expect("a Kraus channel has an operator")?;
+    candidate.normalize();
+    *state = candidate;
+    Ok(())
+}
+
+/// Whether an op gated by `condition` runs under the classical record
+/// `clbits`; an unconditioned op always runs.
+pub(crate) fn condition_holds(condition: Option<Condition>, clbits: u64) -> bool {
+    condition.is_none_or(|c| ((clbits >> c.clbit.index()) & 1 == 1) == c.value)
+}
+
+/// `clbits` with classical bit `clbit` set to `value`.
+pub(crate) fn with_clbit(clbits: u64, clbit: usize, value: bool) -> u64 {
+    (clbits & !(1 << clbit)) | (u64::from(value) << clbit)
+}
+
+/// The recorded bit of a measurement whose true outcome is `actual`:
+/// one [`Draws::threshold`] on the flip probability when a readout
+/// error is bound, no draw otherwise.
+pub(crate) fn read_out<D: Draws + ?Sized>(
+    actual: bool,
+    readout: Option<ReadoutError>,
+    draws: &mut D,
+) -> bool {
+    match readout {
+        Some(r) => actual != draws.threshold(r.p_record(actual, !actual)),
+        None => actual,
     }
-    unreachable!("kraus probabilities sum to 1")
 }
 
 /// Executes one shot of `circuit` by direct instruction interpretation;
@@ -331,10 +363,10 @@ fn sample_kraus<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Returns a [`SimError`] on malformed circuits.
-pub fn run_shot<R: Rng + ?Sized>(
+pub fn run_shot<D: Draws + ?Sized>(
     circuit: &QuantumCircuit,
     noise: Option<&NoiseModel>,
-    rng: &mut R,
+    draws: &mut D,
 ) -> Result<Option<ShotRecord>, SimError> {
     if circuit.num_clbits() > 64 {
         return Err(SimError::TooManyClbits {
@@ -344,39 +376,31 @@ pub fn run_shot<R: Rng + ?Sized>(
     let mut state = StateVector::zero_state(circuit.num_qubits());
     let mut clbits = 0u64;
     for instr in circuit.instructions() {
-        if let Some(cond) = instr.condition() {
-            let bit = (clbits >> cond.clbit.index()) & 1 == 1;
-            if bit != cond.value {
-                continue;
-            }
+        if !condition_holds(instr.condition(), clbits) {
+            continue;
         }
         match instr.kind() {
             OpKind::Gate(g) => {
                 state.apply_gate(g, instr.qubits())?;
                 if let Some(model) = noise {
                     for applied in model.channels_for(instr) {
-                        sample_kraus(&mut state, &applied.kraus, &applied.qubits, rng)?;
+                        sample_kraus(&mut state, &applied.kraus, &applied.qubits, draws)?;
                     }
                 }
             }
             OpKind::Measure => {
                 let qubit = instr.qubits()[0];
-                let actual = state.measure(qubit, rng)?;
-                let recorded = match noise {
-                    Some(model) => model
-                        .readout_error(qubit)
-                        .sample_recorded(actual, rng.gen::<f64>()),
-                    None => actual,
-                };
-                let c = instr.clbits()[0].index();
-                clbits = (clbits & !(1 << c)) | (u64::from(recorded) << c);
+                let actual = state.measure(qubit, draws)?;
+                let readout = noise.map(|model| model.readout_error(qubit));
+                let recorded = read_out(actual, readout, draws);
+                clbits = with_clbit(clbits, instr.clbits()[0].index(), recorded);
             }
             OpKind::Reset => {
-                state.reset(instr.qubits()[0], rng)?;
+                state.reset(instr.qubits()[0], draws)?;
             }
             OpKind::Barrier => {}
             OpKind::PostSelect { outcome } => {
-                let actual = state.measure(instr.qubits()[0], rng)?;
+                let actual = state.measure(instr.qubits()[0], draws)?;
                 if actual != *outcome {
                     return Ok(None);
                 }
@@ -402,18 +426,15 @@ fn apply_compiled_unitary(state: &mut StateVector, kind: &CompiledKind) -> Resul
 
 /// Executes a contiguous slice of a program's op stream one op at a
 /// time; returns `Ok(false)` when a post-selection discarded the shot.
-fn run_ops_sequential<R: Rng + ?Sized>(
+fn run_ops_sequential<D: Draws + ?Sized>(
     ops: &[CompiledOp],
     state: &mut StateVector,
     clbits: &mut u64,
-    rng: &mut R,
+    draws: &mut D,
 ) -> Result<bool, SimError> {
     for op in ops {
-        if let Some(cond) = op.condition {
-            let bit = (*clbits >> cond.clbit.index()) & 1 == 1;
-            if bit != cond.value {
-                continue;
-            }
+        if !condition_holds(op.condition, *clbits) {
+            continue;
         }
         match &op.kind {
             CompiledKind::Measure {
@@ -421,16 +442,13 @@ fn run_ops_sequential<R: Rng + ?Sized>(
                 clbit,
                 readout,
             } => {
-                let actual = state.measure(*qubit, rng)?;
-                let recorded = match readout {
-                    Some(r) => r.sample_recorded(actual, rng.gen::<f64>()),
-                    None => actual,
-                };
-                *clbits = (*clbits & !(1 << clbit)) | (u64::from(recorded) << clbit);
+                let actual = state.measure(*qubit, draws)?;
+                let recorded = read_out(actual, *readout, draws);
+                *clbits = with_clbit(*clbits, *clbit, recorded);
             }
-            CompiledKind::Reset { qubit } => state.reset(*qubit, rng)?,
+            CompiledKind::Reset { qubit } => state.reset(*qubit, draws)?,
             CompiledKind::PostSelect { qubit, outcome } => {
-                let actual = state.measure(*qubit, rng)?;
+                let actual = state.measure(*qubit, draws)?;
                 if actual != *outcome {
                     return Ok(false);
                 }
@@ -438,7 +456,7 @@ fn run_ops_sequential<R: Rng + ?Sized>(
             unitary => {
                 apply_compiled_unitary(state, unitary)?;
                 for applied in &op.noise {
-                    sample_kraus(state, &applied.kraus, &applied.qubits, rng)?;
+                    sample_kraus(state, &applied.kraus, &applied.qubits, draws)?;
                 }
             }
         }
@@ -461,13 +479,13 @@ fn run_ops_sequential<R: Rng + ?Sized>(
 ///
 /// Returns a [`SimError`] when a noise channel is malformed for the
 /// program's width.
-pub fn run_compiled_shot<R: Rng + ?Sized>(
+pub fn run_compiled_shot<D: Draws + ?Sized>(
     program: &CompiledProgram,
-    rng: &mut R,
+    draws: &mut D,
 ) -> Result<Option<ShotRecord>, SimError> {
     let mut state = StateVector::zero_state(program.num_qubits());
     let mut clbits = 0u64;
-    if !run_compiled_from(program, &mut state, &mut clbits, rng)? {
+    if !run_compiled_from(program, &mut state, &mut clbits, draws)? {
         return Ok(None);
     }
     Ok(Some(ShotRecord { state, clbits }))
@@ -479,29 +497,23 @@ pub fn run_compiled_shot<R: Rng + ?Sized>(
 /// the prefix's classical record instead of `|0…0⟩`. Dispatches batched
 /// plan nodes exactly like [`run_compiled_shot`]; returns `Ok(false)`
 /// when a post-selection discarded the shot.
-pub(crate) fn run_compiled_from<R: Rng + ?Sized>(
+pub(crate) fn run_compiled_from<D: Draws + ?Sized>(
     program: &CompiledProgram,
     state: &mut StateVector,
     clbits: &mut u64,
-    rng: &mut R,
+    draws: &mut D,
 ) -> Result<bool, SimError> {
-    match program.batch_plan() {
-        Some(plan) => {
-            let ops = program.ops();
-            for node in plan.nodes() {
-                match node {
-                    PlanNode::BatchedApply { kernel, .. } => kernel.apply(state.amps_mut()),
-                    PlanNode::Sequential { start, end } => {
-                        if !run_ops_sequential(&ops[*start..*end], state, clbits, rng)? {
-                            return Ok(false);
-                        }
-                    }
+    let Some(plan) = program.batch_plan() else {
+        return run_ops_sequential(program.ops(), state, clbits, draws);
+    };
+    let ops = program.ops();
+    for node in plan.nodes() {
+        match node {
+            PlanNode::BatchedApply { kernel, .. } => kernel.apply(state.amps_mut()),
+            PlanNode::Sequential { start, end } => {
+                if !run_ops_sequential(&ops[*start..*end], state, clbits, draws)? {
+                    return Ok(false);
                 }
-            }
-        }
-        None => {
-            if !run_ops_sequential(program.ops(), state, clbits, rng)? {
-                return Ok(false);
             }
         }
     }
@@ -602,22 +614,36 @@ pub fn tranche_seed(seed: u64, tranche: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs one shard of shots sequentially.
-fn run_compiled_shard(
-    program: &CompiledProgram,
+/// The one shot loop, for every per-shot backend and the statevector
+/// sample-once path: seeds the shard's stream and runs `shot` `shots`
+/// times on the shard's `scratch` state. `shot` returns the shot's
+/// clbits, or `None` when the shot is discarded.
+fn run_shard<S>(
+    num_clbits: usize,
     shots: u64,
     rng_seed: u64,
+    mut scratch: S,
+    shot: impl Fn(&mut S, &mut StdRng) -> Result<Option<u64>, SimError>,
 ) -> Result<(Counts, u64), SimError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut counts = Counts::new(program.num_clbits());
+    let mut counts = Counts::new(num_clbits);
     let mut discarded = 0u64;
     for _ in 0..shots {
-        match run_compiled_shot(program, &mut rng)? {
-            Some(record) => counts.record(record.clbits, 1),
+        match shot(&mut scratch, &mut rng)? {
+            Some(clbits) => counts.record(clbits, 1),
             None => discarded += 1,
         }
     }
     Ok((counts, discarded))
+}
+
+/// The amplitude per-shot function. Each shot starts from a fresh
+/// `|0…0⟩`, so the amplitude paths keep no scratch state.
+fn compiled_clbits<D: Draws + ?Sized>(
+    program: &CompiledProgram,
+    draws: &mut D,
+) -> Result<Option<u64>, SimError> {
+    Ok(run_compiled_shot(program, draws)?.map(|record| record.clbits))
 }
 
 /// The number of shots in shard `t` of `threads` (even split, earlier
@@ -685,37 +711,43 @@ pub fn run_compiled_sharded_on(
     seed: u64,
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
-    run_sharded_generic_on(pool, program.num_clbits(), shots, seed, threads, |n, s| {
-        run_compiled_shard(program, n, s)
-    })
+    run_sharded_generic_on(
+        pool,
+        program.num_clbits(),
+        shots,
+        seed,
+        threads,
+        || (),
+        |_, draws| compiled_clbits(program, draws),
+    )
 }
 
 /// The state-representation-agnostic core of the sharding harness:
-/// splits `shots` into `threads` shards (largest first), runs
-/// `run_shard(shard_shots, shard_seed)` for each on `pool`, and merges
-/// the histograms in shard order. [`run_compiled_sharded_on`] drives it
-/// with the state-vector shot loop; the stabilizer backend drives it
-/// with the tableau loop — both inherit the identical shot split and
-/// [`shard_seed`] derivation, so every per-shot backend's counts are a
-/// pure function of `(seed, threads)` under any pool size.
-pub(crate) fn run_sharded_generic_on<F>(
+/// splits `shots` into `threads` shards (largest first), runs each on
+/// `pool` through the one shot loop, and merges the histograms in shard
+/// order. Each shard gets its own stream from [`shard_seed`] and its own
+/// `scratch()` state, which `shot` reuses across the shard's shots:
+/// `()` for amplitudes, a [`crate::Tableau`] for the tableau and hybrid
+/// paths. Every per-shot backend inherits the identical shot split and
+/// seed derivation, so its counts are a pure function of
+/// `(seed, threads)` under any pool size.
+pub(crate) fn run_sharded_generic_on<S>(
     pool: &ShardPool,
     num_clbits: usize,
     shots: u64,
     seed: u64,
     threads: usize,
-    run_shard: F,
-) -> Result<(Counts, u64), SimError>
-where
-    F: Fn(u64, u64) -> Result<(Counts, u64), SimError> + Sync,
-{
+    scratch: impl Fn() -> S + Sync,
+    shot: impl Fn(&mut S, &mut StdRng) -> Result<Option<u64>, SimError> + Sync,
+) -> Result<(Counts, u64), SimError> {
+    let run = |n, rng_seed| run_shard(num_clbits, n, rng_seed, scratch(), &shot);
     let threads = threads.min(shots.max(1) as usize).max(1);
     if threads == 1 {
-        return run_shard(shots, seed);
+        return run(shots, seed);
     }
     let slots: Vec<ShardSlot> = (0..threads).map(|_| Mutex::new(None)).collect();
     pool.run_batch(threads, |t| {
-        let result = run_shard(shard_shots(shots, threads, t), shard_seed(seed, t));
+        let result = run(shard_shots(shots, threads, t), shard_seed(seed, t));
         *slots[t].lock().expect("shard slot") = Some(result);
     });
     merge_shards(
@@ -743,16 +775,21 @@ pub fn run_compiled_sharded_scoped(
     seed: u64,
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
+    let run = |n, rng_seed| {
+        run_shard(program.num_clbits(), n, rng_seed, (), |_, draws| {
+            compiled_clbits(program, draws)
+        })
+    };
     let threads = threads.min(shots.max(1) as usize).max(1);
     if threads == 1 {
-        return run_compiled_shard(program, shots, seed);
+        return run(shots, seed);
     }
     let results: Vec<Result<(Counts, u64), SimError>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let n = shard_shots(shots, threads, t);
             let rng_seed = shard_seed(seed, t);
-            handles.push(scope.spawn(move || run_compiled_shard(program, n, rng_seed)));
+            handles.push(scope.spawn(move || run(n, rng_seed)));
         }
         handles
             .into_iter()
@@ -928,23 +965,20 @@ impl Backend for StatevectorBackend {
         // per-shot path.
         if let (Some(fp), false) = (program.fast_path(), program.is_noisy()) {
             // Evolve the unitary prefix once (batched where planned),
-            // then sample `shots` times.
-            let mut counts = Counts::new(program.num_clbits());
-            let mut rng = StdRng::seed_from_u64(seed);
+            // then sample it once per shot from one unsharded stream.
             let mut state = StateVector::zero_state(program.num_qubits());
             evolve_unitary_prefix(program, fp.unitary_prefix, &mut state)?;
-            for _ in 0..shots {
-                let idx = state.sample_index(&mut rng);
+            let sampled = run_shard(program.num_clbits(), shots, seed, state, |state, draws| {
+                let idx = state.sample_index(draws);
                 let mut key = 0u64;
                 // Mask-then-set in measurement order so duplicate clbits
                 // are last-write-wins, matching per-shot execution.
                 for (q, c) in &fp.mapping {
-                    let bit = (idx >> q) & 1;
-                    key = (key & !(1 << c)) | ((bit as u64) << c);
+                    key = with_clbit(key, *c, (idx >> q) & 1 == 1);
                 }
-                counts.record(key, 1);
-            }
-            return RunResult::from_shots(shots, (counts, 0));
+                Ok(Some(key))
+            })?;
+            return RunResult::from_shots(shots, sampled);
         }
 
         RunResult::from_shots(
@@ -1180,11 +1214,7 @@ impl DensityMatrixBackend {
             };
             let mut next: Vec<Branch> = Vec::with_capacity(branches.len());
             for mut branch in branches {
-                let condition_met = op
-                    .condition
-                    .map(|c| ((branch.clbits >> c.clbit.index()) & 1 == 1) == c.value)
-                    .unwrap_or(true);
-                if !condition_met {
+                if !condition_holds(op.condition, branch.clbits) {
                     next.push(branch);
                     continue;
                 }
@@ -1209,12 +1239,10 @@ impl DensityMatrixBackend {
                                 if w < PRUNE_EPS {
                                     continue;
                                 }
-                                let clbits = (branch.clbits & !(1 << clbit))
-                                    | (u64::from(recorded) << clbit);
                                 next.push(Branch {
                                     weight: w,
                                     rho: projected.clone(),
-                                    clbits,
+                                    clbits: with_clbit(branch.clbits, *clbit, recorded),
                                 });
                             }
                         }

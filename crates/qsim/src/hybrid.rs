@@ -36,16 +36,9 @@
 //!
 //! Hybrid counts are a pure function of `(program, seed, threads)` —
 //! the shot split and per-shard streams come from the same
-//! [`crate::shard_seed`] harness as every per-shot backend. The
-//! per-shot draw order is frozen (and pinned by golden seed-stream
-//! vectors):
-//!
-//! 1. the prefix draws per the stabilizer contract (see
-//!    [`crate::stabilizer`] module docs),
-//! 2. the handoff draws exactly **one `f64` marker** (extraction itself
-//!    draws nothing),
-//! 3. the suffix draws per the amplitude contract (one `f64` per
-//!    measurement, etc.).
+//! [`crate::shard_seed`] harness as every per-shot backend. Each shot
+//! draws its prefix, handoff marker and suffix per the frozen contract
+//! of [`crate::Draws`], pinned by golden seed-stream vectors.
 //!
 //! Because the tableau and amplitude executors burn entropy
 //! differently, hybrid counts agree with the pure statevector backend
@@ -54,7 +47,7 @@
 //! backend they delegate to.
 
 use crate::compile::CompileOptions;
-use crate::counts::Counts;
+use crate::draws::Draws;
 use crate::error::SimError;
 use crate::executor::{
     run_compiled_from, run_sharded_generic_on, Backend, BackendKind, RunResult, StatevectorBackend,
@@ -63,46 +56,25 @@ use crate::pool::ShardPool;
 use crate::program::{CompiledProgram, HybridPlan};
 use crate::stabilizer::{run_clifford_sharded, run_clifford_shot, Tableau};
 use qnoise::NoiseModel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Widest register the amplitude handoff can materialize
 /// ([`crate::StateVector`] stops at 29 qubits).
 pub const MAX_HANDOFF_QUBITS: usize = 29;
 
-/// One shard of hybrid shots: a single tableau and a fresh suffix
-/// statevector per shot, one RNG stream straight through the handoff.
-fn run_hybrid_shard(
+/// One routed shot: the prefix on the shard's tableau, the handoff
+/// marker, then the suffix on a fresh statevector extracted at the cut.
+fn hybrid_shot<D: Draws + ?Sized>(
     plan: &HybridPlan,
-    num_qubits: usize,
-    num_clbits: usize,
-    shots: u64,
-    rng_seed: u64,
-) -> Result<(Counts, u64), SimError> {
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut tableau = Tableau::new(num_qubits);
-    let mut counts = Counts::new(num_clbits);
-    let mut discarded = 0u64;
-    for shot in 0..shots {
-        if shot > 0 {
-            tableau.reset_state();
-        }
-        let Some(mut clbits) = run_clifford_shot(plan.prefix(), &mut tableau, &mut rng) else {
-            discarded += 1;
-            continue;
-        };
-        // The frozen handoff marker: one f64, drawn whether or not the
-        // suffix consumes entropy, so inserting ops on either side of
-        // the cut can never silently realign the streams.
-        let _marker: f64 = rng.gen();
-        let mut state = tableau.to_statevector();
-        if run_compiled_from(plan.suffix(), &mut state, &mut clbits, &mut rng)? {
-            counts.record(clbits, 1);
-        } else {
-            discarded += 1;
-        }
-    }
-    Ok((counts, discarded))
+    tableau: &mut Tableau,
+    draws: &mut D,
+) -> Result<Option<u64>, SimError> {
+    let Some(mut clbits) = run_clifford_shot(plan.prefix(), tableau, draws) else {
+        return Ok(None);
+    };
+    draws.marker();
+    let mut state = tableau.to_statevector();
+    let kept = run_compiled_from(plan.suffix(), &mut state, &mut clbits, draws)?;
+    Ok(kept.then_some(clbits))
 }
 
 /// Hybrid Clifford-routing backend (see [module docs](self)).
@@ -260,7 +232,8 @@ impl Backend for HybridBackend {
                 shots,
                 seed,
                 threads,
-                |n, s| run_hybrid_shard(plan, program.num_qubits(), program.num_clbits(), n, s),
+                || Tableau::new(program.num_qubits()),
+                |tableau, draws| hybrid_shot(plan, tableau, draws),
             )?,
         )
     }

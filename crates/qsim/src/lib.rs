@@ -41,6 +41,8 @@
 //!   state is materialized as amplitudes at the first non-Clifford
 //!   island, and the separately compiled suffix finishes the shot on
 //!   the amplitude executor,
+//! * [`Draws`] — the per-shot draw contract: every random decision of
+//!   every per-shot executor, and the raw draws it consumes,
 //! * [`Backend`] implementations: [`StatevectorBackend`] (ideal),
 //!   [`TrajectoryBackend`] (Monte-Carlo noisy, multi-threaded),
 //!   [`DensityMatrixBackend`] (exact noisy with measurement branching),
@@ -78,9 +80,9 @@ pub mod cache;
 pub mod compile;
 pub mod counts;
 pub mod density;
+pub mod draws;
 pub mod error;
 pub mod executor;
-pub mod expectation;
 pub mod hybrid;
 pub mod kernel;
 pub mod pool;
@@ -97,6 +99,7 @@ pub use compile::{
 };
 pub use counts::{bitstring, key_from_str, Counts};
 pub use density::DensityMatrix;
+pub use draws::Draws;
 pub use error::{CliffordBlock, SimError};
 pub use executor::{
     run_compiled_sharded, run_compiled_sharded_on, run_compiled_sharded_scoped, run_compiled_shot,
@@ -104,7 +107,6 @@ pub use executor::{
     DensityMatrixBackend, ExactDistribution, RunResult, ShotRecord, StatevectorBackend,
     TrajectoryBackend,
 };
-pub use expectation::{Pauli, PauliString};
 pub use hybrid::{HybridBackend, MAX_HANDOFF_QUBITS};
 pub use kernel::BatchKernel;
 pub use pool::{PoolGauges, PoolScope, PoolStats, ShardPool};

@@ -161,28 +161,15 @@ impl PrefixRegistry {
         noise: Option<&NoiseModel>,
         options: CompileOptions,
     ) -> Result<Arc<CompiledProgram>, SimError> {
-        self.compile_with_fingerprint(circuit, noise, noise.map(NoiseModel::fingerprint), options)
-    }
-
-    /// [`PrefixRegistry::compile`] with the noise fingerprint already
-    /// computed (sessions over one fixed backend hash it once).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from lowering.
-    pub fn compile_with_fingerprint(
-        &self,
-        circuit: &QuantumCircuit,
-        noise: Option<&NoiseModel>,
-        noise_fp: Option<u128>,
-        options: CompileOptions,
-    ) -> Result<Arc<CompiledProgram>, SimError> {
+        let noise_fp = noise.map(NoiseModel::fingerprint);
         self.compile_traced_with_fingerprint(circuit, noise, noise_fp, options)
             .map(|(program, _)| program)
     }
 
-    /// [`PrefixRegistry::compile_with_fingerprint`] additionally
-    /// reporting whether *this* compile reused a registered prefix.
+    /// [`PrefixRegistry::compile`] with the noise fingerprint already
+    /// computed (sessions over one fixed backend hash it once),
+    /// additionally reporting whether *this* compile reused a
+    /// registered prefix.
     ///
     /// Callers attributing prefix hits to individual compiles (a sweep
     /// building per-point telemetry while other points lower
@@ -237,26 +224,9 @@ impl PrefixRegistry {
     /// Registers an already-compiled program (e.g. one served whole from
     /// a [`crate::ProgramCache`]) so later circuits can extend it.
     ///
-    /// `program` must be the lowering of `circuit` under exactly `noise`
-    /// and `options` — the same contract as
-    /// [`crate::ProgramCache::insert`].
-    pub fn register(
-        &self,
-        circuit: &QuantumCircuit,
-        noise: Option<&NoiseModel>,
-        options: CompileOptions,
-        program: &Arc<CompiledProgram>,
-    ) {
-        self.register_with_fingerprint(
-            circuit,
-            noise.map(NoiseModel::fingerprint),
-            options,
-            program,
-        );
-    }
-
-    /// [`PrefixRegistry::register`] with the noise fingerprint already
-    /// computed.
+    /// `program` must be the lowering of `circuit` under exactly the
+    /// noise model fingerprinted `noise_fp` and `options` — the same
+    /// contract as [`crate::ProgramCache::insert`].
     pub fn register_with_fingerprint(
         &self,
         circuit: &QuantumCircuit,
@@ -510,7 +480,7 @@ mod tests {
         let registry = PrefixRegistry::new();
         let (prefix, entangled) = theory_family(1.1);
         let program = Arc::new(compile_with(&prefix, None, CompileOptions::default()).unwrap());
-        registry.register(&prefix, None, CompileOptions::default(), &program);
+        registry.register_with_fingerprint(&prefix, None, CompileOptions::default(), &program);
         let _extended = registry
             .compile(&entangled, None, CompileOptions::default())
             .unwrap();

@@ -3,28 +3,25 @@
 //! Measuring qubit `a` splits on whether any stabilizer row
 //! anticommutes with `Z_a` (has its X bit set at `a`):
 //!
-//! * **random** — the outcome is a fair coin, drawn as exactly one
-//!   `rng.gen::<bool>()`; the anticommuting pivot row is multiplied
-//!   into every other anticommuting row, demoted to a destabilizer,
-//!   and replaced by `±Z_a` with the drawn sign,
+//! * **random** — the outcome is a fair coin; the anticommuting pivot
+//!   row is multiplied into every other anticommuting row, demoted to
+//!   a destabilizer, and replaced by `±Z_a` with the drawn sign,
 //! * **deterministic** — the outcome is forced; it is recovered by
 //!   accumulating into the scratch row the stabilizers flagged by the
-//!   destabilizer X bits at `a`. **No randomness is consumed**, which
-//!   the seeded-stream golden vectors rely on.
+//!   destabilizer X bits at `a`.
+//!
+//! What each case draws is part of the contract of [`Draws`].
 
 use super::tableau::Tableau;
-use rand::Rng;
+use crate::draws::Draws;
 
 impl Tableau {
-    /// Measures qubit `a` in the Z basis, collapsing the state.
-    ///
-    /// Draws one `gen::<bool>()` from `rng` iff the outcome is random;
-    /// deterministic outcomes consume nothing (part of the stabilizer
-    /// backend's frozen RNG-stream contract).
-    pub fn measure<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) -> bool {
+    /// Measures qubit `a` in the Z basis, collapsing the state: a random
+    /// outcome is one [`Draws::coin`], a deterministic one draws nothing.
+    pub fn measure<D: Draws + ?Sized>(&mut self, a: usize, draws: &mut D) -> bool {
         match self.anticommuting_pivot(a) {
             Some(p) => {
-                let outcome = rng.gen::<bool>();
+                let outcome = draws.coin();
                 self.collapse(a, p, outcome);
                 outcome
             }
@@ -33,17 +30,23 @@ impl Tableau {
     }
 
     /// Resets qubit `a` to `|0⟩`: measure, then flip if the outcome
-    /// was 1. Draws randomness exactly as [`Tableau::measure`] does.
-    pub fn reset_qubit<R: Rng + ?Sized>(&mut self, a: usize, rng: &mut R) {
-        if self.measure(a, rng) {
+    /// was 1. Draws exactly as [`Tableau::measure`] does.
+    pub fn reset_qubit<D: Draws + ?Sized>(&mut self, a: usize, draws: &mut D) {
+        if self.measure(a, draws) {
             self.x(a);
         }
     }
 
-    /// Post-selects qubit `a` on `outcome`: measures (same RNG
-    /// contract) and reports whether the shot survives.
-    pub fn postselect<R: Rng + ?Sized>(&mut self, a: usize, outcome: bool, rng: &mut R) -> bool {
-        self.measure(a, rng) == outcome
+    /// Post-selects qubit `a` on `outcome`: measures (drawing exactly
+    /// as [`Tableau::measure`] does) and reports whether the shot
+    /// survives.
+    pub fn postselect<D: Draws + ?Sized>(
+        &mut self,
+        a: usize,
+        outcome: bool,
+        draws: &mut D,
+    ) -> bool {
+        self.measure(a, draws) == outcome
     }
 
     /// The smallest stabilizer row whose X bit at `a` is set, if any.
@@ -94,7 +97,7 @@ impl Tableau {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{RngCore, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_outcomes_consume_no_randomness() {

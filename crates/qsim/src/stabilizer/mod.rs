@@ -22,33 +22,19 @@
 //!
 //! Pauli noise channels become **stochastic Pauli injections**: a
 //! channel whose Kraus operators are scaled Pauli strings is sampled
-//! per shot (one `f64` draw when the table has more than one entry) and
-//! applied as tableau X/Y/Z conjugations. Readout errors are pre-bound
-//! at compile time and sampled per measurement, as on the amplitude
-//! backends.
+//! per shot and applied as tableau X/Y/Z conjugations. Readout errors
+//! are pre-bound at compile time and sampled per measurement, as on the
+//! amplitude backends.
 //!
 //! # Bit-exactness contract
 //!
 //! A seeded stabilizer run's counts are a pure function of
 //! `(program, seed, threads)` — never of pool workers, sweep policy or
 //! timing. The shot split and per-shard RNG streams come from the same
-//! [`crate::shard_seed`] harness every per-shot backend uses, and the
-//! per-shot draw order is frozen (and pinned by golden seed-stream
-//! vectors):
-//!
-//! 1. a Clifford gate draws nothing,
-//! 2. a Pauli channel with more than one table entry draws one `f64`
-//!    (single-entry channels draw nothing),
-//! 3. a measurement draws one `bool` **iff** its outcome is random
-//!    (deterministic outcomes draw nothing), then one `f64` iff a
-//!    readout error is bound,
-//! 4. reset and post-selection draw exactly like the measurement they
-//!    contain,
-//! 5. an op whose classical condition is unsatisfied draws nothing.
-//!
-//! The streams intentionally differ from the statevector backend's
-//! (which burns one `f64` per measurement regardless); cross-backend
-//! agreement is distributional, pinned by the equivalence suite.
+//! [`crate::shard_seed`] harness every per-shot backend uses, and each
+//! shot draws per the frozen contract of [`Draws`], pinned by golden
+//! seed-stream vectors. Cross-backend agreement with the amplitude
+//! executors is distributional, pinned by the equivalence suite.
 
 mod extract;
 mod gates;
@@ -59,14 +45,15 @@ pub use tableau::Tableau;
 
 use crate::compile::CompileOptions;
 use crate::counts::Counts;
+use crate::draws::Draws;
 use crate::error::{CliffordBlock, SimError};
-use crate::executor::{run_sharded_generic_on, Backend, BackendKind, RunResult};
+use crate::executor::{
+    condition_holds, read_out, run_sharded_generic_on, with_clbit, Backend, BackendKind, RunResult,
+};
 use crate::pool::ShardPool;
 use crate::program::CompiledProgram;
 use qcircuit::{CliffordKind, Condition, OpKind, QuantumCircuit};
 use qnoise::{AppliedChannel, NoiseModel, PauliTerm, ReadoutError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Tolerance for recognizing a Kraus operator as a scaled Pauli string.
 const PAULI_TOL: f64 = 1e-9;
@@ -83,23 +70,13 @@ pub struct PauliNoise {
 
 impl PauliNoise {
     /// Samples one Pauli string and conjugates it into the tableau.
-    /// Draws one `f64` iff the table has more than one entry (mirrors
-    /// the Kraus sampler's single-operator shortcut).
-    fn inject<R: Rng + ?Sized>(&self, t: &mut Tableau, rng: &mut R) {
+    /// A one-entry table draws nothing, like a single-operator Kraus
+    /// channel.
+    fn inject<D: Draws + ?Sized>(&self, t: &mut Tableau, draws: &mut D) {
         let chosen = if self.table.len() == 1 {
             0
         } else {
-            let r = rng.gen::<f64>();
-            let mut acc = 0.0;
-            let mut idx = self.table.len() - 1;
-            for (j, (p, _)) in self.table.iter().enumerate() {
-                acc += p;
-                if r < acc {
-                    idx = j;
-                    break;
-                }
-            }
-            idx
+            draws.pick(self.table.iter().map(|(p, _)| *p))
         };
         for (j, term) in self.table[chosen].1.iter().enumerate() {
             match term {
@@ -328,31 +305,29 @@ pub(crate) fn lower_clifford_scan(
     )
 }
 
-/// Executes one shot on `tableau` (reset by the caller); returns `None`
-/// when a post-selection discarded the shot. The RNG draw order is the
-/// frozen contract in the [module docs](self).
+/// Executes one shot on `tableau`, which it first resets to `|0…0⟩`;
+/// returns `None` when a post-selection discarded the shot. Draws per
+/// the contract of [`Draws`].
 ///
 /// `pub(crate)` so the hybrid backend can drive the same loop for the
 /// Clifford prefix of a routed program (carrying the clbits across the
 /// handoff).
-pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
+pub(crate) fn run_clifford_shot<D: Draws + ?Sized>(
     program: &CliffordProgram,
     tableau: &mut Tableau,
-    rng: &mut R,
+    draws: &mut D,
 ) -> Option<u64> {
+    tableau.reset_state();
     let mut clbits = 0u64;
     for op in program.ops() {
-        if let Some(cond) = op.condition {
-            let bit = (clbits >> cond.clbit.index()) & 1 == 1;
-            if bit != cond.value {
-                continue;
-            }
+        if !condition_holds(op.condition, clbits) {
+            continue;
         }
         match &op.kind {
             CliffordOpKind::Gate { kind, qubits } => {
                 tableau.apply_clifford(*kind, qubits);
                 for channel in &op.noise {
-                    channel.inject(tableau, rng);
+                    channel.inject(tableau, draws);
                 }
             }
             CliffordOpKind::Measure {
@@ -360,16 +335,12 @@ pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
                 clbit,
                 readout,
             } => {
-                let actual = tableau.measure(*qubit, rng);
-                let recorded = match readout {
-                    Some(r) => r.sample_recorded(actual, rng.gen::<f64>()),
-                    None => actual,
-                };
-                clbits = (clbits & !(1 << clbit)) | (u64::from(recorded) << clbit);
+                let actual = tableau.measure(*qubit, draws);
+                clbits = with_clbit(clbits, *clbit, read_out(actual, *readout, draws));
             }
-            CliffordOpKind::Reset { qubit } => tableau.reset_qubit(*qubit, rng),
+            CliffordOpKind::Reset { qubit } => tableau.reset_qubit(*qubit, draws),
             CliffordOpKind::PostSelect { qubit, outcome } => {
-                if !tableau.postselect(*qubit, *outcome, rng) {
+                if !tableau.postselect(*qubit, *outcome, draws) {
                     return None;
                 }
             }
@@ -378,27 +349,9 @@ pub(crate) fn run_clifford_shot<R: Rng + ?Sized>(
     Some(clbits)
 }
 
-/// Runs one shard of shots sequentially, reusing a single tableau.
-fn run_clifford_shard(program: &CliffordProgram, shots: u64, rng_seed: u64) -> (Counts, u64) {
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut tableau = Tableau::new(program.num_qubits());
-    let mut counts = Counts::new(program.num_clbits());
-    let mut discarded = 0u64;
-    for shot in 0..shots {
-        if shot > 0 {
-            tableau.reset_state();
-        }
-        match run_clifford_shot(program, &mut tableau, &mut rng) {
-            Some(clbits) => counts.record(clbits, 1),
-            None => discarded += 1,
-        }
-    }
-    (counts, discarded)
-}
-
 /// Shot-sharded Clifford execution on the process-wide [`ShardPool`]:
-/// the same shot split and [`crate::shard_seed`] derivation as
-/// [`crate::run_compiled_sharded`], driving the tableau shot loop.
+/// the same shot loop, shot split and [`crate::shard_seed`] derivation
+/// as [`crate::run_compiled_sharded`], with one tableau per shard.
 ///
 /// # Errors
 ///
@@ -427,9 +380,15 @@ pub fn run_clifford_sharded_on(
     seed: u64,
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
-    run_sharded_generic_on(pool, program.num_clbits(), shots, seed, threads, |n, s| {
-        Ok(run_clifford_shard(program, n, s))
-    })
+    run_sharded_generic_on(
+        pool,
+        program.num_clbits(),
+        shots,
+        seed,
+        threads,
+        || Tableau::new(program.num_qubits()),
+        |tableau, draws| Ok(run_clifford_shot(program, tableau, draws)),
+    )
 }
 
 /// Stabilizer tableau execution backend (Clifford circuits only).

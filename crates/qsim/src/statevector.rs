@@ -9,10 +9,10 @@
 //! fidelity, Z expectations).
 
 use crate::apply::{apply_controlled_mat2_at, apply_mat2_at, apply_matrix_at};
+use crate::draws::Draws;
 use crate::error::SimError;
 use qcircuit::{Gate, QubitId};
 use qmath::{CMatrix, Complex, Mat2};
-use rand::Rng;
 
 /// Tolerance below which a post-selection probability is treated as
 /// impossible.
@@ -237,18 +237,18 @@ impl StateVector {
     }
 
     /// Measures `qubit` in the computational basis, collapsing the state,
-    /// and returns the outcome.
+    /// and returns the outcome: one [`Draws::threshold`] on `P(1)`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
-    pub fn measure<R: Rng + ?Sized>(
+    pub fn measure<D: Draws + ?Sized>(
         &mut self,
         qubit: QubitId,
-        rng: &mut R,
+        draws: &mut D,
     ) -> Result<bool, SimError> {
         let p1 = self.probability_of_one(qubit)?;
-        let outcome = rng.gen::<f64>() < p1;
+        let outcome = draws.threshold(p1);
         self.project(qubit, outcome, if outcome { p1 } else { 1.0 - p1 });
         Ok(outcome)
     }
@@ -303,25 +303,21 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
-    pub fn reset<R: Rng + ?Sized>(&mut self, qubit: QubitId, rng: &mut R) -> Result<(), SimError> {
-        if self.measure(qubit, rng)? {
+    pub fn reset<D: Draws + ?Sized>(
+        &mut self,
+        qubit: QubitId,
+        draws: &mut D,
+    ) -> Result<(), SimError> {
+        if self.measure(qubit, draws)? {
             self.apply_gate(&Gate::X, &[qubit])?;
         }
         Ok(())
     }
 
     /// Samples a basis-state index from the Born distribution without
-    /// collapsing the state.
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (i, a) in self.amps.iter().enumerate() {
-            acc += a.norm_sqr();
-            if r < acc {
-                return i;
-            }
-        }
-        self.amps.len() - 1
+    /// collapsing the state: one [`Draws::pick`] over the probabilities.
+    pub fn sample_index<D: Draws + ?Sized>(&self, draws: &mut D) -> usize {
+        draws.pick(self.amps.iter().map(|a| a.norm_sqr()))
     }
 
     /// The Born-rule probability of each basis state.

@@ -7,7 +7,8 @@
 //! conn worker (× conn_workers; each blocks in accept() on its own
 //!   │          listener clone and serves one connection at a time)
 //!   │ read and route the request; for a job, parse the JSON and QASM
-//!   │ and instrument the assertions (bad input: 400, no queue slot)
+//!   │ and instrument the assertions (bad input: 400, a panic: 500;
+//!   │ neither takes a queue slot)
 //!   v
 //! JobQueue::submit(tenant) ──(queue_capacity jobs wait)──> 429
 //!   │ blocks until the job's fair turn: round-robin across tenants,
@@ -25,8 +26,9 @@
 //! and a request waits for no tick. Execution capacity is `job_workers`
 //! turns; jobs beyond that wait in the queue, and jobs beyond the
 //! queue bound are rejected with a typed 429 **before** any compile or
-//! shot work. A job that panics is answered with a 500 `internal`
-//! error; its worker lives on and the gauges stay correct.
+//! shot work. A job that panics, while it is instrumented or while it
+//! executes, is answered with a 500 `internal` error; its worker lives
+//! on and the gauges stay correct.
 //!
 //! # Graceful shutdown
 //!
@@ -270,6 +272,12 @@ fn panicked(payload: &(dyn std::any::Any + Send)) -> ApiError {
     }
 }
 
+/// Runs one step of a job, answering a panic in it with a 500
+/// `internal` instead of unwinding the worker.
+fn guarded<T>(step: impl FnOnce() -> Result<T, ApiError>) -> Result<T, ApiError> {
+    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| Err(panicked(payload.as_ref())))
+}
+
 /// Serves one connection: parse, route, respond, close.
 fn handle_connection(state: &ServeState, mut stream: TcpStream) {
     let response = match http::read_request(&stream, state.max_body_bytes) {
@@ -323,7 +331,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
     let spec = JobSpec::from_json(body)?;
     // Parse the QASM and instrument the assertions *before* admission:
     // a malformed job must cost a 400, never a queue slot.
-    let circuit = spec.build_circuit()?;
+    let circuit = guarded(|| spec.build_circuit())?;
 
     let tenant = request.header("x-api-token").unwrap_or("anonymous");
     let turn = state
@@ -333,8 +341,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             queue_full_error(capacity)
         })?;
-    let result = catch_unwind(AssertUnwindSafe(|| execute(state, &spec, &circuit)))
-        .unwrap_or_else(|payload| Err(panicked(payload.as_ref())));
+    let result = guarded(|| execute(state, &spec, &circuit));
     // Free the turn before the response is written: a slow reader must
     // not hold up the next job.
     drop(turn);

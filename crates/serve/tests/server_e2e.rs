@@ -471,6 +471,70 @@ fn panicking_jobs_get_500_and_the_worker_survives() {
 }
 
 #[test]
+fn panics_while_instrumenting_get_500_and_the_worker_survives() {
+    // One connection worker: instrumentation runs on it, so a panic
+    // that escaped would leave nobody to answer the requests below.
+    let server = Server::start(ServerConfig {
+        conn_workers: 1,
+        ..test_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+
+    // Each grows a register past the u32 id range: measuring the data
+    // qubits into a full classical register, and a second ancilla on a
+    // full quantum register.
+    let hostile = [
+        "{\"qasm\": \"OPENQASM 2.0;\\nqreg q[2];\\ncreg c[4294967295];\\n\"}",
+        "{\"qasm\": \"OPENQASM 2.0;\\nqreg q[4294967295];\\n\", \"measure_data\": false, \
+         \"assertions\": [ \
+           {\"kind\": \"entangled\", \"qubits\": [0, 1], \"parity\": \"even\"}, \
+           {\"kind\": \"entangled\", \"qubits\": [2, 3], \"parity\": \"even\"} ]}",
+    ];
+    for body in hostile {
+        let response = client::post_job(addr, "t", body).expect("post");
+        assert_eq!(response.status, 500, "body: {}", response.body);
+        assert!(
+            response.body.contains("\"error\":\"internal\""),
+            "{}",
+            response.body
+        );
+        assert!(
+            response.body.contains("job panicked: "),
+            "{}",
+            response.body
+        );
+    }
+
+    let response = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+
+    let body = ghz_job("");
+    let response = client::post_job(addr, "t", &body).expect("post");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    let wire_lines: Vec<&str> = response
+        .ndjson_lines()
+        .into_iter()
+        .filter(|l| !l.contains("\"type\":\"telemetry\""))
+        .collect();
+    let spec = JobSpec::from_json(&body).expect("spec");
+    let circuit = spec.build_circuit().expect("circuit");
+    let outcome = AssertionSession::new(StatevectorBackend::new())
+        .seed(spec.seed.expect("seed"))
+        .shot_plan(spec.plan)
+        .filter_policy(spec.filter)
+        .run(&circuit)
+        .expect("direct run");
+    let direct_lines: Vec<String> = outcome_records(&outcome, circuit.records())
+        .iter()
+        .map(Value::render)
+        .collect();
+    assert_eq!(wire_lines, direct_lines, "wire and direct renders differ");
+
+    server.shutdown();
+}
+
+#[test]
 fn healthz_round_trips_wait_for_no_accept_tick() {
     let server = Server::start(test_config()).expect("start");
     let mut round_trips: Vec<Duration> = (0..50)
