@@ -20,10 +20,12 @@ use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
 use qassert_serve::{client, JobSpec, Server, ServerConfig};
 use qcircuit::{library, QuantumCircuit};
+use qsim::tree::TREE_MAX_BYTES;
 use qsim::{
-    run_compiled_sharded_scoped, simd, Backend, BackendKind, CompiledProgram, Counts,
-    DensityMatrixBackend, HybridBackend, ProgramCache, ShardPool, SimdBackend, StabilizerBackend,
-    StatevectorBackend, TrajectoryBackend,
+    run_clifford_sharded, run_compiled_sharded, run_compiled_sharded_scoped, run_hybrid_sharded,
+    simd, Backend, BackendKind, CompiledProgram, Counts, DensityMatrixBackend, HybridBackend,
+    ProgramCache, ShardPool, SimError, SimdBackend, StabilizerBackend, StatevectorBackend,
+    TrajectoryBackend,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,13 +35,14 @@ use std::time::Instant;
 type Row = (&'static str, fn() -> Outcome);
 
 /// The rows, in run order.
-const ROWS: [Row; 7] = [
+const ROWS: [Row; 8] = [
     ("sweep", sweep),
     ("batch", batch),
     ("psweep", psweep),
     ("esweep", esweep),
     ("stab", stab),
     ("hybrid", hybrid),
+    ("tree", tree),
     ("serve", serve),
 ];
 
@@ -71,6 +74,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let start = Instant::now();
     let out = f();
     (start.elapsed().as_secs_f64(), out)
+}
+
+/// Times one call of a plain entry point, which runs every shot in full,
+/// returning (seconds, counts).
+fn timed_plain(run: impl FnOnce() -> Result<(Counts, u64), SimError>) -> (f64, Counts) {
+    timed(|| run().expect("workload runs").0)
 }
 
 /// A Bell pair under a `parity` entanglement assertion, data
@@ -228,15 +237,20 @@ fn readout_noise(qubits: usize) -> qnoise::NoiseModel {
 }
 
 /// `batch`: 600 shots of a 14-qubit, 8-round wide shallow instrumented
-/// circuit under readout noise.
+/// circuit under readout noise, seed 7 in 4 shards.
 ///
-/// * unbatched leg: `Backend::run_compiled` on a `TrajectoryBackend`
-///   built `with_batching(false)` (one full sweep per op);
-/// * batched leg: `Backend::run_compiled` on the default
-///   `TrajectoryBackend` (layer-planned blocked passes);
+/// * unbatched leg: `run_compiled_sharded` on the program a
+///   `TrajectoryBackend` built `with_batching(false)` compiles (one full
+///   sweep per op);
+/// * batched leg: `run_compiled_sharded` on the default
+///   `TrajectoryBackend`'s program (layer-planned blocked passes);
 /// * SIMD leg: the unbatched leg again under
 ///   `simd::set_backend_override(Some(SimdBackend::Scalar))`, timed
 ///   against the dispatched unbatched leg.
+///
+/// Every leg calls the plain entry point, which runs each shot in full:
+/// an outcome tree would replay the later legs' shots instead of timing
+/// the kernels.
 ///
 /// Pre-asserts: the two compilations have equal op counts, some ops
 /// batch, the program executes per shot, and all three legs' counts are
@@ -246,13 +260,8 @@ fn batch() -> Outcome {
     const SHOTS: u64 = 600;
     let circuit = wide_instrumented(QUBITS, 8).circuit().clone();
     let noise = readout_noise(QUBITS);
-    let batched = TrajectoryBackend::new(noise.clone())
-        .with_seed(7)
-        .with_threads(4);
-    let unbatched = TrajectoryBackend::new(noise)
-        .with_seed(7)
-        .with_threads(4)
-        .with_batching(false);
+    let batched = TrajectoryBackend::new(noise.clone());
+    let unbatched = TrajectoryBackend::new(noise).with_batching(false);
     let batched_program = batched.compile(&circuit).expect("compiles");
     let unbatched_program = unbatched.compile(&circuit).expect("compiles");
     require(
@@ -267,14 +276,14 @@ fn batch() -> Outcome {
         batched_program.fast_path().is_none() || batched_program.is_noisy(),
         "batch: the workload must execute per shot",
     );
-    let run = |backend: &TrajectoryBackend, program: &CompiledProgram, shots: u64| {
-        timed(|| backend.run_compiled(program, shots).expect("runs").counts)
+    let run = |program: &CompiledProgram, shots: u64| {
+        timed_plain(|| run_compiled_sharded(program, shots, 7, 4))
     };
 
-    run(&unbatched, &unbatched_program, SHOTS / 8);
-    run(&batched, &batched_program, SHOTS / 8);
-    let (unbatched_secs, unbatched_counts) = run(&unbatched, &unbatched_program, SHOTS);
-    let (batched_secs, batched_counts) = run(&batched, &batched_program, SHOTS);
+    run(&unbatched_program, SHOTS / 8);
+    run(&batched_program, SHOTS / 8);
+    let (unbatched_secs, unbatched_counts) = run(&unbatched_program, SHOTS);
+    let (batched_secs, batched_counts) = run(&batched_program, SHOTS);
     require(
         batched_counts == unbatched_counts,
         "batch: batched counts diverge from per-op counts",
@@ -282,8 +291,8 @@ fn batch() -> Outcome {
 
     let dispatched = simd::active_backend();
     simd::set_backend_override(Some(SimdBackend::Scalar));
-    run(&unbatched, &unbatched_program, SHOTS / 8);
-    let (scalar_secs, scalar_counts) = run(&unbatched, &unbatched_program, SHOTS);
+    run(&unbatched_program, SHOTS / 8);
+    let (scalar_secs, scalar_counts) = run(&unbatched_program, SHOTS);
     simd::set_backend_override(None);
     require(
         scalar_counts == unbatched_counts,
@@ -495,9 +504,14 @@ const STAB_MIN_SPEEDUP: f64 = 4.0;
 /// layers), plus 256 shots of a 1,024-qubit GHZ parity probe only the
 /// tableau can hold.
 ///
-/// * statevector leg: `Backend::run_compiled_seeded` on `StatevectorBackend`;
-/// * tableau leg: `Backend::run_compiled_seeded` on `StabilizerBackend`,
-///   same compiled program.
+/// * statevector leg: `run_compiled_sharded` (the per-shot amplitude
+///   path `StatevectorBackend` wraps), seed 7 in one shard;
+/// * tableau leg: `run_clifford_sharded` on the same compiled program's
+///   Clifford lowering, seed 7 in one shard, and likewise for the
+///   1,024-qubit probe.
+///
+/// Both legs call plain entry points, which run every shot in full; the
+/// backends would replay warm shots from the program's outcome trees.
 ///
 /// Pre-asserts: the program is Clifford-eligible, tableau counts lie
 /// within TVD 0.02 of the exact distribution, seeded tableau runs
@@ -524,7 +538,6 @@ fn stab() -> Outcome {
     }
     circuit.measure_all();
     let tableau = StabilizerBackend::ideal();
-    let sv = StatevectorBackend::new();
     let program = tableau
         .compile(&circuit)
         .expect("clifford workload compiles");
@@ -549,10 +562,13 @@ fn stab() -> Outcome {
         "stab: seeded tableau runs are not reproducible",
     );
 
-    run_seeded(&sv, &program, SHOTS / 4);
-    run_seeded(&tableau, &program, SHOTS / 4);
-    let (sv_secs, sv_counts) = run_seeded(&sv, &program, SHOTS);
-    let (tableau_secs, tableau_counts) = run_seeded(&tableau, &program, SHOTS);
+    let clifford = program.clifford().expect("clifford-eligible");
+    let sv_leg = |shots| timed_plain(|| run_compiled_sharded(&program, shots, 7, 1));
+    let tableau_leg = |shots| timed_plain(|| run_clifford_sharded(clifford, shots, 7, 1));
+    sv_leg(SHOTS / 4);
+    tableau_leg(SHOTS / 4);
+    let (sv_secs, sv_counts) = sv_leg(SHOTS);
+    let (tableau_secs, tableau_counts) = tableau_leg(SHOTS);
     require(
         sv_counts.total() == tableau_counts.total(),
         "stab: the legs counted different shot totals",
@@ -564,8 +580,10 @@ fn stab() -> Outcome {
     big.measure(0, 0).expect("valid measurement");
     big.measure(1023, 1).expect("valid measurement");
     let big_program = tableau.compile(&big).expect("1024-qubit ghz compiles");
-    let (_, warm) = run_seeded(&tableau, &big_program, 32);
-    let (big_secs, big_counts) = run_seeded(&tableau, &big_program, BIG_SHOTS);
+    let big_clifford = big_program.clifford().expect("clifford-eligible");
+    let big_leg = |shots| timed_plain(|| run_clifford_sharded(big_clifford, shots, 7, 1));
+    let (_, warm) = big_leg(32);
+    let (big_secs, big_counts) = big_leg(BIG_SHOTS);
     require(
         [&warm, &big_counts]
             .iter()
@@ -590,21 +608,11 @@ fn stab() -> Outcome {
 /// process on this host, so the ratio needs no derating.
 const HYBRID_MIN_SPEEDUP: f64 = 2.0;
 
-/// `hybrid`: 4,000 shots of an n=12 Clifford-dominated circuit (six
+/// The `hybrid` and `tree` rows' n=12 Clifford-dominated circuit: six
 /// H/CX/S rounds with a mid measurement in the first, a two-op T island,
-/// 4-qubit readout).
-///
-/// * statevector leg: `Backend::run_compiled_seeded` on `StatevectorBackend`;
-/// * hybrid leg: `Backend::run_compiled_seeded` on `HybridBackend`, same
-///   compiled program (tableau prefix, handoff, amplitude suffix).
-///
-/// Pre-asserts: the program carries a profitable hybrid plan (so the
-/// row never times the fallback against itself), hybrid counts lie
-/// within TVD 0.03 of the statevector sample, seeded hybrid runs repeat
-/// bit for bit, and both legs count the same shots.
-fn hybrid() -> Outcome {
+/// 4-qubit readout.
+fn clifford_island() -> QuantumCircuit {
     const N: usize = 12;
-    const SHOTS: u64 = 4_000;
     let mut circuit = QuantumCircuit::new(N, 4);
     for round in 0..6 {
         for q in 0..N {
@@ -625,9 +633,31 @@ fn hybrid() -> Outcome {
     for q in 0..4 {
         circuit.measure(q, q).expect("valid measurement");
     }
+    circuit
+}
+
+/// `hybrid`: 4,000 shots of [`clifford_island`].
+///
+/// * statevector leg: `run_compiled_sharded` (the per-shot amplitude
+///   path `StatevectorBackend` wraps), seed 7 in one shard;
+/// * hybrid leg: `run_hybrid_sharded` (the routed path `HybridBackend`
+///   wraps: tableau prefix, handoff, amplitude suffix) on the same
+///   compiled program's plan, seed 7 in one shard.
+///
+/// Both legs call plain entry points, which run every shot in full; the
+/// backends would replay warm shots from the program's outcome trees.
+///
+/// Pre-asserts: the program carries a profitable hybrid plan (so the
+/// row never times the fallback against itself), hybrid counts lie
+/// within TVD 0.03 of the statevector sample, seeded hybrid runs repeat
+/// bit for bit, and both legs count the same shots.
+fn hybrid() -> Outcome {
+    const SHOTS: u64 = 4_000;
     let routed = HybridBackend::ideal();
     let sv = StatevectorBackend::new();
-    let program = routed.compile(&circuit).expect("workload compiles");
+    let program = routed
+        .compile(&clifford_island())
+        .expect("workload compiles");
     let plan = program.hybrid();
     require(
         plan.is_some_and(|plan| plan.profitable()),
@@ -650,10 +680,13 @@ fn hybrid() -> Outcome {
         "hybrid: seeded hybrid runs are not reproducible",
     );
 
-    run_seeded(&sv, &program, SHOTS / 4);
-    run_seeded(&routed, &program, SHOTS / 4);
-    let (sv_secs, sv_counts) = run_seeded(&sv, &program, SHOTS);
-    let (routed_secs, routed_counts) = run_seeded(&routed, &program, SHOTS);
+    let plan = plan.expect("profitable plan");
+    let sv_leg = |shots| timed_plain(|| run_compiled_sharded(&program, shots, 7, 1));
+    let routed_leg = |shots| timed_plain(|| run_hybrid_sharded(plan, shots, 7, 1));
+    sv_leg(SHOTS / 4);
+    routed_leg(SHOTS / 4);
+    let (sv_secs, sv_counts) = sv_leg(SHOTS);
+    let (routed_secs, routed_counts) = routed_leg(SHOTS);
     require(
         sv_counts.total() == routed_counts.total(),
         "hybrid: the legs counted different shot totals",
@@ -665,13 +698,120 @@ fn hybrid() -> Outcome {
             ("sv_per_shot_ns", sv_secs * 1e9 / SHOTS as f64),
             ("hybrid_per_shot_ns", routed_secs * 1e9 / SHOTS as f64),
             ("speedup", speedup),
-            (
-                "prefix_ops",
-                plan.map_or(0, |p| p.prefix().ops().len()) as f64,
-            ),
+            ("prefix_ops", plan.prefix().ops().len() as f64),
             ("tvd", tvd),
         ],
         gates: vec![gate!(speedup >= HYBRID_MIN_SPEEDUP)],
+    }
+}
+
+/// Warm-tree floor, far under the ~100x a walk of a few draws gains over
+/// a tableau prefix, a handoff and a 12-qubit suffix per shot.
+const TREE_MIN_SPEEDUP: f64 = 10.0;
+/// Ceiling on a saturated tree's leg against the plain leg. Its shots
+/// add a failed walk to a full run; shards serialized on a lock would
+/// double the leg (a tree locked per shard read 2,251 ms against
+/// 1,109).
+const TREE_MAX_SATURATED_RATIO: f64 = 1.5;
+
+/// `tree`: outcome trees against the plain entry points they wrap.
+///
+/// * (a) 4,000 shots of [`clifford_island`], seed 7 in one shard:
+///   `Backend::run_compiled_seeded` on `HybridBackend` with a warm tree
+///   against `run_hybrid_sharded`;
+/// * (b) 600 shots of the `batch` row's readout-noise program, seed 7 in
+///   4 shards, where nearly every shot takes a new path:
+///   `Backend::run_compiled_seeded` on `TrajectoryBackend`, after two
+///   calls under other seeds have saturated its tree, against
+///   `run_compiled_sharded`; each leg's best of four, in alternating
+///   order.
+///
+/// Pre-asserts: both parts' counts are bit-identical to the plain
+/// entry points'. Gates: part (a)'s speedup, and part (b)'s tree
+/// saturated under its byte cap without slowing the leg.
+fn tree() -> Outcome {
+    const SHOTS: u64 = 4_000;
+    let routed = HybridBackend::ideal();
+    let program = routed
+        .compile(&clifford_island())
+        .expect("workload compiles");
+    let plan = program.hybrid().filter(|plan| plan.profitable());
+    require(
+        plan.is_some(),
+        "tree: the workload must carry a profitable clifford prefix",
+    );
+    let plan = plan.expect("profitable plan");
+    let plain_leg = |shots| timed_plain(|| run_hybrid_sharded(plan, shots, 7, 1));
+    run_seeded(&routed, &program, SHOTS);
+    plain_leg(SHOTS / 4);
+    let (plain_secs, plain_counts) = plain_leg(SHOTS);
+    let (walked_secs, walked_counts) = run_seeded(&routed, &program, SHOTS);
+    require(
+        walked_counts == plain_counts,
+        "tree: warm hybrid counts diverge from run_hybrid_sharded",
+    );
+    let walked = program.tree_stats();
+
+    const WIDE_SHOTS: u64 = 600;
+    const WIDE_ROUNDS: usize = 4;
+    let noisy = TrajectoryBackend::new(readout_noise(14)).with_threads(4);
+    let wide = noisy
+        .compile(wide_instrumented(14, 8).circuit())
+        .expect("compiles");
+    let tree_leg = |seed| {
+        timed(|| {
+            noisy
+                .run_compiled_seeded(&wide, WIDE_SHOTS, Some(seed), None)
+                .expect("runs")
+                .counts
+        })
+    };
+    // Under other seeds nearly every shot records a new path, so two
+    // calls pass the saturation rule.
+    tree_leg(1);
+    tree_leg(2);
+    let plain_wide = || timed_plain(|| run_compiled_sharded(&wide, WIDE_SHOTS, 7, 4));
+    // Each leg's best of WIDE_ROUNDS, the legs taking turns to go first
+    // so that neither times on caches the other warmed.
+    let (mut wide_plain_secs, mut wide_tree_secs) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..WIDE_ROUNDS {
+        let ((plain_secs, plain_counts), (tree_secs, tree_counts)) = if round % 2 == 0 {
+            let plain = plain_wide();
+            (plain, tree_leg(7))
+        } else {
+            let tree = tree_leg(7);
+            (plain_wide(), tree)
+        };
+        require(
+            tree_counts == plain_counts,
+            "tree: saturated-tree counts diverge from run_compiled_sharded",
+        );
+        wide_plain_secs = wide_plain_secs.min(plain_secs);
+        wide_tree_secs = wide_tree_secs.min(tree_secs);
+    }
+    let saturated = wide.tree_stats();
+
+    let speedup = plain_secs / walked_secs;
+    let saturated_ratio = wide_tree_secs / wide_plain_secs;
+    Outcome {
+        metrics: vec![
+            ("plain_per_shot_ns", plain_secs * 1e9 / SHOTS as f64),
+            ("walked_per_shot_ns", walked_secs * 1e9 / SHOTS as f64),
+            ("speedup", speedup),
+            ("tree_bytes", walked.bytes as f64),
+            ("wide_plain_ms", wide_plain_secs * 1e3),
+            ("wide_tree_ms", wide_tree_secs * 1e3),
+            ("saturated_ratio", saturated_ratio),
+            ("wide_tree_bytes", saturated.bytes as f64),
+        ],
+        gates: vec![
+            gate!(speedup >= TREE_MIN_SPEEDUP),
+            gate!(
+                saturated.saturated
+                    && saturated.bytes <= TREE_MAX_BYTES
+                    && saturated_ratio <= TREE_MAX_SATURATED_RATIO
+            ),
+        ],
     }
 }
 

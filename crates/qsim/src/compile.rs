@@ -287,7 +287,7 @@ fn analyze_hybrid(
         > HANDOFF_EXTRACTION_PASSES + prefix_ops * tableau_pass_fraction;
     Some(HybridPlan::new(
         prefix,
-        boundary,
+        block.clone(),
         Box::new(suffix),
         profitable,
     ))

@@ -20,7 +20,7 @@ use rand::{Rng, RngCore};
 /// | readout error on a measured bit | [`threshold`](Draws::threshold) on the flip probability |
 /// | Kraus channel with more than one operator | [`pick`](Draws::pick) over the Born weights |
 /// | Pauli channel with more than one table entry | [`pick`](Draws::pick) over the table's probabilities |
-/// | sample-once statevector shot | [`pick`](Draws::pick) over the basis-state probabilities |
+/// | sample-once statevector shot | [`search`](Draws::search) over the basis-state probabilities' running sums |
 /// | tableau measurement with a random outcome | [`coin`](Draws::coin) |
 /// | hybrid handoff from tableau to amplitudes | [`marker`](Draws::marker) |
 ///
@@ -40,7 +40,8 @@ use rand::{Rng, RngCore};
 /// the suffix draws at all, so ops added on either side of the cut never
 /// realign the two streams.
 ///
-/// Every [`RngCore`] implements this trait.
+/// Every [`RngCore`] implements this trait. The outcome trees of
+/// [`crate::tree`] record and replay exactly this contract.
 pub trait Draws {
     /// Draws one `f64` `u` uniform in `[0, 1)` and returns `u < p`.
     fn threshold(&mut self, p: f64) -> bool;
@@ -54,6 +55,16 @@ pub trait Draws {
     /// single weight: callers that skip it for one-entry tables do so
     /// themselves.
     fn pick<I: IntoIterator<Item = f64>>(&mut self, weights: I) -> usize;
+
+    /// Draws one `f64` `u` and returns the index [`pick`](Draws::pick)
+    /// would return for weights whose running sums are `cumulative`
+    /// (each element's sum read through `sum`): the first index whose
+    /// running sum exceeds `u`, or the last index when none does (0 for
+    /// none).
+    ///
+    /// A binary search, so the sums must be non-decreasing, as running
+    /// sums of non-negative weights are.
+    fn search<T>(&mut self, cumulative: &[T], sum: impl Fn(&T) -> f64) -> usize;
 
     /// Draws one `bool`.
     fn coin(&mut self) -> bool;
@@ -79,6 +90,12 @@ impl<R: RngCore + ?Sized> Draws for R {
             last = i;
         }
         last
+    }
+
+    fn search<T>(&mut self, cumulative: &[T], sum: impl Fn(&T) -> f64) -> usize {
+        let u = self.gen::<f64>();
+        let first_above = cumulative.partition_point(|t| sum(t) <= u);
+        first_above.min(cumulative.len().saturating_sub(1))
     }
 
     fn coin(&mut self) -> bool {
@@ -168,6 +185,32 @@ mod tests {
         // A single weight still takes its draw.
         let mut s = Script::new(&[raw(0.5)]);
         assert_eq!(s.pick([1.0]), 0);
+        assert_eq!(s.taken, 1);
+    }
+
+    #[test]
+    fn search_takes_one_raw_draw_and_returns_picks_index() {
+        let weights = [0.25, 0.0, 0.25, 0.5];
+        let sums = [0.25, 0.25, 0.5, 1.0];
+        for u in [0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 0.999] {
+            let mut picked = Script::new(&[raw(u)]);
+            let mut searched = Script::new(&[raw(u)]);
+            assert_eq!(
+                searched.search(&sums, |s| *s),
+                picked.pick(weights),
+                "u = {u}"
+            );
+            assert_eq!(searched.taken, 1, "raw draws at u = {u}");
+        }
+
+        // Rounding left the total short of the draw: the last index.
+        let mut s = Script::new(&[raw(0.875)]);
+        assert_eq!(s.search(&[0.25, 0.5, 0.75], |s| *s), 2);
+        assert_eq!(s.taken, 1);
+
+        // No sums still takes the draw and answers 0, like `pick`.
+        let mut s = Script::new(&[raw(0.5)]);
+        assert_eq!(s.search(&[] as &[f64], |s| *s), 0);
         assert_eq!(s.taken, 1);
     }
 }

@@ -45,6 +45,12 @@
 //! scoped-thread strategy survives as [`run_compiled_sharded_scoped`],
 //! the reference the equivalence suite pins pooled execution against.
 //!
+//! The backends run each shot through the program's outcome tree (see
+//! [`crate::tree`]): a shot on a path an earlier shot recorded replays
+//! that path's outcome, bit for bit, instead of re-simulating. The plain
+//! entry points ([`run_compiled_sharded`] and its tableau and hybrid
+//! counterparts) run every shot in full.
+//!
 //! The original instruction interpreter survives as [`run_shot`]: it is
 //! the *reference semantics* the cross-backend equivalence suite compares
 //! compiled execution against, and remains useful for one-off shots where
@@ -59,6 +65,7 @@ use crate::error::SimError;
 use crate::pool::ShardPool;
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram};
 use crate::statevector::StateVector;
+use crate::tree::{OutcomeTree, Recorder};
 use qcircuit::{Condition, OpKind, QuantumCircuit, QubitId};
 use qnoise::{Kraus, NoiseModel, ReadoutError};
 use rand::rngs::StdRng;
@@ -618,21 +625,35 @@ pub fn tranche_seed(seed: u64, tranche: usize) -> u64 {
 /// sample-once path: seeds the shard's stream and runs `shot` `shots`
 /// times on the shard's `scratch` state. `shot` returns the shot's
 /// clbits, or `None` when the shot is discarded.
+///
+/// With a `tree`, each shot first walks its recorded paths and runs
+/// `shot` only at a branch nobody has recorded, recording the path into
+/// a shard-local delta that is published when the shard ends (see
+/// [`crate::tree`]). Walked or run, a shot takes the same draws.
 fn run_shard<S>(
     num_clbits: usize,
     shots: u64,
     rng_seed: u64,
+    tree: Option<&OutcomeTree>,
     mut scratch: S,
-    shot: impl Fn(&mut S, &mut StdRng) -> Result<Option<u64>, SimError>,
+    shot: impl Fn(&mut S, &mut Recorder<'_>) -> Result<Option<u64>, SimError>,
 ) -> Result<(Counts, u64), SimError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let mut counts = Counts::new(num_clbits);
     let mut discarded = 0u64;
+    let mut delta = tree.map(OutcomeTree::delta);
     for _ in 0..shots {
-        match shot(&mut scratch, &mut rng)? {
+        let outcome = match delta.as_mut() {
+            Some(delta) => delta.shot(&mut rng, |draws| shot(&mut scratch, draws))?,
+            None => shot(&mut scratch, &mut Recorder::plain(&mut rng))?,
+        };
+        match outcome {
             Some(clbits) => counts.record(clbits, 1),
             None => discarded += 1,
         }
+    }
+    if let Some(delta) = delta {
+        delta.publish();
     }
     Ok((counts, discarded))
 }
@@ -711,12 +732,27 @@ pub fn run_compiled_sharded_on(
     seed: u64,
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
+    run_amplitudes(pool, program, None, shots, seed, threads)
+}
+
+/// The amplitude per-shot path on `pool`, walking `tree` when given:
+/// the statevector and trajectory backends pass the program's amplitude
+/// tree, [`run_compiled_sharded_on`] passes none.
+fn run_amplitudes(
+    pool: &ShardPool,
+    program: &CompiledProgram,
+    tree: Option<&OutcomeTree>,
+    shots: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<(Counts, u64), SimError> {
     run_sharded_generic_on(
         pool,
         program.num_clbits(),
         shots,
         seed,
         threads,
+        tree,
         || (),
         |_, draws| compiled_clbits(program, draws),
     )
@@ -730,17 +766,19 @@ pub fn run_compiled_sharded_on(
 /// `()` for amplitudes, a [`crate::Tableau`] for the tableau and hybrid
 /// paths. Every per-shot backend inherits the identical shot split and
 /// seed derivation, so its counts are a pure function of
-/// `(seed, threads)` under any pool size.
+/// `(seed, threads)` under any pool size, with or without a `tree`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded_generic_on<S>(
     pool: &ShardPool,
     num_clbits: usize,
     shots: u64,
     seed: u64,
     threads: usize,
+    tree: Option<&OutcomeTree>,
     scratch: impl Fn() -> S + Sync,
-    shot: impl Fn(&mut S, &mut StdRng) -> Result<Option<u64>, SimError> + Sync,
+    shot: impl Fn(&mut S, &mut Recorder<'_>) -> Result<Option<u64>, SimError> + Sync,
 ) -> Result<(Counts, u64), SimError> {
-    let run = |n, rng_seed| run_shard(num_clbits, n, rng_seed, scratch(), &shot);
+    let run = |n, rng_seed| run_shard(num_clbits, n, rng_seed, tree, scratch(), &shot);
     let threads = threads.min(shots.max(1) as usize).max(1);
     if threads == 1 {
         return run(shots, seed);
@@ -776,7 +814,7 @@ pub fn run_compiled_sharded_scoped(
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
     let run = |n, rng_seed| {
-        run_shard(program.num_clbits(), n, rng_seed, (), |_, draws| {
+        run_shard(program.num_clbits(), n, rng_seed, None, (), |_, draws| {
             compiled_clbits(program, draws)
         })
     };
@@ -965,25 +1003,41 @@ impl Backend for StatevectorBackend {
         // per-shot path.
         if let (Some(fp), false) = (program.fast_path(), program.is_noisy()) {
             // Evolve the unitary prefix once (batched where planned),
-            // then sample it once per shot from one unsharded stream.
+            // turn it into running sums in place, then sample it once per
+            // shot, by binary search, from one unsharded stream.
             let mut state = StateVector::zero_state(program.num_qubits());
             evolve_unitary_prefix(program, fp.unitary_prefix, &mut state)?;
-            let sampled = run_shard(program.num_clbits(), shots, seed, state, |state, draws| {
-                let idx = state.sample_index(draws);
-                let mut key = 0u64;
-                // Mask-then-set in measurement order so duplicate clbits
-                // are last-write-wins, matching per-shot execution.
-                for (q, c) in &fp.mapping {
-                    key = with_clbit(key, *c, (idx >> q) & 1 == 1);
-                }
-                Ok(Some(key))
-            })?;
+            let sums = state.into_running_sums();
+            let sampled = run_shard(
+                program.num_clbits(),
+                shots,
+                seed,
+                None,
+                sums,
+                |sums, draws| {
+                    let idx = draws.search(&sums[..], |a| a.re);
+                    let mut key = 0u64;
+                    // Mask-then-set in measurement order so duplicate clbits
+                    // are last-write-wins, matching per-shot execution.
+                    for (q, c) in &fp.mapping {
+                        key = with_clbit(key, *c, (idx >> q) & 1 == 1);
+                    }
+                    Ok(Some(key))
+                },
+            )?;
             return RunResult::from_shots(shots, sampled);
         }
 
         RunResult::from_shots(
             shots,
-            run_compiled_sharded(program, shots, seed, threads.unwrap_or(self.threads))?,
+            run_amplitudes(
+                ShardPool::global(),
+                program,
+                Some(&program.trees().amplitude),
+                shots,
+                seed,
+                threads.unwrap_or(self.threads),
+            )?,
         )
     }
 }
@@ -1082,8 +1136,10 @@ impl Backend for TrajectoryBackend {
     ) -> Result<RunResult, SimError> {
         RunResult::from_shots(
             shots,
-            run_compiled_sharded(
+            run_amplitudes(
+                ShardPool::global(),
                 program,
+                Some(&program.trees().amplitude),
                 shots,
                 seed.unwrap_or(self.seed),
                 threads.unwrap_or(self.threads),

@@ -40,6 +40,11 @@
 //! draws its prefix, handoff marker and suffix per the frozen contract
 //! of [`crate::Draws`], pinned by golden seed-stream vectors.
 //!
+//! The backend walks the program's hybrid outcome tree
+//! ([`crate::tree`]), so a warm shot replays a recorded path instead of
+//! running the prefix, the handoff and the suffix;
+//! [`run_hybrid_sharded`] runs every shot in full, with equal counts.
+//!
 //! Because the tableau and amplitude executors burn entropy
 //! differently, hybrid counts agree with the pure statevector backend
 //! **distributionally**, not bit-for-bit; the equivalence suite pins
@@ -47,6 +52,7 @@
 //! backend they delegate to.
 
 use crate::compile::CompileOptions;
+use crate::counts::Counts;
 use crate::draws::Draws;
 use crate::error::SimError;
 use crate::executor::{
@@ -54,7 +60,8 @@ use crate::executor::{
 };
 use crate::pool::ShardPool;
 use crate::program::{CompiledProgram, HybridPlan};
-use crate::stabilizer::{run_clifford_sharded, run_clifford_shot, Tableau};
+use crate::stabilizer::{run_clifford, run_clifford_shot, Tableau};
+use crate::tree::OutcomeTree;
 use qnoise::NoiseModel;
 
 /// Widest register the amplitude handoff can materialize
@@ -75,6 +82,51 @@ fn hybrid_shot<D: Draws + ?Sized>(
     let mut state = tableau.to_statevector();
     let kept = run_compiled_from(plan.suffix(), &mut state, &mut clbits, draws)?;
     Ok(kept.then_some(clbits))
+}
+
+/// The routed path: `plan`'s Clifford prefix on a tableau, the handoff,
+/// and the amplitude suffix, per shot, sharded like
+/// [`crate::run_compiled_sharded`]. [`HybridBackend`] runs this same
+/// path on a program's outcome tree; this entry point runs every shot
+/// in full.
+///
+/// # Errors
+///
+/// Returns [`SimError::NotClifford`] naming the plan's blocking
+/// instruction when the program is wider than [`MAX_HANDOFF_QUBITS`],
+/// before any shot runs; otherwise propagates the first shard's
+/// [`SimError`].
+pub fn run_hybrid_sharded(
+    plan: &HybridPlan,
+    shots: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<(Counts, u64), SimError> {
+    run_hybrid(plan, None, shots, seed, threads)
+}
+
+/// [`run_hybrid_sharded`], walking `tree` when given.
+fn run_hybrid(
+    plan: &HybridPlan,
+    tree: Option<&OutcomeTree>,
+    shots: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<(Counts, u64), SimError> {
+    let prefix = plan.prefix();
+    if prefix.num_qubits() > MAX_HANDOFF_QUBITS {
+        return Err(SimError::NotClifford(plan.block().clone()));
+    }
+    run_sharded_generic_on(
+        ShardPool::global(),
+        prefix.num_clbits(),
+        shots,
+        seed,
+        threads,
+        tree,
+        || Tableau::new(prefix.num_qubits()),
+        |tableau, draws| hybrid_shot(plan, tableau, draws),
+    )
 }
 
 /// Hybrid Clifford-routing backend (see [module docs](self)).
@@ -196,46 +248,37 @@ impl Backend for HybridBackend {
 
         // Pure Clifford: the tableau runs the whole program, zero
         // handoff — bit-identical to StabilizerBackend.
-        if let Ok(clifford) = program.clifford() {
-            return RunResult::from_shots(
-                shots,
-                run_clifford_sharded(clifford, shots, seed, threads)?,
-            );
-        }
-
-        let routed = match program.hybrid() {
-            Some(plan) if plan.profitable() && program.num_qubits() <= MAX_HANDOFF_QUBITS => {
-                Some(plan)
+        let block = match program.clifford() {
+            Ok(clifford) => {
+                return RunResult::from_shots(
+                    shots,
+                    run_clifford(
+                        ShardPool::global(),
+                        clifford,
+                        Some(&program.trees().tableau),
+                        shots,
+                        seed,
+                        threads,
+                    )?,
+                );
             }
-            _ => None,
+            Err(block) => block,
         };
-        let Some(plan) = routed else {
-            if program.num_qubits() > MAX_HANDOFF_QUBITS {
-                let block = program
-                    .clifford()
-                    .expect_err("non-Clifford program carries a block");
-                return Err(SimError::NotClifford(block.clone()));
-            }
+        if program.num_qubits() > MAX_HANDOFF_QUBITS {
+            return Err(SimError::NotClifford(block.clone()));
+        }
+        match program.hybrid() {
+            Some(plan) if plan.profitable() => RunResult::from_shots(
+                shots,
+                run_hybrid(plan, Some(&program.trees().hybrid), shots, seed, threads)?,
+            ),
             // Fallback: the whole program on amplitudes, bit-identical
             // to StatevectorBackend with the same (seed, threads).
-            return StatevectorBackend::new()
+            _ => StatevectorBackend::new()
                 .with_seed(seed)
                 .with_threads(threads)
-                .run_compiled(program, shots);
-        };
-
-        RunResult::from_shots(
-            shots,
-            run_sharded_generic_on(
-                ShardPool::global(),
-                program.num_clbits(),
-                shots,
-                seed,
-                threads,
-                || Tableau::new(program.num_qubits()),
-                |tableau, draws| hybrid_shot(plan, tableau, draws),
-            )?,
-        )
+                .run_compiled(program, shots),
+        }
     }
 }
 
@@ -353,6 +396,23 @@ mod tests {
                 gate: "t".to_string(),
                 instruction: n,
             })
+        );
+    }
+
+    #[test]
+    fn the_plain_routed_path_refuses_an_over_width_plan() {
+        let n = MAX_HANDOFF_QUBITS + 1;
+        let mut qc = QuantumCircuit::new(n, 1);
+        for q in 0..n {
+            qc.h(q).unwrap();
+        }
+        qc.t(0).unwrap();
+        qc.measure(0, 0).unwrap();
+        let program = HybridBackend::ideal().compile(&qc).unwrap();
+        let plan = program.hybrid().expect("clifford prefix recorded");
+        assert_eq!(
+            run_hybrid_sharded(plan, 10, 0, 1).unwrap_err(),
+            SimError::NotClifford(plan.block().clone())
         );
     }
 }

@@ -43,6 +43,9 @@
 //!   the amplitude executor,
 //! * [`Draws`] — the per-shot draw contract: every random decision of
 //!   every per-shot executor, and the raw draws it consumes,
+//! * [`tree`] — outcome trees: each compiled program records the draw
+//!   paths its shots took, and later shots on a recorded path replay
+//!   its outcome instead of re-simulating, bit for bit,
 //! * [`Backend`] implementations: [`StatevectorBackend`] (ideal),
 //!   [`TrajectoryBackend`] (Monte-Carlo noisy, multi-threaded),
 //!   [`DensityMatrixBackend`] (exact noisy with measurement branching),
@@ -91,6 +94,7 @@ pub mod program;
 pub mod simd;
 pub mod stabilizer;
 pub mod statevector;
+pub mod tree;
 
 pub use batch::{BatchPlan, PlanNode};
 pub use cache::{CacheStats, ProgramCache, ProgramKey};
@@ -107,7 +111,7 @@ pub use executor::{
     DensityMatrixBackend, ExactDistribution, RunResult, ShotRecord, StatevectorBackend,
     TrajectoryBackend,
 };
-pub use hybrid::{HybridBackend, MAX_HANDOFF_QUBITS};
+pub use hybrid::{run_hybrid_sharded, HybridBackend, MAX_HANDOFF_QUBITS};
 pub use kernel::BatchKernel;
 pub use pool::{PoolGauges, PoolScope, PoolStats, ShardPool};
 pub use prefix::PrefixRegistry;
@@ -118,3 +122,4 @@ pub use stabilizer::{
     PauliNoise, StabilizerBackend, Tableau,
 };
 pub use statevector::StateVector;
+pub use tree::TreeStats;

@@ -25,6 +25,7 @@
 use crate::batch::BatchPlan;
 use crate::error::CliffordBlock;
 use crate::stabilizer::CliffordProgram;
+use crate::tree::{TreeStats, Trees};
 use qcircuit::{Condition, QubitId};
 use qmath::{CMatrix, Complex, Mat2};
 use qnoise::{AppliedChannel, ReadoutError};
@@ -177,7 +178,7 @@ pub struct FastPath {
 #[derive(Clone, Debug)]
 pub struct HybridPlan {
     prefix: CliffordProgram,
-    boundary: usize,
+    block: CliffordBlock,
     suffix: Box<CompiledProgram>,
     profitable: bool,
 }
@@ -186,13 +187,13 @@ impl HybridPlan {
     /// Assembles a plan (called by the compiler's hybrid analysis).
     pub(crate) fn new(
         prefix: CliffordProgram,
-        boundary: usize,
+        block: CliffordBlock,
         suffix: Box<CompiledProgram>,
         profitable: bool,
     ) -> Self {
         HybridPlan {
             prefix,
-            boundary,
+            block,
             suffix,
             profitable,
         }
@@ -208,7 +209,12 @@ impl HybridPlan {
     /// Source-circuit index of the first non-Clifford instruction (the
     /// cut point; instructions `[0, boundary)` are the prefix).
     pub fn boundary(&self) -> usize {
-        self.boundary
+        self.block.instruction()
+    }
+
+    /// The first non-Clifford instruction, where the prefix ends.
+    pub(crate) fn block(&self) -> &CliffordBlock {
+        &self.block
     }
 
     /// The suffix `[boundary..]`, compiled standalone at full register
@@ -240,6 +246,7 @@ pub struct CompiledProgram {
     fused_gates: usize,
     clifford: Result<CliffordProgram, CliffordBlock>,
     hybrid: Option<HybridPlan>,
+    trees: Trees,
 }
 
 impl CompiledProgram {
@@ -266,6 +273,7 @@ impl CompiledProgram {
             fused_gates,
             clifford,
             hybrid,
+            trees: Trees::default(),
         }
     }
 
@@ -339,6 +347,19 @@ impl CompiledProgram {
     /// consults [`HybridPlan::profitable`] before using it.
     pub fn hybrid(&self) -> Option<&HybridPlan> {
         self.hybrid.as_ref()
+    }
+
+    /// The program's outcome trees, one per draw contract (see
+    /// [`crate::tree`]).
+    pub(crate) fn trees(&self) -> &Trees {
+        &self.trees
+    }
+
+    /// What the program's outcome trees have done so far, summed over
+    /// its draw contracts. The counts depend on history (earlier calls,
+    /// and other threads sharing the program), never on a result.
+    pub fn tree_stats(&self) -> TreeStats {
+        self.trees.stats()
     }
 
     /// Returns `true` when any op carries pre-bound noise or readout

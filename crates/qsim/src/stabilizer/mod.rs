@@ -52,6 +52,7 @@ use crate::executor::{
 };
 use crate::pool::ShardPool;
 use crate::program::CompiledProgram;
+use crate::tree::OutcomeTree;
 use qcircuit::{CliffordKind, Condition, OpKind, QuantumCircuit};
 use qnoise::{AppliedChannel, NoiseModel, PauliTerm, ReadoutError};
 
@@ -380,12 +381,27 @@ pub fn run_clifford_sharded_on(
     seed: u64,
     threads: usize,
 ) -> Result<(Counts, u64), SimError> {
+    run_clifford(pool, program, None, shots, seed, threads)
+}
+
+/// The tableau path on `pool`, walking `tree` when given: the
+/// stabilizer and hybrid backends pass the compiled program's tableau
+/// tree, [`run_clifford_sharded_on`] passes none.
+pub(crate) fn run_clifford(
+    pool: &ShardPool,
+    program: &CliffordProgram,
+    tree: Option<&OutcomeTree>,
+    shots: u64,
+    seed: u64,
+    threads: usize,
+) -> Result<(Counts, u64), SimError> {
     run_sharded_generic_on(
         pool,
         program.num_clbits(),
         shots,
         seed,
         threads,
+        tree,
         || Tableau::new(program.num_qubits()),
         |tableau, draws| Ok(run_clifford_shot(program, tableau, draws)),
     )
@@ -495,8 +511,10 @@ impl Backend for StabilizerBackend {
             .map_err(|block| SimError::NotClifford(block.clone()))?;
         RunResult::from_shots(
             shots,
-            run_clifford_sharded(
+            run_clifford(
+                ShardPool::global(),
                 clifford,
+                Some(&program.trees().tableau),
                 shots,
                 seed.unwrap_or(self.seed),
                 threads.unwrap_or(self.threads),

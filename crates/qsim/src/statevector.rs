@@ -320,6 +320,20 @@ impl StateVector {
         draws.pick(self.amps.iter().map(|a| a.norm_sqr()))
     }
 
+    /// The running sums of the Born probabilities in basis order, each
+    /// in the real part of its amplitude's slot: the state's own buffer,
+    /// overwritten. [`Draws::search`] over them with `|a| a.re` returns
+    /// [`StateVector::sample_index`]'s index for the same draw, since the
+    /// sums add the same terms in the same order.
+    pub(crate) fn into_running_sums(mut self) -> Vec<Complex> {
+        let mut sum = 0.0;
+        for a in &mut self.amps {
+            sum += a.norm_sqr();
+            *a = Complex::real(sum);
+        }
+        self.amps
+    }
+
     /// The Born-rule probability of each basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
@@ -539,6 +553,53 @@ mod tests {
         assert_eq!(psi.amplitudes(), &before[..]);
         assert!(seen[0] && seen[1]);
         assert!(!seen[2] && !seen[3]);
+    }
+
+    #[test]
+    fn running_sums_search_matches_the_linear_pick() {
+        use rand::{Rng, RngCore};
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in 1..=6 {
+            let raw: Vec<Complex> = (0..1 << n)
+                .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            let norm = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+            let psi = StateVector::from_amplitudes(
+                raw.iter()
+                    .map(|a| Complex::new(a.re / norm, a.im / norm))
+                    .collect(),
+            )
+            .unwrap();
+            let sums = psi.clone().into_running_sums();
+            for seed in 0..64 {
+                let mut linear = StdRng::seed_from_u64(seed);
+                let mut binary = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    binary.search(&sums, |a| a.re),
+                    psi.sample_index(&mut linear),
+                    "n = {n}, seed = {seed}"
+                );
+            }
+        }
+
+        // Probabilities that sum short of the largest draw: both fall
+        // back to the last index, past the zero-probability tail.
+        struct Largest;
+        impl RngCore for Largest {
+            fn next_u64(&mut self) -> u64 {
+                u64::MAX
+            }
+        }
+        let s = (0.5f64 * (1.0 - 1e-9)).sqrt();
+        let short = StateVector::from_amplitudes(vec![
+            Complex::real(s),
+            Complex::real(s),
+            Complex::ZERO,
+            Complex::ZERO,
+        ])
+        .unwrap();
+        assert_eq!(short.sample_index(&mut Largest), 3);
+        assert_eq!(Largest.search(&short.into_running_sums(), |a| a.re), 3);
     }
 
     #[test]

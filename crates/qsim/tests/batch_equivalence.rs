@@ -182,14 +182,15 @@ proptest! {
         // bit-identical counts whether every kernel runs the scalar
         // reference loops or the detected vector ISA.
         let c = layered_circuit(num_qubits, &layer_codes);
-        let batched = compile_with(&c, None, BATCHED).unwrap();
         let backend = StatevectorBackend::new().with_seed(seed);
-        let scalar = with_forced_simd(SimdBackend::Scalar, || {
+        // Each leg compiles its own program: a per-shot run on a shared
+        // one would walk the outcome tree the first leg recorded.
+        let run_cold = || {
+            let batched = compile_with(&c, None, BATCHED).unwrap();
             backend.run_compiled(&batched, 257).unwrap()
-        });
-        let vectored = with_forced_simd(qsim::simd::detected_backend(), || {
-            backend.run_compiled(&batched, 257).unwrap()
-        });
+        };
+        let scalar = with_forced_simd(SimdBackend::Scalar, run_cold);
+        let vectored = with_forced_simd(qsim::simd::detected_backend(), run_cold);
         prop_assert_eq!(scalar.counts, vectored.counts);
         prop_assert_eq!(scalar.shots_discarded, vectored.shots_discarded);
     }

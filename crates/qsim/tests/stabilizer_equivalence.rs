@@ -169,8 +169,15 @@ fn seeded_counts_are_bit_identical_across_pools_and_runs() {
             let reference = backend
                 .run_compiled_seeded(&program, 999, Some(seed), Some(threads))
                 .unwrap();
+            // A fresh program, so the repeat does not walk the outcome
+            // tree `reference` recorded.
             let again = backend
-                .run_compiled_seeded(&program, 999, Some(seed), Some(threads))
+                .run_compiled_seeded(
+                    &compile(&circuit, None).unwrap(),
+                    999,
+                    Some(seed),
+                    Some(threads),
+                )
                 .unwrap();
             assert_eq!(
                 reference, again,

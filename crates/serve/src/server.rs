@@ -27,8 +27,8 @@
 //! turns; jobs beyond that wait in the queue, and jobs beyond the
 //! queue bound are rejected with a typed 429 **before** any compile or
 //! shot work. A job that panics, while it is instrumented or while it
-//! executes, is answered with a 500 `internal` error; its worker lives
-//! on and the gauges stay correct.
+//! executes, is answered with a 500 `internal` error and counted in
+//! `jobs_failed`; its worker lives on and the gauges stay correct.
 //!
 //! # Graceful shutdown
 //!
@@ -113,6 +113,9 @@ struct ServeState {
     shutting_down: AtomicBool,
     /// Jobs completed (success, execution failure or panic) since start.
     jobs_done: AtomicU64,
+    /// Jobs answered with a 500 `internal` because instrumenting or
+    /// executing them panicked, since start.
+    jobs_failed: AtomicU64,
     /// Submissions rejected by admission control (429) since start.
     jobs_rejected: AtomicU64,
 }
@@ -147,6 +150,10 @@ impl ServeState {
                 Value::from(self.jobs_done.load(Ordering::Relaxed)),
             ),
             (
+                "jobs_failed",
+                Value::from(self.jobs_failed.load(Ordering::Relaxed)),
+            ),
+            (
                 "jobs_rejected",
                 Value::from(self.jobs_rejected.load(Ordering::Relaxed)),
             ),
@@ -157,6 +164,16 @@ impl ServeState {
             ("pool_queue_depth", Value::from(pool.queue_depth)),
         ])
         .render()
+    }
+
+    /// Runs one step of a job, answering a panic in it with a 500
+    /// `internal`, counted in `jobs_failed`, instead of unwinding the
+    /// worker.
+    fn guarded<T>(&self, step: impl FnOnce() -> Result<T, ApiError>) -> Result<T, ApiError> {
+        catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+            self.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            Err(panicked(payload.as_ref()))
+        })
     }
 }
 
@@ -186,6 +203,7 @@ impl Server {
                 max_body_bytes: config.max_body_bytes,
                 shutting_down: AtomicBool::new(false),
                 jobs_done: AtomicU64::new(0),
+                jobs_failed: AtomicU64::new(0),
                 jobs_rejected: AtomicU64::new(0),
             }),
             workers: Vec::new(),
@@ -272,12 +290,6 @@ fn panicked(payload: &(dyn std::any::Any + Send)) -> ApiError {
     }
 }
 
-/// Runs one step of a job, answering a panic in it with a 500
-/// `internal` instead of unwinding the worker.
-fn guarded<T>(step: impl FnOnce() -> Result<T, ApiError>) -> Result<T, ApiError> {
-    catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| Err(panicked(payload.as_ref())))
-}
-
 /// Serves one connection: parse, route, respond, close.
 fn handle_connection(state: &ServeState, mut stream: TcpStream) {
     let response = match http::read_request(&stream, state.max_body_bytes) {
@@ -331,7 +343,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
     let spec = JobSpec::from_json(body)?;
     // Parse the QASM and instrument the assertions *before* admission:
     // a malformed job must cost a 400, never a queue slot.
-    let circuit = guarded(|| spec.build_circuit())?;
+    let circuit = state.guarded(|| spec.build_circuit())?;
 
     let tenant = request.header("x-api-token").unwrap_or("anonymous");
     let turn = state
@@ -341,7 +353,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             queue_full_error(capacity)
         })?;
-    let result = guarded(|| execute(state, &spec, &circuit));
+    let result = state.guarded(|| execute(state, &spec, &circuit));
     // Free the turn before the response is written: a slow reader must
     // not hold up the next job.
     drop(turn);

@@ -466,6 +466,7 @@ fn panicking_jobs_get_500_and_the_worker_survives() {
     let metrics = qassert_serve::json::parse(&metrics.body).expect("metrics JSON");
     assert_eq!(field(&metrics, "jobs_running"), 0, "{}", metrics.render());
     assert_eq!(field(&metrics, "jobs_done"), 3, "{}", metrics.render());
+    assert_eq!(field(&metrics, "jobs_failed"), 2, "{}", metrics.render());
 
     server.shutdown();
 }
@@ -530,6 +531,10 @@ fn panics_while_instrumenting_get_500_and_the_worker_survives() {
         .map(Value::render)
         .collect();
     assert_eq!(wire_lines, direct_lines, "wire and direct renders differ");
+
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    let metrics = qassert_serve::json::parse(&metrics.body).expect("metrics JSON");
+    assert_eq!(field(&metrics, "jobs_failed"), 2, "{}", metrics.render());
 
     server.shutdown();
 }
