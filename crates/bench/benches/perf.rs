@@ -334,7 +334,7 @@ const PSWEEP_MIN_SPEEDUP: f64 = 2.0;
 /// full same-run floor as its fallback on slower hosts.
 const PSWEEP_MAX_PER_SHOT_NS: f64 = 2_400.0;
 
-/// `psweep`: one 500-point sweep of the noisy instrumented Bell circuit
+/// `psweep`: one 5,000-point sweep of the noisy instrumented Bell circuit
 /// through one session, 32 shots a point, `.threads(1)` so only the
 /// point-level lever differs.
 ///
@@ -345,7 +345,7 @@ const PSWEEP_MAX_PER_SHOT_NS: f64 = 2_400.0;
 /// Pre-assert: per-point counts and kept histograms, and the
 /// deterministic telemetry fields, are bit-identical across policies.
 fn psweep() -> Outcome {
-    const POINTS: usize = 500;
+    const POINTS: usize = 5_000;
     const SHOTS: u64 = 32;
     let proto = mild_noise();
     let run = |points: usize, policy: SweepPolicy| -> (f64, SweepOutcome) {

@@ -66,7 +66,7 @@
 //! process-wide [`qsim::ShardPool`] by default ([`SweepPolicy`]),
 //! making the shot plan two-dimensional: whole points are pool tasks,
 //! and each point's shot shards are nested tasks under the sweep's
-//! latch group — so the work-stealing scheduler splits the machine
+//! latch group — so the pool's one task queue splits the machine
 //! between points and shots adaptively. Scheduling never changes
 //! results: lowering stays serial in input order, per-point seeds are
 //! pure functions of `(session seed, point index)`
@@ -119,11 +119,11 @@ pub enum SweepPolicy {
     Serial,
     /// Points fan out across the shard pool as whole-point tasks
     /// (default), the second dimension of the 2-D `points × shots`
-    /// plan. Each point's shot shards submit *nested* pool tasks, so
-    /// the work-stealing scheduler adapts automatically: with few
-    /// points, idle workers steal a point's shot shards (shot-level
-    /// parallelism); with many points, every worker is busy with its
-    /// own point and drains its own shards inline (point-level
+    /// plan. Each point's shot shards submit *nested* pool tasks to
+    /// the pool's one queue, so the split adapts automatically: with
+    /// few points, idle workers pick up a point's queued shot shards
+    /// (shot-level parallelism); with many points, every thread is busy
+    /// with a point and runs that point's shards itself (point-level
     /// parallelism).
     #[default]
     Parallel,
@@ -187,8 +187,9 @@ pub struct SessionTelemetry {
     /// so the count is attributable to this session only while nothing
     /// else submits concurrently.
     pub pool_tasks: u64,
-    /// Shard-pool steals since the session was created
-    /// ([`qsim::PoolStats::steals`]); same attribution caveat as
+    /// Shard-pool tasks a pool worker ran for the thread waiting on
+    /// them, since the session was created ([`qsim::PoolStats::steals`]);
+    /// timing-dependent, with the same attribution caveat as
     /// [`SessionTelemetry::pool_tasks`].
     pub pool_steals: u64,
     /// The SIMD backend name the amplitude kernels dispatch to
@@ -1026,10 +1027,9 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     /// even when other sweeps or sessions run concurrently.
     /// `pool_tasks`/`pool_steals` cover exactly this sweep's tasks
     /// (whole-point tasks under [`SweepPolicy::Parallel`] plus nested
-    /// shot shards under either policy); `pool_steals` (and under
-    /// `Parallel` also `pool_tasks`' split between stolen and home
-    /// pops) is scheduling-dependent, every other field is
-    /// deterministic.
+    /// shot shards under either policy); `pool_steals` (the tasks a
+    /// pool worker ran for the thread waiting on them) is
+    /// scheduling-dependent, every other field is deterministic.
     ///
     /// # Memory
     ///

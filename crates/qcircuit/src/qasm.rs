@@ -251,8 +251,9 @@ enum Stmt {
 /// Parses OpenQASM 2.0 source into a circuit.
 ///
 /// Supports the statement subset produced by [`to_qasm`]: register
-/// declarations, the qelib1 gates used by this workspace, `measure`,
-/// `reset`, `barrier`, `if(c==v)` conditions on gates and `reset` where
+/// declarations, the qelib1 gates used by this workspace, `measure`
+/// (one bit, or a whole register into an equally wide one), `reset`,
+/// `barrier`, `if(c==v)` conditions on gates and `reset` where
 /// `c` is a 1-bit register and `v` is 0 or 1, and the `post_select`
 /// pragma.
 ///
@@ -451,13 +452,55 @@ fn parse_code_statement(
         })?;
         let q_src = rest[..arrow].trim();
         let c_src = rest[arrow + 2..].trim();
-        let (qname, qidx) = parse_indexed(q_src, token_span(q_src))?;
-        let (cname, cidx) = parse_indexed(c_src, token_span(c_src))?;
-        let instr = Instruction::measure(
-            lookup_q(&qname, qidx, token_span(q_src))?,
-            lookup_c(&cname, cidx, token_span(c_src))?,
-        );
-        circuit.append(instr)?;
+        let (q_span, c_span) = (token_span(q_src), token_span(c_src));
+        match (is_name(q_src), is_name(c_src)) {
+            // `measure q -> c;` measures `q[i]` into `c[i]` for every `i`.
+            (true, true) => {
+                let qreg = find_register(qregs, q_src, q_span)?;
+                let creg = find_register(cregs, c_src, c_span)?;
+                if qreg.size != creg.size {
+                    return Err(QasmError::Malformed {
+                        span: c_span,
+                        reason: format!(
+                            "measure {q_src} -> {c_src} needs registers of equal width, \
+                             got {} and {}",
+                            qreg.size, creg.size
+                        ),
+                    });
+                }
+                for i in 0..qreg.size {
+                    circuit.append(Instruction::measure(
+                        QubitId::from(qreg.offset + i),
+                        ClbitId::from(creg.offset + i),
+                    ))?;
+                }
+            }
+            (false, false) => {
+                let (qname, qidx) = parse_indexed(q_src, q_span)?;
+                let (cname, cidx) = parse_indexed(c_src, c_span)?;
+                circuit.append(Instruction::measure(
+                    lookup_q(&qname, qidx, q_span)?,
+                    lookup_c(&cname, cidx, c_span)?,
+                ))?;
+            }
+            // A whole register against one bit: report at the register.
+            (q_bare, _) => {
+                let (q_width, c_width, span) = if q_bare {
+                    parse_indexed(c_src, c_span)?;
+                    (find_register(qregs, q_src, q_span)?.size, 1, q_span)
+                } else {
+                    parse_indexed(q_src, q_span)?;
+                    (1, find_register(cregs, c_src, c_span)?.size, c_span)
+                };
+                return Err(QasmError::Malformed {
+                    span,
+                    reason: format!(
+                        "measure {q_src} -> {c_src} mixes a whole register with one bit, \
+                         widths {q_width} and {c_width}"
+                    ),
+                });
+            }
+        }
         return Ok(());
     }
     if let Some(rest) = stmt.strip_prefix("reset ") {
@@ -550,6 +593,11 @@ fn grow_width(total: usize, size: usize, what: &str, span: Span) -> Result<usize
 fn parse_reg_decl(src: &str, span: Span) -> Result<(String, usize), QasmError> {
     let (name, idx) = parse_indexed(src.trim(), span)?;
     Ok((name, idx))
+}
+
+/// Whether `src` is a bare register name (no index).
+fn is_name(src: &str) -> bool {
+    !src.is_empty() && src.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 /// Parses `name[index]` into its parts.
@@ -1126,5 +1174,62 @@ mod tests {
         let src = "OPENQASM 2.0;\nqreg q[1];\np(0.5) q[0];\nu(0.1,0.2,0.3) q[0];\nu1(0.4) q[0];";
         let c = from_qasm(src).unwrap();
         assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn broadcast_measure_expands_to_one_measure_per_index() {
+        let header = "OPENQASM 2.0;\nqreg a[1];\nqreg b[2];\ncreg m[2];\ncreg n[1];\nh b[0];\n";
+        let broadcast = from_qasm(&format!("{header}measure b -> m;\nmeasure a -> n;")).unwrap();
+        let per_bit = from_qasm(&format!(
+            "{header}measure b[0] -> m[0];\nmeasure b[1] -> m[1];\nmeasure a[0] -> n[0];"
+        ))
+        .unwrap();
+        assert_eq!(broadcast, per_bit);
+        // b occupies flat qubits 1..3 and m flat clbits 0..2, in order.
+        let pairs: Vec<(usize, usize)> = broadcast.instructions()[1..]
+            .iter()
+            .map(|i| (i.qubits()[0].index(), i.clbits()[0].index()))
+            .collect();
+        assert_eq!(pairs, [(1, 0), (2, 1), (0, 2)]);
+    }
+
+    #[test]
+    fn broadcast_measure_round_trips_through_export() {
+        let parsed =
+            from_qasm("OPENQASM 2.0;\nqreg q[3];\ncreg c[3];\nh q[1];\nmeasure q -> c;").unwrap();
+        assert_eq!(parsed.len(), 4);
+        let src = to_qasm(&parsed);
+        assert!(src.contains("measure q[2] -> c[2];"), "{src}");
+        assert_eq!(from_qasm(&src).unwrap(), parsed);
+    }
+
+    #[test]
+    fn broadcast_measure_width_mismatches_are_malformed_at_the_operand() {
+        // (statement on line 4, column of the offending operand, both widths)
+        let cases = [
+            ("measure q -> c;", 14, ["3", "2"]),
+            ("measure q[0] -> c;", 17, ["1", "2"]),
+            ("measure q -> c[0];", 9, ["3", "1"]),
+        ];
+        for (stmt, col, widths) in cases {
+            let src = format!("OPENQASM 2.0;\nqreg q[3];\ncreg c[2];\n{stmt}");
+            match from_qasm(&src) {
+                Err(QasmError::Malformed { span, reason }) => {
+                    assert_eq!(span, Span::new(4, col), "{stmt}");
+                    for width in widths {
+                        assert!(reason.contains(width), "{stmt}: {reason}");
+                    }
+                }
+                other => panic!("expected Malformed for {stmt:?}, got {other:?}"),
+            }
+        }
+        // An unknown bare register is still an unknown register.
+        let src = "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q -> d;";
+        match from_qasm(src) {
+            Err(QasmError::UnknownRegister { span, name }) => {
+                assert_eq!((span, name.as_str()), (Span::new(4, 14), "d"));
+            }
+            other => panic!("expected UnknownRegister, got {other:?}"),
+        }
     }
 }

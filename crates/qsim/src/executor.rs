@@ -39,7 +39,7 @@
 //! RNG stream is derived from the backend seed by [`shard_seed`], and
 //! results are order-independently merged, so counts are identical for a
 //! given `(seed, threads)` regardless of scheduling. Shards execute on
-//! the persistent work-stealing [`ShardPool`] — a
+//! the persistent one-queue [`ShardPool`] — a
 //! sweep issuing thousands of small [`Backend::run_compiled`] calls pays
 //! thread spawn cost zero times, not once per call. The previous
 //! scoped-thread strategy survives as [`run_compiled_sharded_scoped`],
@@ -574,10 +574,7 @@ fn evolve_unitary_prefix(
 /// `StdRng::seed_from_u64` uses for state expansion, leaving neighboring
 /// shards' generator states 75% overlapped.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
-    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix_stream(seed, 0x9E37_79B9_7F4A_7C15, shard)
 }
 
 /// The base seed of sweep point `point` under sweep seed `seed` — the
@@ -594,10 +591,7 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// `shard_seed(sweep_point_seed(s, p), t)` mixes two decorrelated
 /// offsets before the per-stream expansion.
 pub fn sweep_point_seed(seed: u64, point: usize) -> u64 {
-    let mut z = seed ^ 0xD1B5_4A32_D192_ED03u64.wrapping_mul(point as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix_stream(seed, 0xD1B5_4A32_D192_ED03, point)
 }
 
 /// The base seed of shot tranche `tranche` under base seed `seed` — the
@@ -615,7 +609,13 @@ pub fn sweep_point_seed(seed: u64, point: usize) -> u64 {
 /// streams: `shard_seed(tranche_seed(sweep_point_seed(s, p), k), t)`
 /// mixes three decorrelated offsets before per-stream expansion.
 pub fn tranche_seed(seed: u64, tranche: usize) -> u64 {
-    let mut z = seed ^ 0xA076_1D64_78BD_642Fu64.wrapping_mul(tranche as u64 + 1);
+    mix_stream(seed, 0xA076_1D64_78BD_642F, tranche)
+}
+
+/// Stream `index` of `seed` under the stream offset `gamma`: the seed
+/// XORed with `gamma · (index + 1)`, then the SplitMix64 finalizer.
+fn mix_stream(seed: u64, gamma: u64, index: usize) -> u64 {
+    let mut z = seed ^ gamma.wrapping_mul(index as u64 + 1);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -696,7 +696,7 @@ fn merge_shards(
 ///
 /// Splits `shots` into `threads` shards (largest first), seeds shard `t`
 /// with [`shard_seed`]`(seed, t)`, executes the shards on the
-/// process-wide work-stealing [`ShardPool`], and merges the per-shard
+/// process-wide [`ShardPool`], and merges the per-shard
 /// histograms in shard order. With `threads == 1` the backend seed
 /// drives a single stream directly, preserving the single-threaded
 /// behavior of earlier revisions.

@@ -25,9 +25,10 @@
 //! * [`cache`] — the keyed [`ProgramCache`] (circuit structural hash ×
 //!   noise-model fingerprint × compile options) that makes repeated
 //!   sweep analyses compile-free, with hit/miss/eviction counters,
-//! * [`pool`] — the persistent work-stealing [`ShardPool`] that executes
-//!   shot shards; thousands of small `run_compiled` calls amortize
-//!   thread-spawn cost to ~zero,
+//! * [`pool`] — the persistent [`ShardPool`] (one task queue; a waiting
+//!   thread runs only its own batch's tasks) that executes shot shards;
+//!   thousands of small `run_compiled` calls amortize thread-spawn cost
+//!   to ~zero,
 //! * [`simd`] — explicit-width vector implementations of the amplitude
 //!   run primitives with runtime CPU-feature dispatch (AVX2 / NEON /
 //!   scalar, `QSIM_SIMD` override), bit-identical across backends by a

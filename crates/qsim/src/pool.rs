@@ -1,4 +1,4 @@
-//! A persistent work-stealing shard pool.
+//! A persistent shard pool with one task queue.
 //!
 //! The assertion-sweep experiments issue thousands of short
 //! [`Backend::run_compiled`](crate::Backend::run_compiled) calls — one
@@ -10,21 +10,30 @@
 //!
 //! # Design
 //!
-//! A small rayon-style deque scheduler built directly on `std::thread`
-//! (the build environment has no access to a crates registry, so rayon
-//! itself is unavailable):
+//! One FIFO task queue behind a `Mutex` and one `Condvar` its workers
+//! park on, built directly on `std::thread` (the build environment has
+//! no access to a crates registry, so rayon itself is unavailable):
 //!
-//! * each worker owns a deque; batch submission distributes tasks
-//!   round-robin across the deques for locality,
-//! * an idle worker first pops the **front** of its own deque, then
-//!   **steals from the back** of its siblings' deques, so stealing and
-//!   local execution contend on opposite ends,
-//! * the *submitting* thread participates too: while its batch is
-//!   outstanding it drains tasks like a worker instead of blocking, so
-//!   a pool is productive even on single-core machines (worker count 0
-//!   degrades to inline execution),
-//! * workers park on a condvar when every deque is empty; submission
-//!   takes the same lock before notifying, so wakeups cannot be lost.
+//! * submission pushes tasks on the **back** of the queue and wakes
+//!   parked workers; a worker checks for an empty queue under the same
+//!   lock before it parks, so wakeups cannot be lost,
+//! * a worker pops the **front** (the oldest task) and runs it,
+//! * the thread *waiting* in [`ShardPool::run_batch`] or
+//!   [`ShardPool::scope`] runs tasks too, but only tasks of the latch it
+//!   awaits, **newest first** (so it and the workers take from opposite
+//!   ends), and parks on that latch once none of them is queued. A pool
+//!   is therefore productive even on a single core, and worker count 0
+//!   degrades to inline execution.
+//!
+//! A waiting thread never runs another latch's task, so it stacks only
+//! the frames its own work nests: stack depth is bounded by how deeply
+//! the workload nests pool calls, never by queue length. Nested waits
+//! cannot deadlock on any worker count either. Every task of a latch is
+//! queued before its thread starts waiting (a batch queues all of them
+//! up front, a scope's body submits them before the scope waits), so a
+//! waiter that finds none of its tasks queued waits only for tasks
+//! already running on other threads — and each of those finishes by the
+//! same argument one nesting level down.
 //!
 //! # Determinism
 //!
@@ -32,8 +41,9 @@
 //! computes: shard seeding, shard sizing, and merge order are fixed by
 //! the caller ([`crate::run_compiled_sharded`]) before submission.
 //! Results are therefore bit-identical for a given `(seed, threads)`
-//! regardless of pool size or steal order — the equivalence suite pins
-//! pooled execution against the scoped-thread reference shard-for-shard.
+//! regardless of pool size or which thread ran which task — the
+//! equivalence suite pins pooled execution against the scoped-thread
+//! reference shard-for-shard.
 //!
 //! # Lifetime erasure
 //!
@@ -49,40 +59,24 @@
 //! [`ShardPool::scope`] opens a **latch group**: tasks can be submitted
 //! one by one across the scope body (a sweep submits one task per
 //! point), nested submissions are legal (a point task's shot shards
-//! submit sub-batches to the same fixed worker set without deadlock —
-//! every waiting thread *drains* tasks instead of blocking), and the
-//! scope returns the group's own [`PoolStats`]: exactly the tasks run
-//! on behalf of this scope, including tasks transitively submitted from
-//! inside its tasks. Group attribution is how sweep telemetry stays
-//! exact when several sweeps share the process-wide pool concurrently —
-//! global counter deltas would cross-count each other's tasks.
+//! submit sub-batches to the same fixed worker set without deadlock, see
+//! the design above), and the scope returns the group's own
+//! [`PoolStats`]: exactly the tasks run on behalf of this scope,
+//! including tasks transitively submitted from inside its tasks. Group
+//! attribution is how sweep telemetry stays exact when several sweeps
+//! share the process-wide pool concurrently — global counter deltas
+//! would cross-count each other's tasks.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Worker stack size: nested scope/batch drains can stack several task
-/// frames on one worker (a waiting point task executes other points'
-/// tasks inline), so give workers more headroom than the 2 MiB default.
+/// Worker stack size: a worker runs whole sweep points (lowered
+/// programs, simulation, and the nested shard waits), so give it a main
+/// thread's headroom rather than the 2 MiB spawned-thread default.
 const WORKER_STACK: usize = 8 << 20;
-
-/// Maximum nested task frames a *waiting* thread will stack before it
-/// stops picking up **foreign** tasks and only services the latch it is
-/// waiting on. Without the cap, a drain inside point A can pop point B,
-/// whose drain pops point C, … — one frame chain per queued task,
-/// overflowing the stack on multi-thousand-point sweeps (including on
-/// *submitting* threads with the default 2 MiB stack). At the cap, a
-/// drain pops only tasks belonging to its awaited latch: every such pop
-/// directly advances the wait (so nested waits always make progress and
-/// terminate, by induction over the workload's structural nesting),
-/// while re-popping at the *same* depth between own-latch tasks keeps
-/// chains bounded by how deeply the workload itself nests — never by
-/// queue length. Foreign tasks skipped at the cap fall back to workers
-/// and scoping threads, which run near depth zero.
-#[doc(hidden)]
-pub const MAX_NEST_DEPTH: usize = 8;
 
 thread_local! {
     /// The latch group of the task currently executing on this thread,
@@ -91,9 +85,8 @@ thread_local! {
     /// [`ShardPool::run_batch`]) inherit it, so group counters cover a
     /// scope's work transitively.
     static CURRENT_GROUP: RefCell<Option<Arc<Group>>> = const { RefCell::new(None) };
-    /// Nested [`run_task`] frames on this thread's stack (drives the
-    /// [`MAX_NEST_DEPTH`] guard).
-    static NEST_DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Nested [`run_task`] frames on this thread's stack.
+    static NEST_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A clone of the calling thread's current attribution group.
@@ -105,7 +98,7 @@ fn current_group() -> Option<Arc<Group>> {
 /// for the stack-bound guarantee; not part of the public API).
 #[doc(hidden)]
 pub fn nest_depth() -> usize {
-    NEST_DEPTH.with(std::cell::Cell::get)
+    NEST_DEPTH.with(Cell::get)
 }
 
 /// A point-in-time snapshot of a pool's execution counters.
@@ -115,11 +108,11 @@ pub fn nest_depth() -> usize {
 /// attribute activity to one workload.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks executed to completion (by workers, by draining
-    /// submitters, and inline when a batch bypasses the deques).
+    /// Tasks executed to completion (by workers, by waiting submitters,
+    /// and inline when a batch bypasses the queue).
     pub tasks_run: u64,
-    /// Tasks obtained by stealing from another thread's deque rather
-    /// than popping the thread's own.
+    /// Tasks a pool worker ran for the thread waiting on them, rather
+    /// than that thread running them itself. Scheduling-dependent.
     pub steals: u64,
 }
 
@@ -144,9 +137,9 @@ impl PoolStats {
 pub struct PoolGauges {
     /// Dedicated worker threads (0 for an inline pool).
     pub workers: usize,
-    /// Tasks currently queued across all deques and not yet picked up.
-    /// A momentary snapshot: tasks in flight on a worker no longer
-    /// count, tasks queued after the read are missed.
+    /// Tasks currently queued and not yet picked up. A momentary
+    /// snapshot: tasks in flight on a thread no longer count, tasks
+    /// queued after the read are missed.
     pub queue_depth: usize,
 }
 
@@ -161,8 +154,8 @@ struct Task {
     group: Option<Arc<Group>>,
     /// The completion latch this task counts down — its batch's for
     /// [`ShardPool::run_batch`] tasks, its scope's for
-    /// [`PoolScope::submit`] tasks. Drains past [`MAX_NEST_DEPTH`] pop
-    /// only tasks of the latch they are waiting on (see the constant).
+    /// [`PoolScope::submit`] tasks. A waiting thread runs only tasks of
+    /// the latch it awaits.
     latch: Arc<Group>,
 }
 
@@ -181,7 +174,7 @@ struct Group {
     /// Tasks run on behalf of this group (directly submitted or
     /// transitively inherited; scope attribution only).
     tasks_run: AtomicU64,
-    /// Group tasks obtained by stealing (scope attribution only).
+    /// Group tasks a pool worker ran (scope attribution only).
     steals: AtomicU64,
 }
 
@@ -205,6 +198,16 @@ impl Group {
         }
     }
 
+    /// Parks until every latch task has finished. The notifier takes
+    /// `done` after its decrement, so either this re-check sees zero or
+    /// the notify arrives after the wait began.
+    fn wait_done(&self) {
+        let mut guard = self.done.lock().expect("group lock");
+        while self.remaining.load(Ordering::Acquire) > 0 {
+            guard = self.cv.wait(guard).expect("group wait");
+        }
+    }
+
     fn stats(&self) -> PoolStats {
         PoolStats {
             tasks_run: self.tasks_run.load(Ordering::Relaxed),
@@ -213,29 +216,36 @@ impl Group {
     }
 }
 
-/// Executes a popped (or inline) task: charges the shared counters, the
-/// task's group counters, and runs it with the group installed as the
-/// thread's current group so nested submissions inherit it.
-fn run_task(shared: &Shared, task: Task, stolen: bool) {
+/// Executes a queued (or inline) task: charges the shared counters and
+/// the task's group counters, runs it with the group installed as the
+/// thread's current group so nested submissions inherit it, and counts
+/// its latch down. A panic poisons the latch instead of unwinding
+/// through the pool.
+fn run_task(shared: &Shared, task: Task, by_worker: bool) {
     shared.tasks_run.fetch_add(1, Ordering::Relaxed);
-    if stolen {
+    if by_worker {
         shared.steals.fetch_add(1, Ordering::Relaxed);
     }
     if let Some(group) = &task.group {
         group.tasks_run.fetch_add(1, Ordering::Relaxed);
-        if stolen {
+        if by_worker {
             group.steals.fetch_add(1, Ordering::Relaxed);
         }
     }
-    // Install the task's group (or clear a stale one: a drained foreign
-    // task must not charge the drainer's group) and bump the nest
-    // depth. Task closures catch their own unwinds, so the restores
-    // below are always reached.
-    let prev = CURRENT_GROUP.with(|g| g.replace(task.group.clone()));
+    // Install the task's group (or clear a stale one: an unattributed
+    // task must not charge the running thread's group) and bump the
+    // nest depth; the task's unwind is caught, so the restores are
+    // always reached.
+    let prev = CURRENT_GROUP.with(|g| g.replace(task.group));
     NEST_DEPTH.with(|d| d.set(d.get() + 1));
-    (task.run)();
+    if catch_unwind(AssertUnwindSafe(task.run)).is_err() {
+        task.latch.poisoned.store(true, Ordering::Release);
+    }
     NEST_DEPTH.with(|d| d.set(d.get() - 1));
     CURRENT_GROUP.with(|g| g.replace(prev));
+    // Last: once the latch drains, the waiter may free what the task
+    // borrowed.
+    task.latch.complete_one();
 }
 
 /// The lazily-created process-wide pool ([`ShardPool::global`]).
@@ -243,80 +253,40 @@ static GLOBAL_POOL: OnceLock<ShardPool> = OnceLock::new();
 
 /// State shared between workers and submitters.
 struct Shared {
-    /// One deque per worker; submitters push round-robin, workers pop
-    /// their own front and steal siblings' backs.
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Wakeup lock: pushes notify under it, idle workers re-check queues
-    /// under it before parking (prevents lost wakeups).
-    sleep: Mutex<()>,
-    wake: Condvar,
-    /// Set by [`ShardPool::drop`]: workers drain their deques and exit.
+    /// Queued tasks, oldest first: workers pop the front, waiting
+    /// threads take their own latch's newest.
+    queue: Mutex<VecDeque<Task>>,
+    /// Idle workers park here until a push or [`ShardPool::drop`].
+    ready: Condvar,
+    /// Set (under the queue lock) by [`ShardPool::drop`]: workers exit
+    /// once the queue is empty.
     stop: AtomicBool,
-    /// Tasks popped (home or stolen) plus tasks run inline.
+    /// Tasks run, queued or inline.
     tasks_run: AtomicU64,
-    /// Tasks popped from a sibling's deque.
+    /// Tasks a worker popped from the queue.
     steals: AtomicU64,
 }
 
 impl Shared {
-    /// Pops a task from any deque, preferring `home`'s front and
-    /// stealing from siblings' backs; the flag reports whether the task
-    /// was stolen. Counters are charged by [`run_task`], not here.
-    ///
-    /// `awaited` is the latch the caller is waiting on (`None` from a
-    /// worker's top loop, which waits on nothing). While the calling
-    /// thread is below [`MAX_NEST_DEPTH`] anything is poppable; past
-    /// the cap, only tasks whose [`Task::latch`] *is* the awaited
-    /// latch — found by *scanning* each deque rather than taking the
-    /// end task. The scan (capped threads only — the rare case)
-    /// matters for progress: a capped drain must be able to reach its
-    /// awaited tasks even when foreign tasks sit in front of them,
-    /// otherwise two capped threads on a small pool could wait on each
-    /// other's shielded tasks forever.
-    fn pop_task(&self, home: usize, awaited: Option<&Group>) -> Option<(Task, bool)> {
-        let n = self.deques.len();
-        if n == 0 {
-            return None;
+    /// Queues `tasks` at the back and wakes parked workers.
+    fn push(&self, tasks: impl IntoIterator<Item = Task>) {
+        let mut queue = self.queue.lock().expect("queue lock");
+        let before = queue.len();
+        queue.extend(tasks);
+        let added = queue.len() - before;
+        drop(queue);
+        if added == 1 {
+            self.ready.notify_one();
+        } else {
+            self.ready.notify_all();
         }
-        // Below the cap (or from a worker's top loop) anything goes;
-        // past it, only tasks of the awaited latch.
-        let only_awaited = match awaited {
-            Some(latch) if nest_depth() >= MAX_NEST_DEPTH => Some(latch as *const Group),
-            _ => None,
-        };
-        let home = home % n;
-        {
-            let mut deque = self.deques[home].lock().expect("deque lock");
-            match only_awaited {
-                None => {
-                    if let Some(task) = deque.pop_front() {
-                        return Some((task, false));
-                    }
-                }
-                Some(latch) => {
-                    if let Some(i) = deque.iter().position(|t| Arc::as_ptr(&t.latch) == latch) {
-                        return deque.remove(i).map(|t| (t, false));
-                    }
-                }
-            }
-        }
-        for offset in 1..n {
-            let victim = (home + offset) % n;
-            let mut deque = self.deques[victim].lock().expect("deque lock");
-            match only_awaited {
-                None => {
-                    if let Some(task) = deque.pop_back() {
-                        return Some((task, true));
-                    }
-                }
-                Some(latch) => {
-                    if let Some(i) = deque.iter().rposition(|t| Arc::as_ptr(&t.latch) == latch) {
-                        return deque.remove(i).map(|t| (t, true));
-                    }
-                }
-            }
-        }
-        None
+    }
+
+    /// Removes the newest queued task of `latch`, if any.
+    fn take_newest(&self, latch: &Arc<Group>) -> Option<Task> {
+        let mut queue = self.queue.lock().expect("queue lock");
+        let i = queue.iter().rposition(|t| Arc::ptr_eq(&t.latch, latch))?;
+        queue.remove(i)
     }
 }
 
@@ -331,8 +301,6 @@ pub struct ShardPool {
     /// Worker join handles, reaped by [`Drop`] (empty for the global
     /// pool only in the sense that it is never dropped).
     handles: Vec<std::thread::JoinHandle<()>>,
-    /// Round-robin submission cursor.
-    next_deque: AtomicUsize,
 }
 
 impl ShardPool {
@@ -346,11 +314,8 @@ impl ShardPool {
     /// borrows the pool until its batch drains).
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            deques: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
+            ready: Condvar::new(),
             stop: AtomicBool::new(false),
             tasks_run: AtomicU64::new(0),
             steals: AtomicU64::new(0),
@@ -361,10 +326,8 @@ impl ShardPool {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("qsim-shard-{w}"))
-                    // Nested scope/batch drains can stack task frames
-                    // (a waiting point executes other points inline).
                     .stack_size(WORKER_STACK)
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn shard worker"),
             );
         }
@@ -372,7 +335,6 @@ impl ShardPool {
             shared,
             workers,
             handles,
-            next_deque: AtomicUsize::new(0),
         }
     }
 
@@ -402,17 +364,11 @@ impl ShardPool {
         self.workers
     }
 
-    /// Tasks currently queued and not yet picked up, summed across the
-    /// worker deques. A momentary gauge (see [`PoolGauges`]): each
-    /// deque is locked briefly in turn, so concurrent submission can
-    /// shift the sum, but the read never blocks behind task execution
-    /// (tasks run outside the deque locks).
+    /// Tasks currently queued and not yet picked up. A momentary gauge
+    /// (see [`PoolGauges`]): the read takes the queue lock briefly and
+    /// never blocks behind task execution (tasks run outside the lock).
     pub fn queue_depth(&self) -> usize {
-        self.shared
-            .deques
-            .iter()
-            .map(|d| d.lock().expect("deque lock").len())
-            .sum()
+        self.shared.queue.lock().expect("queue lock").len()
     }
 
     /// The pool's current [`PoolGauges`] snapshot.
@@ -482,46 +438,24 @@ impl ShardPool {
         // sweep point running its shots) charges that scope.
         let inherited = current_group();
         let run = &run;
-        {
-            // Queue every task, round-robin across worker deques. The
-            // closures borrow `run` and `batch` from this stack frame;
-            // the wait loop below guarantees the frame outlives them.
-            let mut staged: Vec<Vec<Task>> =
-                (0..self.shared.deques.len()).map(|_| Vec::new()).collect();
-            for i in 0..tasks {
-                let latch = Arc::clone(&batch);
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| run(i)));
-                    if result.is_err() {
-                        latch.poisoned.store(true, Ordering::Release);
-                    }
-                    latch.complete_one();
-                });
+        // The closures borrow `run` from this stack frame; the wait
+        // below guarantees the frame outlives them.
+        let queued: Vec<Task> = (0..tasks)
+            .map(|i| {
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || run(i));
                 // SAFETY: `run_batch` blocks until `batch.remaining`
                 // hits zero, i.e. until every queued closure has run to
                 // completion, so the borrowed `run` outlives all tasks.
                 let task: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(task) };
-                let task = Task {
+                Task {
                     run: task,
                     group: inherited.clone(),
                     latch: Arc::clone(&batch),
-                };
-                let d = self.next_deque.fetch_add(1, Ordering::Relaxed) % staged.len();
-                staged[d].push(task);
-            }
-            for (deque, tasks) in self.shared.deques.iter().zip(staged) {
-                deque.lock().expect("deque lock").extend(tasks);
-            }
-            // Take the sleep lock before notifying so parked workers
-            // cannot miss the push.
-            let _guard = self.shared.sleep.lock().expect("sleep lock");
-            self.shared.wake.notify_all();
-        }
-
-        // Participate: drain tasks instead of blocking (any task below
-        // the nest-depth cap, only this batch's own past it — see
-        // MAX_NEST_DEPTH).
-        self.drain_latch(&batch);
+                }
+            })
+            .collect();
+        self.shared.push(queued);
+        self.wait_for(&batch);
 
         if batch.poisoned.load(Ordering::Acquire) {
             panic!("shard task panicked");
@@ -539,8 +473,9 @@ impl ShardPool {
     /// Unlike [`ShardPool::run_batch`], tasks need not be known up
     /// front, and the scoping thread keeps running `f` while early
     /// submissions already execute. Nested use is deadlock-free on any
-    /// worker count (including zero): every waiting thread drains
-    /// queued tasks instead of blocking.
+    /// worker count (including zero): once `f` returns, the scoping
+    /// thread runs the scope's queued tasks itself and waits only for
+    /// those already running elsewhere.
     ///
     /// # Panics
     ///
@@ -558,7 +493,7 @@ impl ShardPool {
         // Drain before unwinding out of a panicking `f`: in-flight tasks
         // may borrow `f`'s frame.
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        self.drain_latch(&scope.group);
+        self.wait_for(&scope.group);
         let stats = scope.group.stats();
         match result {
             Ok(value) => {
@@ -571,26 +506,16 @@ impl ShardPool {
         }
     }
 
-    /// Participates until every task of `latch` has finished: pops and
-    /// runs queued tasks (restricted to the latch's own past the
-    /// nest-depth cap), parking briefly on the latch when nothing is
-    /// poppable.
-    fn drain_latch(&self, latch: &Group) {
-        let home = self.next_deque.load(Ordering::Relaxed);
-        while latch.remaining.load(Ordering::Acquire) > 0 {
-            if let Some((task, stolen)) = self.shared.pop_task(home, Some(latch)) {
-                run_task(&self.shared, task, stolen);
-            } else {
-                let guard = latch.done.lock().expect("group lock");
-                if latch.remaining.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                let _unused = latch
-                    .cv
-                    .wait_timeout(guard, std::time::Duration::from_millis(1))
-                    .expect("group wait");
-            }
+    /// Returns once every task of `latch` has finished: runs the
+    /// latch's queued tasks on the calling thread, newest first, then
+    /// parks on the latch while the rest finish on other threads. Every
+    /// task of the latch was queued before the wait began, so none can
+    /// appear once the queue holds none.
+    fn wait_for(&self, latch: &Arc<Group>) {
+        while let Some(task) = self.shared.take_newest(latch) {
+            run_task(&self.shared, task, false);
         }
+        latch.wait_done();
     }
 }
 
@@ -620,13 +545,7 @@ impl<'p> PoolScope<'p> {
         F: FnOnce() + Send + 'p,
     {
         self.group.remaining.fetch_add(1, Ordering::AcqRel);
-        let group = Arc::clone(&self.group);
-        let run: Box<dyn FnOnce() + Send + 'p> = Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(task)).is_err() {
-                group.poisoned.store(true, Ordering::Release);
-            }
-            group.complete_one();
-        });
+        let run: Box<dyn FnOnce() + Send + 'p> = Box::new(task);
         // SAFETY: `ShardPool::scope` drains the group before returning
         // (even when its body panics), so every borrow the task captures
         // outlives the task's execution.
@@ -638,16 +557,9 @@ impl<'p> PoolScope<'p> {
         };
         if self.pool.workers == 0 {
             run_task(&self.pool.shared, task, false);
-            return;
+        } else {
+            self.pool.shared.push([task]);
         }
-        let d =
-            self.pool.next_deque.fetch_add(1, Ordering::Relaxed) % self.pool.shared.deques.len();
-        self.pool.shared.deques[d]
-            .lock()
-            .expect("deque lock")
-            .push_back(task);
-        let _guard = self.pool.shared.sleep.lock().expect("sleep lock");
-        self.pool.shared.wake.notify_all();
     }
 
     /// Runs `f` on the calling thread with this scope installed as the
@@ -681,14 +593,14 @@ impl Drop for ShardPool {
     /// Stops and joins the workers. Sound with respect to in-flight
     /// work: `run_batch` holds `&self` until its batch has fully
     /// drained, so no tasks can be queued or running once `drop` has
-    /// exclusive access — workers observe `stop` on an empty pool and
+    /// exclusive access — workers observe `stop` on an empty queue and
     /// exit.
     fn drop(&mut self) {
         {
-            let _guard = self.shared.sleep.lock().expect("sleep lock");
+            let _queue = self.shared.queue.lock().expect("queue lock");
             self.shared.stop.store(true, Ordering::Release);
-            self.shared.wake.notify_all();
         }
+        self.shared.ready.notify_all();
         for handle in self.handles.drain(..) {
             handle.join().expect("shard worker exited cleanly");
         }
@@ -701,34 +613,21 @@ impl std::fmt::Debug for ShardPool {
     }
 }
 
-/// The worker main loop: pop own front, steal siblings' backs, park
-/// when everything is empty, exit (with empty deques) once the pool
+/// The worker main loop: pop the queue's front, park on the queue's
+/// condvar while it is empty, exit (with an empty queue) once the pool
 /// stops.
-fn worker_loop(shared: &Shared, home: usize) {
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().expect("queue lock");
     loop {
-        // The loop runs at depth zero, so nesting tasks are always
-        // poppable here — capped drains rely on workers for them.
-        if let Some((task, stolen)) = shared.pop_task(home, None) {
-            run_task(shared, task, stolen);
-            continue;
-        }
-        // Re-check under the sleep lock: a submitter pushes, *then*
-        // takes this lock to notify, so either the re-check sees the
-        // task or the notify arrives after the wait begins. The timeout
-        // is belt-and-braces, not load-bearing.
-        let guard = shared.sleep.lock().expect("sleep lock");
-        if let Some((task, stolen)) = shared.pop_task(home, None) {
-            drop(guard);
-            run_task(shared, task, stolen);
-            continue;
-        }
-        if shared.stop.load(Ordering::Acquire) {
+        if let Some(task) = queue.pop_front() {
+            drop(queue);
+            run_task(shared, task, true);
+            queue = shared.queue.lock().expect("queue lock");
+        } else if shared.stop.load(Ordering::Acquire) {
             return;
+        } else {
+            queue = shared.ready.wait(queue).expect("worker wait");
         }
-        let _unused = shared
-            .wake
-            .wait_timeout(guard, std::time::Duration::from_millis(50))
-            .expect("worker wait");
     }
 }
 

@@ -197,12 +197,13 @@ fn mixed_inline_and_pooled_paths_count_once_each() {
 #[test]
 fn organic_point_chains_keep_bounded_stack_depth() {
     // The stack-bound guarantee behind large parallel sweeps: a thread
-    // waiting on one point's nested batch may pick up *other* whole
-    // points only while its nested depth is below the cap, so point →
-    // point frame chains cannot grow with the number of queued points.
-    // 200 points on a 1-worker pool maximizes chain pressure (the
-    // worker and the scoping thread drain everything between them);
-    // without the cap, the observed depth scales with the point count.
+    // waiting on a latch runs only that latch's tasks, never another
+    // point, so its frames nest only as deeply as the workload nests
+    // pool calls — a point task plus the shard task it waits on — and
+    // never grow with the number of queued points. 200 points on a
+    // 1-worker pool maximizes chain pressure (the worker and the
+    // scoping thread run everything between them); a waiter that ran
+    // foreign points would stack one point frame per queued point.
     let pool = ShardPool::new(1);
     let max_depth = AtomicU64::new(0);
     let ((), stats) = pool.scope(|scope| {
@@ -217,10 +218,9 @@ fn organic_point_chains_keep_bounded_stack_depth() {
     });
     assert_eq!(stats.tasks_run, 200 * 3);
     let observed = max_depth.load(Ordering::Relaxed);
-    // Point frames are capped at MAX_NEST_DEPTH; the innermost shard
-    // task adds one more frame on top of the last poppable point.
+    // One point frame plus the shard frame it waits on.
     assert!(
-        observed <= qsim::pool::MAX_NEST_DEPTH as u64 + 1,
+        observed <= 2,
         "drain chains must not scale with point count: saw depth {observed}"
     );
 }
