@@ -65,9 +65,7 @@
 //!
 //! | old | new |
 //! |---|---|
-//! | per-point loop + `push_cache_metrics` | `session.run_sweep(circuits)` → `SweepOutcome::telemetry` |
 //! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
-//! | `sweep.points[i]` | `sweep.point(i)` / `sweep.iter()` / `sweep.outcomes()` |
 
 pub mod assertion;
 pub mod error;

@@ -275,19 +275,6 @@ impl ExperimentReport {
             .push(Metric::new("pool_steals", t.pool_steals as f64));
     }
 
-    /// Appends the standard program-cache telemetry block (hits, misses,
-    /// hit rate) from a stats delta, as reported by
-    /// [`qsim::CacheStats::since`] — for callers tracking a
-    /// [`qsim::ProgramCache`] directly rather than through a session.
-    pub fn push_cache_metrics(&mut self, delta: qsim::CacheStats) {
-        self.metrics
-            .push(Metric::new("program_cache_hits", delta.hits as f64));
-        self.metrics
-            .push(Metric::new("program_cache_misses", delta.misses as f64));
-        self.metrics
-            .push(Metric::new("program_cache_hit_rate", delta.hit_rate()));
-    }
-
     /// Serializes the report as a compact JSON object (the suite runs in
     /// environments without a serde dependency, so this is hand-rolled;
     /// field order matches declaration order).
@@ -639,23 +626,7 @@ mod tests {
         assert!(json.contains("\"name\":\"batch_passes\",\"value\":10"));
         assert!(json.contains("\"name\":\"pool_tasks\",\"value\":20"));
         assert!(json.contains("\"name\":\"pool_steals\",\"value\":3"));
-    }
-
-    #[test]
-    fn metrics_render_and_serialize() {
-        let mut r = ExperimentReport::new("sweep", "cache telemetry");
-        r.metrics.push(Metric::new("program_cache_hits", 7.0));
-        r.push_cache_metrics(qsim::CacheStats {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-            entries: 1,
-        });
-        let json = r.to_json();
-        assert!(json.contains("\"name\":\"program_cache_hits\",\"value\":7"));
-        assert!(json.contains("\"name\":\"program_cache_hit_rate\",\"value\":0.75"));
         let text = r.render();
-        assert!(text.contains("metrics:"));
-        assert!(text.contains("program_cache_misses"));
+        assert!(text.contains("metrics:") && text.contains("program_cache_hit_rate"));
     }
 }

@@ -45,9 +45,7 @@
 //!
 //! | old | new |
 //! |---|---|
-//! | per-point loop + `push_cache_metrics` | `session.run_sweep(circuits)` → [`SweepOutcome::telemetry`] |
 //! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
-//! | `sweep.points[i]` | `sweep.point(i)` / `sweep.iter()` / `sweep.outcomes()` |
 //!
 //! # Prefix-aware sweeps
 //!
@@ -145,8 +143,7 @@ enum CacheRef<'c> {
 /// Snapshots are taken with [`AssertionSession::telemetry`]; deltas
 /// (e.g. for one sweep) with [`SessionTelemetry::since`]. Sweep
 /// harnesses export these into report metrics via
-/// [`crate::ExperimentReport::push_session_telemetry`], replacing the
-/// old ad-hoc `push_cache_metrics` plumbing around global cache stats.
+/// [`crate::ExperimentReport::push_session_telemetry`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionTelemetry {
     /// Circuits executed (each [`AssertionSession::run`] or
@@ -606,9 +603,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
 
     /// Compiles through a shared [`PrefixRegistry`] instead of a
     /// session-owned one: sessions built around the same `Arc` reuse
-    /// each other's compiled prefixes, the cross-tenant amortization
-    /// the assertion server runs on (many users submitting variants of
-    /// the same instrumented families).
+    /// each other's compiled prefixes.
     ///
     /// Sharing never changes results — prefix reuse is bit-identical
     /// to fresh compilation by construction — and telemetry stays

@@ -295,7 +295,7 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
                 saw_header = true;
             } else if stmt.starts_with("include") {
                 // qelib1.inc is implied.
-            } else if let Some(rest) = stmt.strip_prefix("qreg ") {
+            } else if let Some(rest) = strip_keyword(stmt, "qreg") {
                 let (name, size) = parse_reg_decl(rest, line_span(rest))?;
                 qregs.push(Register {
                     name,
@@ -303,7 +303,7 @@ pub fn from_qasm(source: &str) -> Result<QuantumCircuit, QasmError> {
                     size,
                 });
                 num_qubits = grow_width(num_qubits, size, "qubits", span)?;
-            } else if let Some(rest) = stmt.strip_prefix("creg ") {
+            } else if let Some(rest) = strip_keyword(stmt, "creg") {
                 let (name, size) = parse_reg_decl(rest, line_span(rest))?;
                 cregs.push(Register {
                     name,
@@ -438,14 +438,16 @@ fn parse_code_statement(
         (stmt, None)
     };
     let span = token_span(stmt);
-    if condition.is_some() && (stmt.starts_with("measure ") || stmt.starts_with("barrier ")) {
+    if condition.is_some()
+        && (strip_keyword(stmt, "measure").is_some() || strip_keyword(stmt, "barrier").is_some())
+    {
         return Err(QasmError::Malformed {
             span,
             reason: "only gates and reset can be conditioned".to_string(),
         });
     }
 
-    if let Some(rest) = stmt.strip_prefix("measure ") {
+    if let Some(rest) = strip_keyword(stmt, "measure") {
         let arrow = rest.find("->").ok_or_else(|| QasmError::Malformed {
             span,
             reason: "measure requires '->'".to_string(),
@@ -503,7 +505,7 @@ fn parse_code_statement(
         }
         return Ok(());
     }
-    if let Some(rest) = stmt.strip_prefix("reset ") {
+    if let Some(rest) = strip_keyword(stmt, "reset") {
         let operand = rest.trim();
         let (qname, qidx) = parse_indexed(operand, token_span(operand))?;
         let mut instr = Instruction::reset(lookup_q(&qname, qidx, token_span(operand))?);
@@ -513,7 +515,7 @@ fn parse_code_statement(
         circuit.append(instr)?;
         return Ok(());
     }
-    if let Some(rest) = stmt.strip_prefix("barrier ") {
+    if let Some(rest) = strip_keyword(stmt, "barrier") {
         let mut qs = Vec::new();
         for operand in rest.split(',') {
             let operand = operand.trim();
@@ -524,38 +526,34 @@ fn parse_code_statement(
         return Ok(());
     }
 
-    // Gate application: name[(params)] operands
-    let (head, operands) = match stmt.find(' ') {
-        Some(pos) => (&stmt[..pos], stmt[pos + 1..].trim()),
-        None => {
-            return Err(QasmError::Malformed {
-                span,
-                reason: format!("unrecognized statement '{stmt}'"),
-            })
+    // Gate application: name[(params)] operands. The name ends at `(`
+    // or whitespace, the parameter list at its closing `)`.
+    let name_end = stmt
+        .find(|c: char| c == '(' || c.is_whitespace())
+        .unwrap_or(stmt.len());
+    let (name, mut rest) = stmt.split_at(name_end);
+    let mut params = Vec::new();
+    if rest.starts_with('(') {
+        let close = closing_paren(rest).ok_or_else(|| QasmError::Malformed {
+            span,
+            reason: "unterminated parameter list".to_string(),
+        })?;
+        for e in rest[1..close].split(',') {
+            let e = e.trim();
+            params.push(parse_param_expr(e).map_err(|reason| QasmError::Malformed {
+                span: token_span(e),
+                reason,
+            })?);
         }
-    };
-    let (name, params) = if let Some(open) = head.find('(') {
-        let close = head
-            .rfind(')')
-            .filter(|close| *close > open)
-            .ok_or_else(|| QasmError::Malformed {
-                span: token_span(head),
-                reason: "unterminated parameter list".to_string(),
-            })?;
-        let param_src = &head[open + 1..close];
-        let params: Result<Vec<f64>, QasmError> = param_src
-            .split(',')
-            .map(|e| {
-                parse_param_expr(e).map_err(|reason| QasmError::Malformed {
-                    span: token_span(e),
-                    reason,
-                })
-            })
-            .collect();
-        (&head[..open], params?)
-    } else {
-        (head, Vec::new())
-    };
+        rest = &rest[close + 1..];
+    }
+    let operands = rest.trim();
+    if operands.is_empty() {
+        return Err(QasmError::Malformed {
+            span,
+            reason: format!("unrecognized statement '{stmt}'"),
+        });
+    }
 
     let gate = gate_from_name(name, &params).ok_or_else(|| QasmError::UnknownGate {
         span: token_span(name),
@@ -573,6 +571,32 @@ fn parse_code_statement(
     }
     circuit.append(instr)?;
     Ok(())
+}
+
+/// The rest of `stmt` after `keyword` and the whitespace that must
+/// follow it, or `None` when `stmt` does not start that way.
+fn strip_keyword<'s>(stmt: &'s str, keyword: &str) -> Option<&'s str> {
+    let rest = stmt.strip_prefix(keyword)?;
+    rest.starts_with(char::is_whitespace)
+        .then(|| rest.trim_start())
+}
+
+/// The byte index of the `)` that closes the `(` opening `src`.
+fn closing_paren(src: &str) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, c) in src.char_indices() {
+        match c {
+            '(' => depth += 1,
+            ')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Adds a declared register's `size` to the running width `total`.
@@ -1230,6 +1254,65 @@ mod tests {
                 assert_eq!((span, name.as_str()), (Span::new(4, 14), "d"));
             }
             other => panic!("expected UnknownRegister, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spaced_and_unspaced_parameters_give_equal_circuits() {
+        let header = "OPENQASM 2.0;\nqreg q[2];\n";
+        let spaced = from_qasm(&format!(
+            "{header}rx(pi / 2) q[0];\nu3( 0.1 , -pi / 4, (1 + 2) * pi ) q[1];\ncp( 0.5 )q[0],q[1];"
+        ))
+        .unwrap();
+        let unspaced = from_qasm(&format!(
+            "{header}rx(pi/2) q[0];\nu3(0.1,-pi/4,(1+2)*pi) q[1];\ncp(0.5) q[0],q[1];"
+        ))
+        .unwrap();
+        assert_eq!(spaced, unspaced);
+        assert_eq!(spaced.len(), 3);
+    }
+
+    #[test]
+    fn a_tab_separates_a_gate_from_its_operands() {
+        let tabbed = from_qasm(
+            "OPENQASM 2.0;\nqreg\tq[2];\ncreg\tc[2];\nh\tq[0];\ncx\tq[0],\tq[1];\n\
+             rz(0.3)\tq[1];\nbarrier\tq[0],q[1];\nreset\tq[1];\nmeasure\tq[0] -> c[0];",
+        )
+        .unwrap();
+        let spaced = from_qasm(
+            "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n\
+             rz(0.3) q[1];\nbarrier q[0],q[1];\nreset q[1];\nmeasure q[0] -> c[0];",
+        )
+        .unwrap();
+        assert_eq!(tabbed, spaced);
+        assert_eq!(tabbed.len(), 6);
+    }
+
+    #[test]
+    fn a_bad_parameter_span_points_at_the_parameter() {
+        // (statement on line 4, column of the bad parameter)
+        let cases = [
+            ("u3(0.1, 2 * &, 0.3) q[0];", 9),
+            ("rx( pi / ) q[0];", 5),
+            ("if(c==1) rz(1 +) q[0];", 13),
+        ];
+        for (stmt, col) in cases {
+            let src = format!("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n{stmt}");
+            match from_qasm(&src) {
+                Err(QasmError::Malformed { span, .. }) => {
+                    assert_eq!(span, Span::new(4, col), "{stmt}");
+                }
+                other => panic!("expected Malformed for {stmt:?}, got {other:?}"),
+            }
+        }
+        // A list that never closes is malformed at the statement.
+        let src = "OPENQASM 2.0;\nqreg q[1];\nrx(pi / 2 q[0];";
+        match from_qasm(src) {
+            Err(QasmError::Malformed { span, reason }) => {
+                assert_eq!(span, Span::new(3, 1));
+                assert!(reason.contains("unterminated parameter list"), "{reason}");
+            }
+            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 }

@@ -35,7 +35,7 @@
 use crate::error::{CliffordBlock, SimError};
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};
 use crate::stabilizer::CliffordProgram;
-use qcircuit::{CircuitDag, Gate, OpKind, QuantumCircuit};
+use qcircuit::{CircuitDag, Gate, OpKind, QuantumCircuit, QubitId};
 use qmath::Mat2;
 use qnoise::NoiseModel;
 
@@ -173,7 +173,7 @@ pub fn compile_with(
                         fused: members.len(),
                     }
                 } else {
-                    lower_gate(g, instr.qubits())
+                    lower_gate(g, instr.qubits())?
                 }
             }
             OpKind::Measure => CompiledKind::Measure {
@@ -437,36 +437,46 @@ fn gate_mat2(g: &Gate) -> Mat2 {
     g.mat2().expect("single-qubit gate has a 2x2 matrix")
 }
 
-/// Materializes one gate application.
-fn lower_gate(g: &Gate, qubits: &[qcircuit::QubitId]) -> CompiledKind {
+/// Materializes one gate application: the one place a [`Gate`] becomes
+/// a kernel. The compiler, [`crate::StateVector::apply_gate`] and
+/// [`crate::DensityMatrix::apply_gate`] all lower through here.
+///
+/// # Errors
+///
+/// Returns [`SimError::MatrixDimensionMismatch`] when the operand count
+/// does not match the gate's arity.
+pub(crate) fn lower_gate(g: &Gate, qubits: &[QubitId]) -> Result<CompiledKind, SimError> {
+    if g.num_qubits() != qubits.len() {
+        return Err(SimError::MatrixDimensionMismatch {
+            dim: 1 << g.num_qubits(),
+            qubits: qubits.len(),
+        });
+    }
     if let Some(m) = g.mat2() {
-        return CompiledKind::Unitary1q {
+        return Ok(CompiledKind::Unitary1q {
             qubit: qubits[0],
             matrix: m,
             fused: 1,
-        };
+        });
     }
-    match g {
-        Gate::Cx | Gate::Cy | Gate::Cz | Gate::Ch | Gate::Cp(_) => {
-            let target_gate = match g {
-                Gate::Cx => Gate::X,
-                Gate::Cy => Gate::Y,
-                Gate::Cz => Gate::Z,
-                Gate::Ch => Gate::H,
-                Gate::Cp(l) => Gate::P(*l),
-                _ => unreachable!(),
-            };
-            CompiledKind::Controlled1q {
-                control: qubits[0],
-                target: qubits[1],
-                matrix: gate_mat2(&target_gate),
-            }
+    let target_gate = match g {
+        Gate::Cx => Gate::X,
+        Gate::Cy => Gate::Y,
+        Gate::Cz => Gate::Z,
+        Gate::Ch => Gate::H,
+        Gate::Cp(l) => Gate::P(*l),
+        _ => {
+            return Ok(CompiledKind::UnitaryK {
+                qubits: qubits.to_vec(),
+                matrix: g.matrix(),
+            })
         }
-        _ => CompiledKind::UnitaryK {
-            qubits: qubits.to_vec(),
-            matrix: g.matrix(),
-        },
-    }
+    };
+    Ok(CompiledKind::Controlled1q {
+        control: qubits[0],
+        target: qubits[1],
+        matrix: gate_mat2(&target_gate),
+    })
 }
 
 /// Detects the sample-once shape: no conditions, no reset/post-select,

@@ -4,19 +4,24 @@
 //! complex entries: entry `(row, col)` lives at index `row + (col << n)`.
 //! This makes gate and Kraus application reuse the state-vector kernels —
 //! applying `U` to qubit `q` of `ρ` means applying `U` at bit `q` (the
-//! row side) and `U*` at bit `q + n` (the column side). Both the row and
-//! column 2×2 sweeps therefore ride on the same SIMD-dispatched
-//! [`crate::apply`] kernels as the state-vector path (see
-//! [`crate::simd`]), with the identical bit-exactness contract.
+//! row side) and `U*` at bit `q + n` (the column side); a controlled
+//! gate's control moves to bit `c + n` with it. Gates lower through the
+//! same [`crate::compile`](mod@crate::compile) step as on the
+//! state-vector path, so the row and column sweeps of single-qubit and
+//! controlled gates ride on the same SIMD-dispatched [`crate::apply`]
+//! kernels (see [`crate::simd`]), with the identical bit-exactness
+//! contract; wider gates use the dense kernel.
 //!
 //! The exact noisy executor in [`crate::executor`] uses this type to
 //! reproduce the paper's Tables 1–2 without sampling noise.
 
-use crate::apply::{apply_mat2_at, apply_matrix_at};
+use crate::apply::{apply_controlled_mat2_at, apply_mat2_at, apply_matrix_at};
+use crate::compile::lower_gate;
 use crate::error::SimError;
+use crate::program::CompiledKind;
 use crate::statevector::StateVector;
 use qcircuit::{Gate, QubitId};
-use qmath::{CMatrix, Complex, Mat2};
+use qmath::{CMatrix, Complex};
 use qnoise::Kraus;
 
 /// A mixed `n`-qubit quantum state.
@@ -107,44 +112,50 @@ impl DensityMatrix {
         }
     }
 
-    /// Applies a unitary gate: `ρ → U ρ U†`.
+    /// Applies a unitary gate: `ρ → U ρ U†`, lowered by
+    /// [`crate::compile`](mod@crate::compile) exactly as a compiled
+    /// program lowers it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::QubitOutOfRange`] or
     /// [`SimError::MatrixDimensionMismatch`] on bad operands.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[QubitId]) -> Result<(), SimError> {
-        if gate.num_qubits() != qubits.len() {
-            return Err(SimError::MatrixDimensionMismatch {
-                dim: 1 << gate.num_qubits(),
-                qubits: qubits.len(),
-            });
-        }
-        for q in qubits {
-            self.check_qubit(*q)?;
-        }
-        if let Some(m) = gate.mat2() {
-            let bit = qubits[0].index();
-            apply_mat2_at(&mut self.data, bit, &m);
-            apply_mat2_at(&mut self.data, bit + self.num_qubits, &m.conj());
-            return Ok(());
-        }
-        let m = gate.matrix();
-        self.apply_matrix_unchecked(&m, qubits);
-        Ok(())
+        self.apply_unitary(&lower_gate(gate, qubits)?)
     }
 
-    /// Applies a bare 2×2 unitary to one qubit: `ρ → U ρ U†`, via the
-    /// specialized single-qubit kernel (the compiled-program hot path
-    /// for fused and plain single-qubit ops).
+    /// Applies one compiled unitary op as `ρ → U ρ U†`: the op's kernel
+    /// with `U` on the row bits, then with `U*` on the column bits.
+    /// [`DensityMatrix::apply_gate`] and the exact executor apply
+    /// unitaries through here.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
-    pub fn apply_mat2(&mut self, m: &Mat2, qubit: QubitId) -> Result<(), SimError> {
-        let bit = self.check_qubit(qubit)?;
-        apply_mat2_at(&mut self.data, bit, m);
-        apply_mat2_at(&mut self.data, bit + self.num_qubits, &m.conj());
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-unitary op.
+    pub(crate) fn apply_unitary(&mut self, kind: &CompiledKind) -> Result<(), SimError> {
+        let n = self.num_qubits;
+        match kind {
+            CompiledKind::Unitary1q { qubit, matrix, .. } => {
+                let bit = self.check_qubit(*qubit)?;
+                apply_mat2_at(&mut self.data, bit, matrix);
+                apply_mat2_at(&mut self.data, bit + n, &matrix.conj());
+            }
+            CompiledKind::Controlled1q {
+                control,
+                target,
+                matrix,
+            } => {
+                let (c, t) = (self.check_qubit(*control)?, self.check_qubit(*target)?);
+                apply_controlled_mat2_at(&mut self.data, c, t, matrix);
+                apply_controlled_mat2_at(&mut self.data, c + n, t + n, &matrix.conj());
+            }
+            CompiledKind::UnitaryK { qubits, matrix } => self.apply_matrix(matrix, qubits)?,
+            other => unreachable!("non-unitary op {other:?} reached the unitary path"),
+        }
         Ok(())
     }
 

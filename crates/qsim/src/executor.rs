@@ -417,20 +417,6 @@ pub fn run_shot<D: Draws + ?Sized>(
     Ok(Some(ShotRecord { state, clbits }))
 }
 
-/// Applies one compiled unitary op to a pure state.
-fn apply_compiled_unitary(state: &mut StateVector, kind: &CompiledKind) -> Result<(), SimError> {
-    match kind {
-        CompiledKind::Unitary1q { qubit, matrix, .. } => state.apply_mat2(matrix, *qubit),
-        CompiledKind::Controlled1q {
-            control,
-            target,
-            matrix,
-        } => state.apply_controlled_mat2(matrix, *control, *target),
-        CompiledKind::UnitaryK { qubits, matrix } => state.apply_matrix(matrix, qubits),
-        other => unreachable!("non-unitary op {other:?} reached the unitary path"),
-    }
-}
-
 /// Executes a contiguous slice of a program's op stream one op at a
 /// time; returns `Ok(false)` when a post-selection discarded the shot.
 fn run_ops_sequential<D: Draws + ?Sized>(
@@ -461,7 +447,7 @@ fn run_ops_sequential<D: Draws + ?Sized>(
                 }
             }
             unitary => {
-                apply_compiled_unitary(state, unitary)?;
+                state.apply_unitary(unitary)?;
                 for applied in &op.noise {
                     sample_kraus(state, &applied.kraus, &applied.qubits, draws)?;
                 }
@@ -553,14 +539,14 @@ fn evolve_unitary_prefix(
                 // safe.
                 _ => {
                     for op in &ops[start..end.min(upto)] {
-                        apply_compiled_unitary(state, &op.kind)?;
+                        state.apply_unitary(&op.kind)?;
                     }
                 }
             }
         }
     } else {
         for op in &ops[..upto] {
-            apply_compiled_unitary(state, &op.kind)?;
+            state.apply_unitary(&op.kind)?;
         }
     }
     Ok(())
@@ -1261,13 +1247,6 @@ impl DensityMatrixBackend {
         let mut discarded_weight = 0.0;
 
         for op in program.ops() {
-            // Materialize a wide unitary's dense matrix once per op, not
-            // once per branch (branch counts grow with measurements);
-            // single-qubit ops use the 2×2 kernel and need no densifying.
-            let unitary = match &op.kind {
-                CompiledKind::Unitary1q { .. } => None,
-                other => other.unitary_matrix(),
-            };
             let mut next: Vec<Branch> = Vec::with_capacity(branches.len());
             for mut branch in branches {
                 if !condition_holds(op.condition, branch.clbits) {
@@ -1318,18 +1297,8 @@ impl DensityMatrixBackend {
                         branch.weight *= p_keep;
                         next.push(branch);
                     }
-                    CompiledKind::Unitary1q { qubit, matrix, .. } => {
-                        // Specialized 2×2 kernel — the most common op
-                        // after fusion; skips the dense path entirely.
-                        branch.rho.apply_mat2(matrix, *qubit)?;
-                        for applied in &op.noise {
-                            branch.rho.apply_kraus(&applied.kraus, &applied.qubits)?;
-                        }
-                        next.push(branch);
-                    }
-                    _ => {
-                        let (qubits, matrix) = unitary.as_ref().expect("unitary compiled op");
-                        branch.rho.apply_matrix(matrix, qubits)?;
+                    unitary => {
+                        branch.rho.apply_unitary(unitary)?;
                         for applied in &op.noise {
                             branch.rho.apply_kraus(&applied.kraus, &applied.qubits)?;
                         }

@@ -27,7 +27,7 @@ use crate::error::CliffordBlock;
 use crate::stabilizer::CliffordProgram;
 use crate::tree::{TreeStats, Trees};
 use qcircuit::{Condition, QubitId};
-use qmath::{CMatrix, Complex, Mat2};
+use qmath::{CMatrix, Mat2};
 use qnoise::{AppliedChannel, ReadoutError};
 
 /// What one compiled op does (matrices pre-materialized).
@@ -105,38 +105,6 @@ impl CompiledKind {
             CompiledKind::Measure { .. } => "measure",
             CompiledKind::Reset { .. } => "reset",
             CompiledKind::PostSelect { .. } => "post_select",
-        }
-    }
-
-    /// The full unitary matrix of a unitary op in its local qubit order
-    /// (used by the density-matrix executor), or `None` for non-unitary
-    /// ops.
-    ///
-    /// For [`CompiledKind::Controlled1q`] the embedding matches
-    /// `qcircuit::Gate::matrix` exactly (control = local bit 0, target =
-    /// local bit 1), so compiled execution reproduces interpreted
-    /// execution bit-for-bit.
-    pub fn unitary_matrix(&self) -> Option<(Vec<QubitId>, CMatrix)> {
-        match self {
-            CompiledKind::Unitary1q { qubit, matrix, .. } => {
-                Some((vec![*qubit], matrix.to_cmatrix()))
-            }
-            CompiledKind::Controlled1q {
-                control,
-                target,
-                matrix,
-            } => {
-                let mut m = CMatrix::zeros(4);
-                m.set(0, 0, Complex::ONE);
-                m.set(2, 2, Complex::ONE);
-                m.set(1, 1, matrix.a);
-                m.set(1, 3, matrix.b);
-                m.set(3, 1, matrix.c);
-                m.set(3, 3, matrix.d);
-                Some((vec![*control, *target], m))
-            }
-            CompiledKind::UnitaryK { qubits, matrix } => Some((qubits.clone(), matrix.clone())),
-            _ => None,
         }
     }
 }

@@ -9,8 +9,10 @@
 //! fidelity, Z expectations).
 
 use crate::apply::{apply_controlled_mat2_at, apply_mat2_at, apply_matrix_at};
+use crate::compile::lower_gate;
 use crate::draws::Draws;
 use crate::error::SimError;
+use crate::program::CompiledKind;
 use qcircuit::{Gate, QubitId};
 use qmath::{CMatrix, Complex, Mat2};
 
@@ -116,7 +118,8 @@ impl StateVector {
     }
 
     /// Applies a gate to the listed qubits (gate-local qubit `j` is
-    /// `qubits[j]`).
+    /// `qubits[j]`), lowered by [`crate::compile`](mod@crate::compile)
+    /// exactly as a compiled program lowers it.
     ///
     /// # Errors
     ///
@@ -124,44 +127,38 @@ impl StateVector {
     /// [`SimError::MatrixDimensionMismatch`] when the operand count does
     /// not match the gate's arity.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[QubitId]) -> Result<(), SimError> {
-        if gate.num_qubits() != qubits.len() {
-            return Err(SimError::MatrixDimensionMismatch {
-                dim: 1 << gate.num_qubits(),
-                qubits: qubits.len(),
-            });
-        }
-        for q in qubits {
-            self.check_qubit(*q)?;
-        }
-        // Fast paths.
-        if let Some(m) = gate.mat2() {
-            apply_mat2_at(&mut self.amps, qubits[0].index(), &m);
-            return Ok(());
-        }
-        match gate {
-            Gate::Cx | Gate::Cy | Gate::Cz | Gate::Ch | Gate::Cp(_) => {
-                let target_gate = match gate {
-                    Gate::Cx => Gate::X,
-                    Gate::Cy => Gate::Y,
-                    Gate::Cz => Gate::Z,
-                    Gate::Ch => Gate::H,
-                    Gate::Cp(l) => Gate::P(*l),
-                    _ => unreachable!(),
-                };
-                let m = target_gate.mat2().expect("controlled target is 1q");
-                apply_controlled_mat2_at(&mut self.amps, qubits[0].index(), qubits[1].index(), &m);
+        self.apply_unitary(&lower_gate(gate, qubits)?)
+    }
+
+    /// Applies one compiled unitary op: the 2×2 sweep, the controlled
+    /// 2×2 sweep, or the dense kernel. [`StateVector::apply_gate`] and
+    /// every amplitude executor apply unitaries through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-unitary op.
+    pub(crate) fn apply_unitary(&mut self, kind: &CompiledKind) -> Result<(), SimError> {
+        match kind {
+            CompiledKind::Unitary1q { qubit, matrix, .. } => self.apply_mat2(matrix, *qubit),
+            CompiledKind::Controlled1q {
+                control,
+                target,
+                matrix,
+            } => {
+                let (c, t) = (self.check_qubit(*control)?, self.check_qubit(*target)?);
+                apply_controlled_mat2_at(&mut self.amps, c, t, matrix);
                 Ok(())
             }
-            _ => {
-                let bits: Vec<usize> = qubits.iter().map(|q| q.index()).collect();
-                apply_matrix_at(&mut self.amps, &bits, &gate.matrix());
-                Ok(())
-            }
+            CompiledKind::UnitaryK { qubits, matrix } => self.apply_matrix(matrix, qubits),
+            other => unreachable!("non-unitary op {other:?} reached the unitary path"),
         }
     }
 
-    /// Applies a bare 2×2 unitary to one qubit (used by tests and the
-    /// transpiler verifier).
+    /// Applies a bare 2×2 unitary to one qubit.
     ///
     /// # Errors
     ///
@@ -169,26 +166,6 @@ impl StateVector {
     pub fn apply_mat2(&mut self, m: &Mat2, qubit: QubitId) -> Result<(), SimError> {
         let bit = self.check_qubit(qubit)?;
         apply_mat2_at(&mut self.amps, bit, m);
-        Ok(())
-    }
-
-    /// Applies a controlled 2×2 unitary: `m` acts on `target` when
-    /// `control` is set. This is the compiled-program entry point for
-    /// every controlled gate (CX, CZ, CY, CH, CP) — identical arithmetic
-    /// to the [`StateVector::apply_gate`] fast path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::QubitOutOfRange`] for a bad operand.
-    pub fn apply_controlled_mat2(
-        &mut self,
-        m: &Mat2,
-        control: QubitId,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        let c = self.check_qubit(control)?;
-        let t = self.check_qubit(target)?;
-        apply_controlled_mat2_at(&mut self.amps, c, t, m);
         Ok(())
     }
 

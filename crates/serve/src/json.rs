@@ -20,9 +20,12 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`; integers round-trip exactly up
-    /// to 2^53, far beyond any shot budget this crate accepts).
+    /// A JSON number other than an [`Value::Int`] literal, parsed as
+    /// `f64`.
     Num(f64),
+    /// A non-negative integer literal (digits only) that fits `u64`,
+    /// kept exact: an `f64` would round integers past 2^53.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -40,22 +43,22 @@ impl Value {
         }
     }
 
-    /// The value as a finite number, when it is one.
+    /// The value as a number, when it is one.
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, when it is a whole number
-    /// in `u64` range.
+    /// The value as a non-negative integer, when it is an integer
+    /// literal that fits `u64`. Fractions and exponents never count,
+    /// even when they round to a whole `f64`.
     pub fn as_u64(&self) -> Option<u64> {
-        let n = self.as_num()?;
-        if (0.0..=9_007_199_254_740_992.0).contains(&n) && n.fract() == 0.0 {
-            Some(n as u64)
-        } else {
-            None
+        match self {
+            Value::Int(n) => Some(*n),
+            _ => None,
         }
     }
 
@@ -101,6 +104,9 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => write_number(*n, out),
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Value::Str(s) => write_string(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -148,13 +154,13 @@ impl From<f64> for Value {
 
 impl From<u64> for Value {
     fn from(n: u64) -> Value {
-        Value::Num(n as f64)
+        Value::Int(n)
     }
 }
 
 impl From<usize> for Value {
     fn from(n: usize) -> Value {
-        Value::Num(n as f64)
+        Value::Int(n as u64)
     }
 }
 
@@ -278,6 +284,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number bytes");
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
+    }
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| format!("bad number '{text}' at byte {start}"))
@@ -458,5 +469,22 @@ mod tests {
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 1);
         assert_eq!(v.get("n").unwrap().as_str(), None);
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_past_2_pow_53() {
+        for src in ["9007199254740993", "18446744073709551615"] {
+            let v = parse(src).unwrap();
+            assert_eq!(v.as_u64().map(|n| n.to_string()).as_deref(), Some(src));
+            assert_eq!(v.render(), src);
+        }
+        // Fractions, exponents, negatives and integers past u64 are
+        // plain numbers, never integers.
+        for src in ["2.9999999999999999", "3e0", "-1", "18446744073709551616"] {
+            let v = parse(src).unwrap();
+            assert_eq!(v.as_u64(), None, "{src}");
+            assert!(v.as_num().is_some(), "{src}");
+        }
+        assert_eq!(Value::from(u64::MAX).render(), "18446744073709551615");
     }
 }

@@ -2,9 +2,9 @@
 //! layer.
 //!
 //! The server accepts OpenQASM 2.0 circuits plus assertion
-//! specifications over HTTP, executes them through shared
-//! [`AssertionSession`](qassert::AssertionSession) infrastructure (one
-//! process-wide [`ProgramCache`](qsim::ProgramCache), prefix registry,
+//! specifications over HTTP, executes each job as a one-shot
+//! [`AssertionSession`](qassert::AssertionSession) over shared
+//! infrastructure (one process-wide [`ProgramCache`](qsim::ProgramCache)
 //! and [`ShardPool`](qsim::ShardPool) across all tenants), and streams
 //! verdicts back as NDJSON. Everything is `std`-only: a hand-rolled
 //! HTTP/1.1 subset on blocking sockets, served one thread per request
@@ -53,7 +53,11 @@
 //! `{"sequential": {"alpha": 0.05, "min_shots": 64, "max_shots": 1024,
 //! "tranche": 128}}` (each field optional). Per-job shot budgets are
 //! capped at [`protocol::MAX_JOB_SHOTS`]; larger plans are rejected at
-//! parse time with `budget_too_large`.
+//! parse time with `budget_too_large`. Integer fields (`seed`, plan
+//! sizes, qubit indices) must be integer literals and are read exactly:
+//! a seed may be any `u64`, and a fraction or exponent is a 400 even
+//! when it rounds to a whole number. `threads` runs from 1 to
+//! [`protocol::MAX_JOB_THREADS`].
 //!
 //! ## NDJSON result stream (200 response)
 //!
@@ -71,8 +75,10 @@
 //!    [`PlanTrace`](qassert::PlanTrace) — shots used, tranches, stop
 //!    reason (`fixed`/`decided`/`budget`);
 //! 4. one `{"type": "telemetry", ...}` trailer: the session's
-//!    [`SessionTelemetry`](qassert::SessionTelemetry) (cache and
-//!    prefix hits, pool counters, SIMD backend) plus server gauges.
+//!    [`SessionTelemetry`](qassert::SessionTelemetry) (cache hits,
+//!    `prefix_hits` — always 0, since a job session lowers one program
+//!    with prefix reuse off — pool counters, SIMD backend) plus server
+//!    gauges.
 //!
 //! ## Errors and backpressure
 //!

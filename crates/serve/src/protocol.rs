@@ -137,6 +137,25 @@ pub const DEFAULT_JOB_SHOTS: u64 = 1024;
 /// otherwise monopolize a worker.
 pub const MAX_JOB_SHOTS: u64 = 1 << 22;
 
+/// The ceiling on a job's `threads` (its shard count). Each shard costs
+/// a pool task, a result slot and a histogram, and shards past the
+/// host's cores buy no speed, so a larger request is rejected at parse
+/// time, before admission.
+pub const MAX_JOB_THREADS: usize = 64;
+
+/// Integer field `{prefix}{name}` read exactly: a non-negative integer
+/// literal that fits `u64`, or a 400 that names the range. A fraction or
+/// exponent is rejected even when it rounds to a whole `f64`, so a job
+/// never runs an integer other than the one it sent.
+fn exact_u64(value: &Value, prefix: &str, name: &str) -> Result<u64, ApiError> {
+    value.as_u64().ok_or_else(|| {
+        ApiError::bad_request(
+            "invalid_job",
+            format!("'{prefix}{name}' must be an integer from 0 to {}", u64::MAX),
+        )
+    })
+}
+
 fn qubit_list(value: &Value, field: &'static str) -> Result<Vec<usize>, ApiError> {
     let items = value.as_arr().ok_or_else(|| {
         ApiError::bad_request("invalid_job", format!("'{field}' must be an array"))
@@ -235,15 +254,18 @@ fn parse_plan(value: Option<&Value>) -> Result<ShotPlan, ApiError> {
     let plan = match value {
         None => ShotPlan::Fixed(DEFAULT_JOB_SHOTS),
         Some(v) => {
-            if let Some(shots) = v.get("fixed").and_then(Value::as_u64) {
-                ShotPlan::Fixed(shots)
+            if let Some(shots) = v.get("fixed") {
+                ShotPlan::Fixed(exact_u64(shots, "plan.", "fixed")?)
             } else if let Some(seq) = v.get("sequential") {
-                let field = |name: &str| seq.get(name).and_then(Value::as_u64);
+                let field = |name: &str, default: u64| match seq.get(name) {
+                    None => Ok(default),
+                    Some(n) => exact_u64(n, "plan.sequential.", name),
+                };
                 ShotPlan::Sequential {
                     alpha: seq.get("alpha").and_then(Value::as_num).unwrap_or(0.05),
-                    min_shots: field("min_shots").unwrap_or(64),
-                    max_shots: field("max_shots").unwrap_or(DEFAULT_JOB_SHOTS),
-                    tranche: field("tranche").unwrap_or(128),
+                    min_shots: field("min_shots", 64)?,
+                    max_shots: field("max_shots", DEFAULT_JOB_SHOTS)?,
+                    tranche: field("tranche", 128)?,
                 }
             } else {
                 return Err(ApiError::bad_request(
@@ -316,24 +338,21 @@ impl JobSpec {
         let plan = parse_plan(root.get("plan"))?;
         let seed = match root.get("seed") {
             None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ApiError::bad_request("invalid_job", "'seed' must be a non-negative integer")
-            })?),
+            Some(v) => Some(exact_u64(v, "", "seed")?),
         };
         let threads = match root.get("threads") {
             None | Some(Value::Null) => None,
-            Some(v) => {
-                let t = v.as_u64().ok_or_else(|| {
-                    ApiError::bad_request("invalid_job", "'threads' must be a positive integer")
-                })? as usize;
-                if t == 0 {
-                    return Err(ApiError::bad_request(
-                        "invalid_job",
-                        "'threads' must be at least 1",
-                    ));
-                }
-                Some(t)
-            }
+            Some(v) => Some(
+                v.as_u64()
+                    .and_then(|t| usize::try_from(t).ok())
+                    .filter(|t| (1..=MAX_JOB_THREADS).contains(t))
+                    .ok_or_else(|| {
+                        ApiError::bad_request(
+                            "invalid_job",
+                            format!("'threads' must be an integer from 1 to {MAX_JOB_THREADS}"),
+                        )
+                    })?,
+            ),
         };
         let filter = match root.get("filter").and_then(Value::as_str) {
             None | Some("require-kept") => FilterPolicy::RequireKept,
@@ -686,5 +705,56 @@ mod tests {
         assert!(render(&a).contains("\"type\":\"verdict\""));
         assert!(render(&a).contains("\"kind\":\"entanglement\""));
         assert!(render(&a).contains("\"type\":\"plan\""));
+    }
+
+    #[test]
+    fn integer_fields_are_read_exactly_or_rejected_with_the_range() {
+        // An f64 would run 2^53 + 1 as 2^53.
+        let spec = JobSpec::from_json(&spec_json(", \"seed\": 9007199254740993")).unwrap();
+        assert_eq!(spec.seed, Some(9_007_199_254_740_993));
+        let spec = JobSpec::from_json(&spec_json(", \"seed\": 18446744073709551615")).unwrap();
+        assert_eq!(spec.seed, Some(u64::MAX));
+        // A fraction that rounds to a whole f64, an exponent, a negative
+        // and a seed past u64 all get a 400 that names the range.
+        for seed in ["2.9999999999999999", "3e0", "-1", "18446744073709551616"] {
+            let err = JobSpec::from_json(&spec_json(&format!(", \"seed\": {seed}"))).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "invalid_job"), "{seed}");
+            assert!(
+                err.message.contains("'seed'") && err.message.contains("18446744073709551615"),
+                "{seed}: {}",
+                err.message
+            );
+        }
+        // Plan sizes follow the same rule instead of rounding or
+        // falling back to a default.
+        for (plan, field) in [
+            ("{\"fixed\": 63.99999999999999999}", "'plan.fixed'"),
+            (
+                "{\"sequential\": {\"tranche\": 2.5}}",
+                "'plan.sequential.tranche'",
+            ),
+        ] {
+            let err = JobSpec::from_json(&spec_json(&format!(", \"plan\": {plan}"))).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "invalid_job"), "{plan}");
+            assert!(err.message.contains(field), "{plan}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn threads_past_the_ceiling_are_rejected_at_parse_time() {
+        let spec =
+            JobSpec::from_json(&spec_json(&format!(", \"threads\": {MAX_JOB_THREADS}"))).unwrap();
+        assert_eq!(spec.threads, Some(MAX_JOB_THREADS));
+        for threads in ["0", "65", "65536", "2.5", "18446744073709551616"] {
+            let err =
+                JobSpec::from_json(&spec_json(&format!(", \"threads\": {threads}"))).unwrap_err();
+            assert_eq!((err.status, err.code), (400, "invalid_job"), "{threads}");
+            assert!(
+                err.message
+                    .contains(&format!("from 1 to {MAX_JOB_THREADS}")),
+                "{threads}: {}",
+                err.message
+            );
+        }
     }
 }

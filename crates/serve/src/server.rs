@@ -14,7 +14,7 @@
 //!   │ blocks until the job's fair turn: round-robin across tenants,
 //!   │ FIFO within one, at most job_workers turns held
 //!   v
-//! execute: AssertionSession over the shared cache, prefix registry
+//! execute: a one-shot AssertionSession over the shared program cache
 //!   │ and shard pool; a panic is caught and answered 500
 //!   v
 //! drop the turn, write the response, back to accept()
@@ -47,7 +47,6 @@ use crate::protocol::{outcome_records, queue_full_error, telemetry_record, ApiEr
 use crate::queue::{JobQueue, SubmitError};
 use qassert::{AssertingCircuit, AssertionSession, SessionTelemetry};
 use qnoise::presets;
-use qsim::PrefixRegistry;
 use qsim::{
     Backend, BackendKind, DensityMatrixBackend, HybridBackend, ProgramCache, ShardPool,
     StabilizerBackend, StatevectorBackend, TrajectoryBackend,
@@ -105,7 +104,6 @@ impl Default for ServerConfig {
 /// State shared by every worker thread.
 struct ServeState {
     cache: ProgramCache,
-    prefixes: Arc<PrefixRegistry>,
     queue: JobQueue,
     max_body_bytes: usize,
     /// Set once by [`Server::shutdown`]; a worker reads it after every
@@ -159,7 +157,6 @@ impl ServeState {
             ),
             ("cache_hits", Value::from(cache.hits)),
             ("cache_misses", Value::from(cache.misses)),
-            ("prefix_hits", Value::from(self.prefixes.hits())),
             ("pool_workers", Value::from(pool.workers)),
             ("pool_queue_depth", Value::from(pool.queue_depth)),
         ])
@@ -198,7 +195,6 @@ impl Server {
             addr: listener.local_addr()?,
             state: Arc::new(ServeState {
                 cache: ProgramCache::new(config.cache_capacity.max(1)),
-                prefixes: Arc::new(PrefixRegistry::new()),
                 queue: JobQueue::new(config.queue_capacity, config.job_workers.max(1)),
                 max_body_bytes: config.max_body_bytes,
                 shutting_down: AtomicBool::new(false),
@@ -362,7 +358,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
 }
 
 /// Executes one admitted job on the requested backend through a
-/// session sharing the server-wide cache and prefix registry, and
+/// session sharing the server-wide program cache, and
 /// renders the full NDJSON record stream (telemetry trailer included).
 fn execute(
     state: &ServeState,
@@ -405,9 +401,11 @@ fn run_session(
     circuit: &AssertingCircuit,
     backend: &dyn Backend,
 ) -> Result<Vec<String>, ApiError> {
+    // A job is a one-shot session: it lowers one program, so prefix
+    // reuse could only pay for registering it.
     let mut session = AssertionSession::new(backend)
         .cache(&state.cache)
-        .prefix_registry(Arc::clone(&state.prefixes))
+        .prefix_reuse(false)
         .shot_plan(spec.plan)
         .filter_policy(spec.filter);
     if let Some(seed) = spec.seed {
