@@ -94,7 +94,9 @@ fn instrumented_bell(parity: Parity) -> AssertingCircuit {
 
 /// Mild uniform noise over the Bell pair and its ancilla: it keeps every
 /// shot on the per-shot path (no sample-once fast path) without drowning
-/// the timing in Kraus sampling or the verdicts in noise.
+/// the verdicts in noise. Its depolarizing channels are Pauli channels,
+/// so a shot samples each from precomputed weights and applies at most
+/// a few 2×2 Pauli sweeps; the timing stays on the shot loop.
 fn mild_noise() -> TrajectoryBackend {
     TrajectoryBackend::new(
         qnoise::presets::uniform(3, 0.005, 0.02, 0.01).expect("valid noise parameters"),

@@ -9,6 +9,7 @@
 
 use qmath::{is_cptp, CMatrix, Complex};
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced when constructing an invalid channel.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,6 +85,92 @@ impl PauliTerm {
     }
 }
 
+/// One operator of a channel's Pauli form ([`Kraus::pauli_form`]): the
+/// operator equals `c·P` entry for entry, where `P` is the Pauli string
+/// with X part `x` and Z part `z` and `weight` is `|c|²`.
+///
+/// Bit `j` of each mask belongs to local qubit `j` (the channel's
+/// low-order qubit first, as in [`Kraus::as_pauli_channel`]): X part
+/// only is X, Z part only is Z, both is Y. A zero operator has weight 0
+/// and the identity string.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PauliOp {
+    /// `|c|²`: the operator's Born weight on every normalized state.
+    pub weight: f64,
+    /// X part: bit `j` set when the factor on local qubit `j` is X or Y.
+    pub x: u32,
+    /// Z part: bit `j` set when the factor on local qubit `j` is Z or Y.
+    pub z: u32,
+}
+
+impl PauliOp {
+    /// The string's factor on local qubit `j`.
+    pub fn term(&self, j: usize) -> PauliTerm {
+        match ((self.x >> j) & 1, (self.z >> j) & 1) {
+            (0, 0) => PauliTerm::I,
+            (1, 0) => PauliTerm::X,
+            (1, _) => PauliTerm::Y,
+            _ => PauliTerm::Z,
+        }
+    }
+}
+
+/// The string `P` and weight `|c|²` with `k = c·P` to within `tol` in
+/// each component of each entry, when `|c|² > tol²`; `tol = 0` demands
+/// equality.
+///
+/// A Pauli string has one nonzero entry per row, `P[r][r ^ x]`, equal to
+/// `P[0][x] = (−i)^|x ∧ z|` times `(−1)^|r ∧ z|`. So row 0's largest entry
+/// names the X part and the sign of row `2ʲ`'s entry against it the Z
+/// bit of qubit `j`; then every entry is checked: `O(d²)` for a `d × d`
+/// operator. For every operator with `|c|² > 2·tol²` this finds the
+/// string a search over all `4ⁿ` strings would; a smaller one can lie
+/// within `tol` of several strings and is checked against the one its
+/// row 0 names.
+fn pauli_multiple(k: &CMatrix, tol: f64) -> Option<PauliOp> {
+    let d = k.dim();
+    let x = (1..d).fold(0, |best, col| {
+        if k.get(0, col).norm_sqr() > k.get(0, best).norm_sqr() {
+            col
+        } else {
+            best
+        }
+    });
+    let k0 = k.get(0, x);
+    let z = (0..d.trailing_zeros())
+        .filter(|j| {
+            let r = 1usize << j;
+            (k.get(r, r ^ x) * k0.conj()).re < 0.0
+        })
+        .fold(0usize, |z, j| z | 1 << j);
+    // c = k0 / P[0][x] = k0 · i^|x ∧ z|: a quarter turn per Y factor,
+    // exact in floating point.
+    let c = (0..(x & z).count_ones()).fold(k0, |c, _| Complex::new(-c.im, c.re));
+    if c.norm_sqr() <= tol * tol {
+        return None;
+    }
+    for r in 0..d {
+        // c·P[r][r ^ x] = ±k0 exactly: P's entries are units, so the
+        // product only moves and negates c's components.
+        let on = if (r & z).count_ones() % 2 == 1 {
+            -k0
+        } else {
+            k0
+        };
+        for col in 0..d {
+            let expected = if col == r ^ x { on } else { Complex::ZERO };
+            if !k.get(r, col).approx_eq(expected, tol) {
+                return None;
+            }
+        }
+    }
+    Some(PauliOp {
+        weight: c.norm_sqr(),
+        x: x as u32,
+        z: z as u32,
+    })
+}
+
 /// Rotation axis for [`Kraus::coherent_overrotation`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RotationAxis {
@@ -110,6 +197,8 @@ pub enum RotationAxis {
 pub struct Kraus {
     ops: Vec<CMatrix>,
     num_qubits: usize,
+    /// The Pauli form, computed once and shared between clones.
+    pauli: Option<Arc<[PauliOp]>>,
 }
 
 /// The four single-qubit Pauli matrices in index order I, X, Y, Z.
@@ -145,10 +234,14 @@ fn check_prob(param: &'static str, value: f64) -> Result<(), ChannelError> {
 }
 
 impl Kraus {
-    /// Builds a channel from raw Kraus operators.
+    /// Builds a channel from raw Kraus operators. Every constructor goes
+    /// through here.
     ///
     /// The operators are trusted to satisfy CPTP; use [`Kraus::is_cptp`]
     /// to verify when they come from an untrusted source.
+    ///
+    /// Also computes the channel's [Pauli form](Kraus::pauli_form), in
+    /// `O(d²)` per `d × d` operator.
     ///
     /// # Panics
     ///
@@ -164,9 +257,24 @@ impl Kraus {
             ops.iter().all(|k| k.dim() == dim),
             "kraus operators must share one dimension"
         );
+        let pauli = ops
+            .iter()
+            .map(|k| {
+                if k.is_zero(0.0) {
+                    Some(PauliOp {
+                        weight: 0.0,
+                        x: 0,
+                        z: 0,
+                    })
+                } else {
+                    pauli_multiple(k, 0.0)
+                }
+            })
+            .collect();
         Kraus {
             ops,
             num_qubits: dim.trailing_zeros() as usize,
+            pauli,
         }
     }
 
@@ -421,6 +529,24 @@ impl Kraus {
         self.num_qubits
     }
 
+    /// The channel's **Pauli form**: for each operator, in operator
+    /// order, its weight `|c|²` and the Pauli string `P` when the
+    /// operator equals `c·P` entry for entry, or weight 0 and the
+    /// identity when it is zero. `None` when some operator is neither.
+    ///
+    /// The Pauli presets ([`Kraus::depolarizing`],
+    /// [`Kraus::depolarizing2`], [`Kraus::bit_flip`],
+    /// [`Kraus::phase_flip`], [`Kraus::pauli_channel`]) and their
+    /// [`then`](Kraus::then)/[`kron`](Kraus::kron) compositions have
+    /// one; damping, thermal relaxation and coherent rotations do not.
+    /// On a normalized state `ψ`, `‖Kᵢψ‖² = |cᵢ|²`, so the weights are
+    /// the Born weights of every state, and a trajectory shot samples
+    /// the channel from them without touching the state for the weights.
+    /// Unlike [`Kraus::as_pauli_channel`], the match is exact.
+    pub fn pauli_form(&self) -> Option<&[PauliOp]> {
+        self.pauli.as_deref()
+    }
+
     /// Verifies the trace-preservation condition `Σ Kᵢ†Kᵢ = I`.
     pub fn is_cptp(&self, tol: f64) -> bool {
         is_cptp(&self.ops, tol).unwrap_or(false)
@@ -440,41 +566,24 @@ impl Kraus {
     /// Returns `None` for anything else — amplitude/phase damping,
     /// thermal relaxation, and generic coherent errors all mix Pauli
     /// strings coherently and cannot be sampled as stochastic Pauli
-    /// injections. `tol` bounds the per-entry matrix comparison.
+    /// injections. `tol` bounds the per-entry matrix comparison, so a
+    /// channel a few ulps off a Pauli channel, which has no exact
+    /// [Pauli form](Kraus::pauli_form), still gets its table here.
+    /// Each operator is checked in `O(d²)` against the one string its
+    /// rows 0 and `2ʲ` point to.
     pub fn as_pauli_channel(&self, tol: f64) -> Option<Vec<(f64, Vec<PauliTerm>)>> {
-        const TERMS: [PauliTerm; 4] = [PauliTerm::I, PauliTerm::X, PauliTerm::Y, PauliTerm::Z];
-        let n = self.num_qubits;
-        let codes = 4usize.pow(n as u32);
         let mut table = Vec::with_capacity(self.ops.len());
         let mut total = 0.0;
-        'ops: for k in &self.ops {
+        for k in &self.ops {
             if k.is_zero(tol) {
                 continue; // zero-weight operator: probability 0
             }
-            for code in 0..codes {
-                // Build the candidate string (qubit n−1 is the leftmost
-                // Kronecker factor, matching CMatrix::kron's MSB-left
-                // convention and the local-basis qubit-j-is-bit-j rule).
-                let mut p = pauli((code >> (2 * (n - 1))) & 3);
-                for j in (0..n - 1).rev() {
-                    p = p.kron(&pauli((code >> (2 * j)) & 3));
-                }
-                // Pauli strings have exactly one nonzero entry per row,
-                // of unit modulus: the scalar, if K = c·P, is read off
-                // row 0 as c = K₀ⱼ / P₀ⱼ.
-                let col = (0..p.dim())
-                    .find(|&j| p.get(0, j) != Complex::ZERO)
-                    .expect("pauli strings have a nonzero entry per row");
-                let c = k.get(0, col) / p.get(0, col);
-                if c.norm_sqr() > tol * tol && k.approx_eq(&p.scale_c(c), tol) {
-                    let string: Vec<PauliTerm> =
-                        (0..n).map(|j| TERMS[(code >> (2 * j)) & 3]).collect();
-                    total += c.norm_sqr();
-                    table.push((c.norm_sqr(), string));
-                    continue 'ops;
-                }
-            }
-            return None; // this operator is not a scaled Pauli string
+            let op = pauli_multiple(k, tol)?;
+            total += op.weight;
+            table.push((
+                op.weight,
+                (0..self.num_qubits).map(|j| op.term(j)).collect(),
+            ));
         }
         if (total - 1.0).abs() > 1e-9 || table.is_empty() {
             return None;
@@ -676,6 +785,262 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert_eq!(table[0].1, vec![PauliTerm::X]);
         assert!((table[0].0 - 1.0).abs() < 1e-12);
+    }
+
+    /// The search `as_pauli_channel` ran before the per-operator check:
+    /// all `4ⁿ` candidate strings built as matrices, first match wins.
+    fn oracle(ch: &Kraus, tol: f64) -> Option<Vec<(f64, Vec<PauliTerm>)>> {
+        const TERMS: [PauliTerm; 4] = [PauliTerm::I, PauliTerm::X, PauliTerm::Y, PauliTerm::Z];
+        let n = ch.num_qubits();
+        let codes = 4usize.pow(n as u32);
+        let mut table = Vec::new();
+        let mut total = 0.0;
+        'ops: for k in ch.ops() {
+            if k.is_zero(tol) {
+                continue;
+            }
+            for code in 0..codes {
+                // Qubit n−1 is the leftmost Kronecker factor.
+                let mut p = pauli((code >> (2 * (n - 1))) & 3);
+                for j in (0..n - 1).rev() {
+                    p = p.kron(&pauli((code >> (2 * j)) & 3));
+                }
+                let col = (0..p.dim())
+                    .find(|&j| p.get(0, j) != Complex::ZERO)
+                    .unwrap();
+                let c = k.get(0, col) / p.get(0, col);
+                if c.norm_sqr() > tol * tol && k.approx_eq(&p.scale_c(c), tol) {
+                    let string = (0..n).map(|j| TERMS[(code >> (2 * j)) & 3]).collect();
+                    total += c.norm_sqr();
+                    table.push((c.norm_sqr(), string));
+                    continue 'ops;
+                }
+            }
+            return None;
+        }
+        if (total - 1.0).abs() > 1e-9 || table.is_empty() {
+            return None;
+        }
+        Some(table)
+    }
+
+    /// `as_pauli_channel(1e-9)` equals the oracle bit for bit.
+    fn assert_table_matches_oracle(ch: &Kraus) {
+        let bits = |table: Option<Vec<(f64, Vec<PauliTerm>)>>| {
+            table.map(|t| {
+                t.into_iter()
+                    .map(|(p, s)| (p.to_bits(), s))
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert_eq!(
+            bits(ch.as_pauli_channel(1e-9)),
+            bits(oracle(ch, 1e-9)),
+            "{ch:?}"
+        );
+    }
+
+    /// A string written local qubit 0 first: `"XZ"` is X on qubit 0 and
+    /// Z on qubit 1.
+    fn string(s: &str) -> Vec<PauliTerm> {
+        s.chars()
+            .map(|c| match c {
+                'I' => PauliTerm::I,
+                'X' => PauliTerm::X,
+                'Y' => PauliTerm::Y,
+                'Z' => PauliTerm::Z,
+                other => panic!("not a Pauli factor: {other}"),
+            })
+            .collect()
+    }
+
+    /// Pins every operator's form, in operator order: its string, and
+    /// its weight within 1e-15 (exactly, for a zero operator).
+    fn assert_form(ch: &Kraus, expected: &[(f64, &str)]) {
+        let form = ch.pauli_form().unwrap_or_else(|| panic!("no form: {ch:?}"));
+        assert_eq!(form.len(), ch.ops().len(), "one entry per operator");
+        assert_eq!(form.len(), expected.len(), "{ch:?}");
+        for (i, (op, (weight, s))) in form.iter().zip(expected).enumerate() {
+            let terms: Vec<PauliTerm> = (0..ch.num_qubits()).map(|j| op.term(j)).collect();
+            assert_eq!(terms, string(s), "operator {i} of {ch:?}");
+            if *weight == 0.0 {
+                assert_eq!(op.weight, 0.0, "operator {i} of {ch:?}");
+                assert!(ch.ops()[i].is_zero(0.0), "operator {i} of {ch:?}");
+            } else {
+                assert!(
+                    (op.weight - weight).abs() < 1e-15,
+                    "operator {i} of {ch:?}: weight {} against {weight}",
+                    op.weight
+                );
+            }
+        }
+        assert_table_matches_oracle(ch);
+    }
+
+    #[test]
+    fn pauli_presets_have_a_form_pinned_per_operator() {
+        assert_form(
+            &Kraus::depolarizing(0.0).unwrap(),
+            &[(1.0, "I"), (0.0, "I"), (0.0, "I"), (0.0, "I")],
+        );
+        assert_form(
+            &Kraus::depolarizing(0.2).unwrap(),
+            &[(0.85, "I"), (0.05, "X"), (0.05, "Y"), (0.05, "Z")],
+        );
+        assert_form(&Kraus::bit_flip(0.0).unwrap(), &[(1.0, "I"), (0.0, "I")]);
+        assert_form(&Kraus::bit_flip(0.3).unwrap(), &[(0.7, "I"), (0.3, "X")]);
+        assert_form(&Kraus::phase_flip(0.0).unwrap(), &[(1.0, "I"), (0.0, "I")]);
+        assert_form(&Kraus::phase_flip(0.3).unwrap(), &[(0.7, "I"), (0.3, "Z")]);
+        assert_form(
+            &Kraus::pauli_channel(0.0, 0.0, 0.0).unwrap(),
+            &[(1.0, "I"), (0.0, "I"), (0.0, "I"), (0.0, "I")],
+        );
+        assert_form(
+            &Kraus::pauli_channel(0.1, 0.05, 0.2).unwrap(),
+            &[(0.65, "I"), (0.1, "X"), (0.05, "Y"), (0.2, "Z")],
+        );
+        // depolarizing2 prunes its zero-weight strings at p = 0.
+        assert_form(&Kraus::depolarizing2(0.0).unwrap(), &[(1.0, "II")]);
+        // Operators in order: qubit 1's factor outer, qubit 0's inner.
+        let mut expected = Vec::new();
+        for hi in ["I", "X", "Y", "Z"] {
+            for lo in ["I", "X", "Y", "Z"] {
+                let weight = if hi == "I" && lo == "I" { 0.85 } else { 0.01 };
+                expected.push((weight, format!("{lo}{hi}")));
+            }
+        }
+        let expected: Vec<(f64, &str)> = expected.iter().map(|(w, s)| (*w, s.as_str())).collect();
+        assert_form(&Kraus::depolarizing2(0.16).unwrap(), &expected);
+    }
+
+    #[test]
+    fn compositions_of_pauli_channels_have_a_form() {
+        // then: Lⱼ·Kᵢ, self's operators inner; Z·X = iY.
+        let flip_then_phase = Kraus::bit_flip(0.3)
+            .unwrap()
+            .then(&Kraus::phase_flip(0.2).unwrap());
+        assert_form(
+            &flip_then_phase,
+            &[(0.56, "I"), (0.24, "X"), (0.14, "Z"), (0.06, "Y")],
+        );
+        // kron: self on local qubit 0, other on local qubit 1.
+        let pair = Kraus::bit_flip(0.3)
+            .unwrap()
+            .kron(&Kraus::pauli_channel(0.1, 0.05, 0.2).unwrap());
+        assert_form(
+            &pair,
+            &[
+                (0.65 * 0.7, "II"),
+                (0.65 * 0.3, "XI"),
+                (0.1 * 0.7, "IX"),
+                (0.1 * 0.3, "XX"),
+                (0.05 * 0.7, "IY"),
+                (0.05 * 0.3, "XY"),
+                (0.2 * 0.7, "IZ"),
+                (0.2 * 0.3, "XZ"),
+            ],
+        );
+        // At p = 0 the compositions prune the zero products.
+        let zero = Kraus::bit_flip(0.0)
+            .unwrap()
+            .then(&Kraus::depolarizing(0.0).unwrap());
+        assert_form(&zero, &[(1.0, "I")]);
+        let zero = Kraus::phase_flip(0.0)
+            .unwrap()
+            .kron(&Kraus::depolarizing(0.0).unwrap());
+        assert_form(&zero, &[(1.0, "II")]);
+        // Every product string of a larger composition, against the
+        // factors' forms.
+        let a = Kraus::depolarizing(0.1).unwrap();
+        let b = Kraus::pauli_channel(0.02, 0.03, 0.07).unwrap();
+        for (composed, then) in [(a.then(&b), true), (a.kron(&b), false)] {
+            let form = composed.pauli_form().expect("composition has a form");
+            let (fa, fb) = (a.pauli_form().unwrap(), b.pauli_form().unwrap());
+            let mut i = 0;
+            for l in fb {
+                for k in fa {
+                    let (x, z) = if then {
+                        (l.x ^ k.x, l.z ^ k.z)
+                    } else {
+                        (k.x | l.x << 1, k.z | l.z << 1)
+                    };
+                    assert_eq!((form[i].x, form[i].z), (x, z), "operator {i}");
+                    assert!((form[i].weight - l.weight * k.weight).abs() < 1e-15);
+                    i += 1;
+                }
+            }
+            assert_eq!(i, form.len());
+            assert_table_matches_oracle(&composed);
+        }
+    }
+
+    #[test]
+    fn non_pauli_channels_have_no_form() {
+        let device = crate::presets::ibmqx4();
+        let h = qcircuit::Instruction::gate(qcircuit::Gate::H, [0]);
+        let cx = qcircuit::Instruction::gate(qcircuit::Gate::Cx, [1, 0]);
+        let mut channels = vec![
+            Kraus::amplitude_damping(0.25).unwrap(),
+            Kraus::phase_damping(0.15).unwrap(),
+            Kraus::thermal_relaxation(50_000.0, 30_000.0, 100.0).unwrap(),
+            Kraus::coherent_overrotation(RotationAxis::X, 0.3).unwrap(),
+            Kraus::coherent_overrotation(RotationAxis::Z, 0.3).unwrap(),
+            Kraus::amplitude_damping(0.1)
+                .unwrap()
+                .kron(&Kraus::depolarizing(0.2).unwrap()),
+            Kraus::depolarizing(0.1)
+                .unwrap()
+                .then(&Kraus::phase_damping(0.2).unwrap()),
+        ];
+        for instr in [&h, &cx] {
+            channels.extend(device.channels_for(instr).into_iter().map(|a| a.kraus));
+        }
+        for ch in &channels {
+            assert_eq!(ch.pauli_form(), None, "{ch:?}");
+            assert_eq!(ch.as_pauli_channel(1e-9), None, "{ch:?}");
+            assert_table_matches_oracle(ch);
+        }
+        // Rx(π) is −iX only up to cos(π/2) ≈ 6e-17 on its diagonal: no
+        // exact form, but the tolerant table.
+        let rx_pi = Kraus::coherent_overrotation(RotationAxis::X, std::f64::consts::PI).unwrap();
+        assert_eq!(rx_pi.pauli_form(), None);
+        assert_table_matches_oracle(&rx_pi);
+        assert!(rx_pi.as_pauli_channel(1e-9).is_some());
+    }
+
+    #[test]
+    fn a_pauli_channel_perturbed_by_1e_12_keeps_its_table_but_not_its_form() {
+        let perturb = |ch: Kraus| {
+            Kraus::from_ops(
+                ch.ops()
+                    .iter()
+                    .map(|k| {
+                        let nudge = CMatrix::from_vec(
+                            k.dim(),
+                            vec![Complex::new(1e-12, -1e-12); k.dim() * k.dim()],
+                        )
+                        .unwrap();
+                        k.add(&nudge).unwrap()
+                    })
+                    .collect(),
+            )
+        };
+        for ch in [
+            Kraus::pauli_channel(0.1, 0.05, 0.2).unwrap(),
+            Kraus::depolarizing2(0.16).unwrap(),
+            Kraus::bit_flip(0.3)
+                .unwrap()
+                .kron(&Kraus::pauli_channel(0.1, 0.05, 0.2).unwrap()),
+        ] {
+            let exact = ch.as_pauli_channel(1e-9).expect("a Pauli channel");
+            let nudged = perturb(ch);
+            assert_eq!(nudged.pauli_form(), None, "{nudged:?}");
+            let table = nudged.as_pauli_channel(1e-9).expect("within tolerance");
+            let strings =
+                |t: &[(f64, Vec<PauliTerm>)]| t.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>();
+            assert_eq!(strings(&table), strings(&exact));
+            assert_table_matches_oracle(&nudged);
+        }
     }
 
     #[test]

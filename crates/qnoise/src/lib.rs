@@ -34,6 +34,6 @@ pub mod model;
 pub mod presets;
 pub mod readout;
 
-pub use channel::{ChannelError, Kraus, PauliTerm, RotationAxis};
+pub use channel::{ChannelError, Kraus, PauliOp, PauliTerm, RotationAxis};
 pub use model::{AppliedChannel, NoiseModel};
 pub use readout::ReadoutError;

@@ -18,7 +18,7 @@ use rand::{Rng, RngCore};
 /// |---|---|
 /// | amplitude measurement, reset, post-selection | [`threshold`](Draws::threshold) on `P(1)` |
 /// | readout error on a measured bit | [`threshold`](Draws::threshold) on the flip probability |
-/// | Kraus channel with more than one operator | [`pick`](Draws::pick) over the Born weights |
+/// | Kraus channel with more than one operator | [`pick`](Draws::pick) over the Born weights: the weights of its [Pauli form](qnoise::Kraus::pauli_form) when it has one, else `‖Kᵢψ‖²` |
 /// | Pauli channel with more than one table entry | [`pick`](Draws::pick) over the table's probabilities |
 /// | sample-once statevector shot | [`search`](Draws::search) over the basis-state probabilities' running sums |
 /// | tableau measurement with a random outcome | [`coin`](Draws::coin) |

@@ -66,8 +66,8 @@ use crate::pool::ShardPool;
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram};
 use crate::statevector::StateVector;
 use crate::tree::{OutcomeTree, Recorder};
-use qcircuit::{Condition, OpKind, QuantumCircuit, QubitId};
-use qnoise::{Kraus, NoiseModel, ReadoutError};
+use qcircuit::{Condition, Gate, OpKind, QuantumCircuit, QubitId};
+use qnoise::{Kraus, NoiseModel, PauliTerm, ReadoutError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Mutex;
@@ -299,8 +299,17 @@ pub struct ShotRecord {
     pub clbits: u64,
 }
 
-/// Samples a Kraus operator of `channel` (Born-weighted) and applies it.
-/// A single-operator channel draws nothing.
+/// Samples a Kraus operator of `channel` (Born-weighted) and applies it:
+/// one [`Draws::pick`] when the channel has more than one operator, no
+/// draw otherwise.
+///
+/// A channel with a [Pauli form](Kraus::pauli_form) picks over the
+/// form's weights `|cᵢ|²`, its Born weights on every state, and applies
+/// only the picked string's X, Y and Z factors, each as a gate through
+/// the 2×2 sweep (exact up to the sign of zero): `cᵢ`'s global phase is
+/// dropped and the identity string touches nothing. Any other channel
+/// picks over `‖Kᵢψ‖²`, each computed on demand from a copy of the state,
+/// and renormalizes the operator it applies.
 fn sample_kraus<D: Draws + ?Sized>(
     state: &mut StateVector,
     channel: &Kraus,
@@ -308,6 +317,29 @@ fn sample_kraus<D: Draws + ?Sized>(
     draws: &mut D,
 ) -> Result<(), SimError> {
     let ops = channel.ops();
+    if let Some(form) = channel.pauli_form() {
+        if channel.num_qubits() != qubits.len() {
+            return Err(SimError::MatrixDimensionMismatch {
+                dim: ops[0].dim(),
+                qubits: qubits.len(),
+            });
+        }
+        let picked = if form.len() == 1 {
+            0
+        } else {
+            draws.pick(form.iter().map(|op| op.weight))
+        };
+        for (j, qubit) in qubits.iter().enumerate() {
+            let factor = match form[picked].term(j) {
+                PauliTerm::I => continue,
+                PauliTerm::X => Gate::X,
+                PauliTerm::Y => Gate::Y,
+                PauliTerm::Z => Gate::Z,
+            };
+            state.apply_gate(&factor, &[*qubit])?;
+        }
+        return Ok(());
+    }
     if ops.len() == 1 {
         state.apply_matrix(&ops[0], qubits)?;
         state.normalize();

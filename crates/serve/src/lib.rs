@@ -57,7 +57,9 @@
 //! sizes, qubit indices) must be integer literals and are read exactly:
 //! a seed may be any `u64`, and a fraction or exponent is a 400 even
 //! when it rounds to a whole number. `threads` runs from 1 to
-//! [`protocol::MAX_JOB_THREADS`].
+//! [`protocol::MAX_JOB_THREADS`]. An optional field that is absent or
+//! `null` takes its default; one of the wrong JSON type is a 400
+//! `invalid_job` naming the field and the type it expects.
 //!
 //! ## NDJSON result stream (200 response)
 //!

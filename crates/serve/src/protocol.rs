@@ -156,6 +156,25 @@ fn exact_u64(value: &Value, prefix: &str, name: &str) -> Result<u64, ApiError> {
     })
 }
 
+/// Optional field `key` of `parent`, reported as `name`: absent or
+/// `null` is `None` (the caller's default), and a value `read` rejects
+/// is a 400 naming the field and the type it expects, so a value of the
+/// wrong type never runs as the default.
+fn optional<'v, T>(
+    parent: &'v Value,
+    key: &str,
+    name: &str,
+    expected: &str,
+    read: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<Option<T>, ApiError> {
+    match parent.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => read(v).map(Some).ok_or_else(|| {
+            ApiError::bad_request("invalid_job", format!("'{name}' must be {expected}"))
+        }),
+    }
+}
+
 fn qubit_list(value: &Value, field: &'static str) -> Result<Vec<usize>, ApiError> {
     let items = value.as_arr().ok_or_else(|| {
         ApiError::bad_request("invalid_job", format!("'{field}' must be an array"))
@@ -212,7 +231,8 @@ fn parse_assertion(value: &Value, index: usize) -> Result<AssertionSpec, ApiErro
                 value.get("qubits").unwrap_or(&Value::Null),
                 "assertions[].qubits",
             )?;
-            let parity = match value.get("parity").and_then(Value::as_str) {
+            let name = format!("assertions[{index}].parity");
+            let parity = match optional(value, "parity", &name, "a string", Value::as_str)? {
                 None | Some("even") => Parity::Even,
                 Some("odd") => Parity::Odd,
                 Some(other) => {
@@ -231,7 +251,8 @@ fn parse_assertion(value: &Value, index: usize) -> Result<AssertionSpec, ApiErro
                     format!("superposition assertion {index} needs a 'qubit' integer"),
                 )
             })? as usize;
-            let basis = match value.get("basis").and_then(Value::as_str) {
+            let name = format!("assertions[{index}].basis");
+            let basis = match optional(value, "basis", &name, "a string", Value::as_str)? {
                 None | Some("plus") => SuperpositionBasis::Plus,
                 Some("minus") => SuperpositionBasis::Minus,
                 Some(other) => {
@@ -262,7 +283,14 @@ fn parse_plan(value: Option<&Value>) -> Result<ShotPlan, ApiError> {
                     Some(n) => exact_u64(n, "plan.sequential.", name),
                 };
                 ShotPlan::Sequential {
-                    alpha: seq.get("alpha").and_then(Value::as_num).unwrap_or(0.05),
+                    alpha: optional(
+                        seq,
+                        "alpha",
+                        "plan.sequential.alpha",
+                        "a number",
+                        Value::as_num,
+                    )?
+                    .unwrap_or(0.05),
                     min_shots: field("min_shots", 64)?,
                     max_shots: field("max_shots", DEFAULT_JOB_SHOTS)?,
                     tranche: field("tranche", 128)?,
@@ -319,7 +347,7 @@ impl JobSpec {
             .and_then(Value::as_str)
             .ok_or_else(|| ApiError::bad_request("invalid_job", "'qasm' string is required"))?
             .to_string();
-        let backend = match root.get("backend").and_then(Value::as_str) {
+        let backend = match optional(&root, "backend", "backend", "a string", Value::as_str)? {
             None | Some("statevector") => BackendKind::Statevector,
             Some("trajectory") => BackendKind::Trajectory,
             Some("density-matrix") => BackendKind::DensityMatrix,
@@ -354,7 +382,7 @@ impl JobSpec {
                     })?,
             ),
         };
-        let filter = match root.get("filter").and_then(Value::as_str) {
+        let filter = match optional(&root, "filter", "filter", "a string", Value::as_str)? {
             None | Some("require-kept") => FilterPolicy::RequireKept,
             Some("allow-empty") => FilterPolicy::AllowEmpty,
             Some(other) => {
@@ -390,10 +418,14 @@ impl JobSpec {
                 .map(|(i, a)| parse_assertion(a, i))
                 .collect::<Result<Vec<AssertionSpec>, ApiError>>()?,
         };
-        let measure_data = root
-            .get("measure_data")
-            .and_then(Value::as_bool)
-            .unwrap_or(true);
+        let measure_data = optional(
+            &root,
+            "measure_data",
+            "measure_data",
+            "a boolean",
+            Value::as_bool,
+        )?
+        .unwrap_or(true);
         Ok(JobSpec {
             qasm,
             backend,
@@ -738,6 +770,72 @@ mod tests {
             assert_eq!((err.status, err.code), (400, "invalid_job"), "{plan}");
             assert!(err.message.contains(field), "{plan}: {}", err.message);
         }
+    }
+
+    /// Asserts that `extra` gets a 400 `invalid_job` whose message names
+    /// `field` and the type it expects.
+    fn assert_wrong_type(extra: &str, field: &str, expected: &str) {
+        let err = JobSpec::from_json(&spec_json(extra)).unwrap_err();
+        assert_eq!((err.status, err.code), (400, "invalid_job"), "{extra}");
+        assert_eq!(
+            err.message,
+            format!("'{field}' must be {expected}"),
+            "{extra}"
+        );
+    }
+
+    #[test]
+    fn a_backend_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(", \"backend\": 7", "backend", "a string");
+        let spec = JobSpec::from_json(&spec_json(", \"backend\": null")).unwrap();
+        assert_eq!(spec.backend, BackendKind::Statevector);
+    }
+
+    #[test]
+    fn a_filter_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(", \"filter\": true", "filter", "a string");
+        let spec = JobSpec::from_json(&spec_json(", \"filter\": null")).unwrap();
+        assert_eq!(spec.filter, FilterPolicy::RequireKept);
+    }
+
+    #[test]
+    fn measure_data_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(", \"measure_data\": \"no\"", "measure_data", "a boolean");
+        assert_wrong_type(", \"measure_data\": 0", "measure_data", "a boolean");
+        let spec = JobSpec::from_json(&spec_json(", \"measure_data\": null")).unwrap();
+        assert!(spec.measure_data);
+    }
+
+    #[test]
+    fn a_sequential_alpha_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(
+            ", \"plan\": {\"sequential\": {\"alpha\": \"0.01\"}}",
+            "plan.sequential.alpha",
+            "a number",
+        );
+        let spec = JobSpec::from_json(&spec_json(
+            ", \"plan\": {\"sequential\": {\"alpha\": null}}",
+        ))
+        .unwrap();
+        assert!(matches!(spec.plan, ShotPlan::Sequential { alpha, .. } if alpha == 0.05));
+    }
+
+    #[test]
+    fn a_parity_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(
+            ", \"assertions\": [{\"kind\": \"entangled\", \"qubits\": [0, 1], \"parity\": 1}]",
+            "assertions[0].parity",
+            "a string",
+        );
+    }
+
+    #[test]
+    fn a_basis_of_the_wrong_type_is_rejected() {
+        assert_wrong_type(
+            ", \"assertions\": [{\"kind\": \"superposition\", \"qubit\": 0, \"basis\": 7}]",
+            "assertions[0].basis",
+            "a string",
+        );
     }
 
     #[test]
