@@ -13,8 +13,8 @@
 //! ```
 
 use qassert::{
-    AssertingCircuit, AssertionSession, FilterPolicy, Parity, ShotPlan, StopReason, SweepOutcome,
-    SweepPolicy,
+    AssertingCircuit, AssertionSession, FilterPolicy, Parity, ShotPlan, StopReason,
+    SuperpositionBasis, SweepOutcome, SweepPolicy,
 };
 use qassert_serve::json::Value;
 use qassert_serve::protocol::outcome_records;
@@ -35,7 +35,7 @@ use std::time::Instant;
 type Row = (&'static str, fn() -> Outcome);
 
 /// The rows, in run order.
-const ROWS: [Row; 8] = [
+const ROWS: [Row; 9] = [
     ("sweep", sweep),
     ("batch", batch),
     ("psweep", psweep),
@@ -44,6 +44,7 @@ const ROWS: [Row; 8] = [
     ("hybrid", hybrid),
     ("tree", tree),
     ("serve", serve),
+    ("lower", lower),
 ];
 
 /// What one row measured, and its gates already evaluated.
@@ -968,6 +969,118 @@ fn serve() -> Outcome {
         gates: vec![gate!(
             jobs_per_sec >= SERVE_MIN_JOBS_PER_SEC && p99_ms <= SERVE_MAX_P99_MS
         )],
+    }
+}
+
+/// Ceiling on lowering a noisy circuit against lowering it ideal. The
+/// bound channels share their operators with the model, so noise adds
+/// the rule lookup, one small `Vec` per bound channel and the Clifford
+/// pass's Pauli tables: 1.5-2.1x on a 2-vCPU Xeon. Deep-copying every
+/// bound operator read 3.9-4.3x there.
+const LOWER_MAX_NOISY_RATIO: f64 = 3.0;
+
+/// The `nisq_sweep` workload's family shape: a GHZ-4 block with a phase,
+/// a near-`|+⟩` qubit and a near-balanced qubit, then four points, each
+/// the previous one plus one assertion.
+fn nisq_family(ghz_phase: f64, plus_phase: f64, tilt: f64) -> Vec<QuantumCircuit> {
+    let mut base = QuantumCircuit::new(6, 0);
+    base.h(0).expect("in range");
+    for q in 0..3 {
+        base.cx(q, q + 1).expect("in range");
+    }
+    base.rz(ghz_phase, 0).expect("in range");
+    base.h(4).expect("in range");
+    base.rz(plus_phase, 4).expect("in range");
+    base.ry(tilt, 5).expect("in range");
+    let mut point = AssertingCircuit::new(base);
+    (0..4)
+        .map(|p| {
+            match p {
+                0 => point.assert_entangled(0..4, Parity::Even),
+                1 => point.assert_superposition(4, SuperpositionBasis::Plus),
+                2 => point.assert_classical([5], [false]),
+                _ => point.assert_superposition(0, SuperpositionBasis::Plus),
+            }
+            .expect("valid assertion targets");
+            point.circuit().clone()
+        })
+        .collect()
+}
+
+/// `lower`: `Backend::compile` of 64 `nisq_sweep`-shaped families (256
+/// circuits, 6 data qubits plus up to 4 ancillas), each leg's best of
+/// six rounds, the legs taking turns to go first.
+///
+/// * noisy leg: `TrajectoryBackend` under the workload's uniform noise
+///   (1q depolarizing 0.0005, 2q depolarizing 0.003, readout 0.005);
+/// * ideal leg: `StatevectorBackend`.
+///
+/// Both legs lower the same circuits without a cache, so the ratio is
+/// what binding noise adds to a compile.
+///
+/// Pre-asserts: each circuit lowers from the same source instructions
+/// on both legs, and every noisy program is noisy.
+fn lower() -> Outcome {
+    const FAMILIES: usize = 64;
+    const ROUNDS: usize = 6;
+    let circuits: Vec<QuantumCircuit> = (0..FAMILIES)
+        .flat_map(|f| {
+            let x = f as f64 / FAMILIES as f64;
+            nisq_family(
+                0.1 + 2.0 * x,
+                0.05 + 0.2 * x,
+                std::f64::consts::FRAC_PI_2 - 0.2 + 0.4 * x,
+            )
+        })
+        .collect();
+    let noisy = TrajectoryBackend::new(
+        qnoise::presets::uniform(10, 0.0005, 0.003, 0.005).expect("valid noise rates"),
+    );
+    let ideal = StatevectorBackend::new();
+    let leg = |backend: &dyn Backend| {
+        timed(|| {
+            circuits
+                .iter()
+                .map(|c| backend.compile(c).expect("compiles"))
+                .collect::<Vec<_>>()
+        })
+    };
+    let (noisy_programs, ideal_programs) = (leg(&noisy).1, leg(&ideal).1);
+    require(
+        noisy_programs
+            .iter()
+            .zip(&ideal_programs)
+            .all(|(n, i)| n.source_instructions() == i.source_instructions()),
+        "lower: both legs must lower the same source instructions",
+    );
+    require(
+        noisy_programs.iter().all(CompiledProgram::is_noisy),
+        "lower: every program of the noisy leg must carry noise",
+    );
+    drop((noisy_programs, ideal_programs));
+
+    let (mut noisy_secs, mut ideal_secs) = (f64::INFINITY, f64::INFINITY);
+    for round in 0..ROUNDS {
+        let ((n, _), (i, _)) = if round % 2 == 0 {
+            let n = leg(&noisy);
+            (n, leg(&ideal))
+        } else {
+            let i = leg(&ideal);
+            (leg(&noisy), i)
+        };
+        noisy_secs = noisy_secs.min(n);
+        ideal_secs = ideal_secs.min(i);
+    }
+    let noisy_us = noisy_secs * 1e6 / circuits.len() as f64;
+    let ideal_us = ideal_secs * 1e6 / circuits.len() as f64;
+    Outcome {
+        metrics: vec![
+            ("noisy_us_per_circuit", noisy_us),
+            ("ideal_us_per_circuit", ideal_us),
+            ("ratio", noisy_us / ideal_us),
+            ("circuits", circuits.len() as f64),
+        ],
+        gates: vec![gate!(noisy_us <= LOWER_MAX_NOISY_RATIO * ideal_us)],
     }
 }
 

@@ -184,6 +184,10 @@ pub enum RotationAxis {
 
 /// A completely positive trace-preserving map in Kraus form.
 ///
+/// The operators and the [Pauli form](Kraus::pauli_form) are shared
+/// between clones, so a clone only bumps a reference count: binding a
+/// model's channels to every instruction of a circuit copies no matrix.
+///
 /// # Example
 ///
 /// ```
@@ -195,7 +199,8 @@ pub enum RotationAxis {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Kraus {
-    ops: Vec<CMatrix>,
+    /// The operators, shared between clones.
+    ops: Arc<[CMatrix]>,
     num_qubits: usize,
     /// The Pauli form, computed once and shared between clones.
     pauli: Option<Arc<[PauliOp]>>,
@@ -272,7 +277,7 @@ impl Kraus {
             })
             .collect();
         Kraus {
-            ops,
+            ops: ops.into(),
             num_qubits: dim.trailing_zeros() as usize,
             pauli,
         }
@@ -490,8 +495,8 @@ impl Kraus {
             "composed channels must act on the same qubits"
         );
         let mut ops = Vec::with_capacity(self.ops.len() * other.ops.len());
-        for l in &other.ops {
-            for k in &self.ops {
+        for l in other.ops.iter() {
+            for k in self.ops.iter() {
                 let prod = l.mul(k).expect("dimensions match");
                 if !prod.is_zero(1e-15) {
                     ops.push(prod);
@@ -506,8 +511,8 @@ impl Kraus {
     /// ones. Kraus set `{Lⱼ ⊗ Kᵢ}`.
     pub fn kron(&self, other: &Kraus) -> Kraus {
         let mut ops = Vec::with_capacity(self.ops.len() * other.ops.len());
-        for l in &other.ops {
-            for k in &self.ops {
+        for l in other.ops.iter() {
+            for k in self.ops.iter() {
                 // CMatrix::kron puts the left operand on the most
                 // significant digits, so `other` (high qubits) goes left.
                 let prod = l.kron(k);
@@ -574,7 +579,7 @@ impl Kraus {
     pub fn as_pauli_channel(&self, tol: f64) -> Option<Vec<(f64, Vec<PauliTerm>)>> {
         let mut table = Vec::with_capacity(self.ops.len());
         let mut total = 0.0;
-        for k in &self.ops {
+        for k in self.ops.iter() {
             if k.is_zero(tol) {
                 continue; // zero-weight operator: probability 0
             }
@@ -1041,6 +1046,28 @@ mod tests {
             assert_eq!(strings(&table), strings(&exact));
             assert_table_matches_oracle(&nudged);
         }
+    }
+
+    #[test]
+    fn a_clone_shares_the_operators_and_the_pauli_form() {
+        for ch in [
+            Kraus::depolarizing2(0.05).unwrap(),
+            Kraus::amplitude_damping(0.25).unwrap(),
+        ] {
+            let copy = ch.clone();
+            assert_eq!(copy, ch);
+            assert_eq!(copy.ops().as_ptr(), ch.ops().as_ptr());
+            assert_eq!(
+                copy.pauli_form().map(<[PauliOp]>::as_ptr),
+                ch.pauli_form().map(<[PauliOp]>::as_ptr)
+            );
+            assert_eq!(format!("{copy:?}"), format!("{ch:?}"));
+        }
+        // Equal content in separate storage still compares equal.
+        let fresh = Kraus::depolarizing2(0.05).unwrap();
+        let again = Kraus::depolarizing2(0.05).unwrap();
+        assert_ne!(fresh.ops().as_ptr(), again.ops().as_ptr());
+        assert_eq!(fresh, again);
     }
 
     #[test]

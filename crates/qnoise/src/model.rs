@@ -13,6 +13,8 @@
 //!
 //! All channels found at the *most specific non-empty tier* are applied in
 //! registration order (so depolarizing + thermal relaxation can stack).
+//! In every tier a 1-qubit channel on a wider gate binds once per operand,
+//! in operand order.
 
 use crate::channel::Kraus;
 use crate::readout::ReadoutError;
@@ -23,20 +25,25 @@ use std::fmt;
 /// A noise channel bound to the qubits it should act on.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AppliedChannel {
-    /// The channel.
+    /// The channel. It shares its operators with the channel registered
+    /// in the model, so binding copies no matrix.
     pub kraus: Kraus,
     /// The circuit qubits the channel acts on, in the channel's local
-    /// order.
+    /// order: all of the gate's operands for a channel of the gate's
+    /// arity, or one operand for a 1-qubit channel broadcast over a wider
+    /// gate.
     pub qubits: Vec<QubitId>,
 }
 
-/// How a registered channel selects its target qubits.
+/// How a registered channel selects its target qubits. Both scopes bind
+/// through [`bind`], so a 1-qubit channel acts on each operand either
+/// way; the scope still tags the channel in [`NoiseModel::fingerprint`].
 #[derive(Clone, Debug, PartialEq)]
 enum ChannelScope {
-    /// Acts on the instruction's qubits (arity must match).
+    /// Acts on the instruction's qubits, or on each of them for a
+    /// 1-qubit channel.
     GateQubits(Kraus),
-    /// Acts independently on each of the instruction's qubits
-    /// (1-qubit channel broadcast over the operands).
+    /// A 1-qubit channel acting on each of the instruction's qubits.
     EachQubit(Kraus),
 }
 
@@ -62,7 +69,10 @@ pub struct NoiseModel {
     default_1q: Vec<Kraus>,
     default_2q: Vec<Kraus>,
     per_gate: HashMap<String, Vec<ChannelScope>>,
-    per_gate_qubits: HashMap<(String, Vec<QubitId>), Vec<Kraus>>,
+    /// Edge rules by gate name, then by operand list, so a lookup
+    /// borrows the instruction's name and qubits instead of building a
+    /// key.
+    per_gate_qubits: HashMap<String, HashMap<Vec<QubitId>, Vec<Kraus>>>,
     readout: HashMap<QubitId, ReadoutError>,
 }
 
@@ -111,7 +121,8 @@ impl NoiseModel {
     /// Registers a channel applied after every two-qubit gate.
     ///
     /// Accepts either a 2-qubit channel (applied to the gate's qubit
-    /// pair) or a 1-qubit channel (broadcast to both operands).
+    /// pair) or a 1-qubit channel (broadcast to both operands: one bound
+    /// channel per operand, in operand order).
     ///
     /// # Panics
     ///
@@ -128,7 +139,7 @@ impl NoiseModel {
     /// Registers a channel applied after every occurrence of the named
     /// gate. A channel whose arity matches the gate acts on the gate's
     /// qubits; a 1-qubit channel on a multi-qubit gate is broadcast to
-    /// each operand.
+    /// each operand (one bound channel per operand, in operand order).
     pub fn with_gate_error(&mut self, gate_name: impl Into<String>, kraus: Kraus) -> &mut Self {
         self.per_gate
             .entry(gate_name.into())
@@ -161,8 +172,10 @@ impl NoiseModel {
     }
 
     /// Registers a channel applied only when the named gate acts on
-    /// exactly the given qubits (calibration data is edge-specific on
-    /// real devices).
+    /// exactly the given qubits, in that order (calibration data is
+    /// edge-specific on real devices). It binds like
+    /// [`with_gate_error`](NoiseModel::with_gate_error): a 1-qubit
+    /// channel on a multi-qubit gate is broadcast to each operand.
     pub fn with_gate_error_on(
         &mut self,
         gate_name: impl Into<String>,
@@ -170,7 +183,9 @@ impl NoiseModel {
         kraus: Kraus,
     ) -> &mut Self {
         self.per_gate_qubits
-            .entry((gate_name.into(), qubits.into_iter().collect()))
+            .entry(gate_name.into())
+            .or_default()
+            .entry(qubits.into_iter().collect())
             .or_default()
             .push(kraus);
         self
@@ -212,39 +227,33 @@ impl NoiseModel {
             _ => return Vec::new(),
         };
         let qubits = instruction.qubits();
-
-        // Tier 1: exact (gate, qubits) registration.
-        if let Some(channels) = self
+        let mut out = Vec::new();
+        let edge = self
             .per_gate_qubits
-            .get(&(gate.name().to_string(), qubits.to_vec()))
-        {
-            return channels.iter().map(|k| bind(k.clone(), qubits)).collect();
-        }
-        // Tier 2: per-gate-name registration.
-        if let Some(scopes) = self.per_gate.get(gate.name()) {
-            let mut out = Vec::new();
-            for scope in scopes {
-                match scope {
-                    ChannelScope::GateQubits(k) => out.push(bind(k.clone(), qubits)),
-                    ChannelScope::EachQubit(k) => {
-                        for q in qubits {
-                            out.push(AppliedChannel {
-                                kraus: k.clone(),
-                                qubits: vec![*q],
-                            });
-                        }
-                    }
-                }
+            .get(gate.name())
+            .and_then(|edges| edges.get(qubits));
+        if let Some(channels) = edge {
+            // Tier 1: exact (gate, qubits) registration.
+            for k in channels {
+                bind(k, qubits, &mut out);
             }
-            return out;
+        } else if let Some(scopes) = self.per_gate.get(gate.name()) {
+            // Tier 2: per-gate-name registration.
+            for ChannelScope::GateQubits(k) | ChannelScope::EachQubit(k) in scopes {
+                bind(k, qubits, &mut out);
+            }
+        } else {
+            // Tier 3: defaults by arity.
+            let defaults: &[Kraus] = match qubits.len() {
+                1 => &self.default_1q,
+                2 => &self.default_2q,
+                _ => &[],
+            };
+            for k in defaults {
+                bind(k, qubits, &mut out);
+            }
         }
-        // Tier 3: defaults by arity.
-        let defaults = match qubits.len() {
-            1 => &self.default_1q,
-            2 => &self.default_2q,
-            _ => return Vec::new(),
-        };
-        defaults.iter().map(|k| bind(k.clone(), qubits)).collect()
+        out
     }
 
     /// A 128-bit content fingerprint of the model: every registered
@@ -297,16 +306,20 @@ impl NoiseModel {
                 }
             }
         }
-        let mut edges: Vec<&(String, Vec<QubitId>)> = self.per_gate_qubits.keys().collect();
-        edges.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for key in edges {
-            h.write_str(&key.0);
-            h.write(key.1.len() as u64);
-            for q in &key.1 {
+        let mut edges: Vec<(&String, &Vec<QubitId>, &Vec<Kraus>)> = self
+            .per_gate_qubits
+            .iter()
+            .flat_map(|(name, rules)| rules.iter().map(move |(qubits, ks)| (name, qubits, ks)))
+            .collect();
+        edges.sort_unstable_by(|a, b| a.0.cmp(b.0).then_with(|| a.1.cmp(b.1)));
+        for (name, qubits, channels) in edges {
+            h.write_str(name);
+            h.write(qubits.len() as u64);
+            for q in qubits {
                 h.write(q.index() as u64);
             }
-            h.write(self.per_gate_qubits[key].len() as u64);
-            for k in &self.per_gate_qubits[key] {
+            h.write(channels.len() as u64);
+            for k in channels {
                 h.write_kraus(k);
             }
         }
@@ -335,31 +348,34 @@ impl NoiseModel {
     }
 }
 
-/// Binds a channel to an instruction's qubits: a channel of matching
-/// arity targets all of them; a 1-qubit channel on a wider gate is
-/// broadcast per operand.
-fn bind(kraus: Kraus, qubits: &[QubitId]) -> AppliedChannel {
+/// Binds a channel to an instruction's qubits, appending to `out`: a
+/// channel of matching arity targets all of them; a 1-qubit channel on a
+/// wider gate is broadcast, one bound channel per operand in operand
+/// order. Each bound channel shares `kraus`'s operators.
+///
+/// # Panics
+///
+/// Panics when a channel of two or more qubits does not match the
+/// gate's arity.
+fn bind(kraus: &Kraus, qubits: &[QubitId], out: &mut Vec<AppliedChannel>) {
     if kraus.num_qubits() == qubits.len() {
-        AppliedChannel {
-            kraus,
+        out.push(AppliedChannel {
+            kraus: kraus.clone(),
             qubits: qubits.to_vec(),
-        }
-    } else {
-        assert_eq!(
-            kraus.num_qubits(),
-            1,
-            "channel arity {} does not match gate arity {}",
-            kraus.num_qubits(),
-            qubits.len()
-        );
-        // Broadcast handled by caller for per-gate scopes; defaults with
-        // one qubit on a 2q gate bind to the first operand's pair-wise
-        // application below.
-        AppliedChannel {
-            kraus,
-            qubits: vec![qubits[0]],
-        }
+        });
+        return;
     }
+    assert_eq!(
+        kraus.num_qubits(),
+        1,
+        "channel arity {} does not match gate arity {}",
+        kraus.num_qubits(),
+        qubits.len()
+    );
+    out.extend(qubits.iter().map(|&q| AppliedChannel {
+        kraus: kraus.clone(),
+        qubits: vec![q],
+    }));
 }
 
 /// SplitMix64-based accumulator for [`NoiseModel::fingerprint`].
@@ -416,7 +432,7 @@ impl fmt::Display for NoiseModel {
             self.default_1q.len(),
             self.default_2q.len(),
             self.per_gate.len(),
-            self.per_gate_qubits.len(),
+            self.per_gate_qubits.values().map(HashMap::len).sum::<usize>(),
             self.readout.len()
         )
     }
@@ -434,6 +450,10 @@ mod tests {
     fn dep2() -> Kraus {
         Kraus::depolarizing2(0.05).unwrap()
     }
+
+    /// The fingerprint of the model in
+    /// `fingerprints_are_pinned_across_rule_storage`.
+    const PINNED_FINGERPRINT: u128 = 0xFE4F_394B_423B_6AF6_F608_34A6_8833_1FDD;
 
     #[test]
     fn empty_model_is_ideal_and_silent() {
@@ -496,6 +516,66 @@ mod tests {
         assert_eq!(channels.len(), 2);
         assert_eq!(channels[0].qubits, vec![QubitId::new(2)]);
         assert_eq!(channels[1].qubits, vec![QubitId::new(4)]);
+    }
+
+    /// The channels `model` binds to `cx(2, 5)`: one 1-qubit channel per
+    /// operand, in operand order, each sharing `dep`'s operators.
+    fn assert_broadcast_over_cx(model: &NoiseModel, dep: &Kraus) {
+        let channels = model.channels_for(&Instruction::gate(Gate::Cx, [2, 5]));
+        let targets: Vec<&[QubitId]> = channels.iter().map(|a| a.qubits.as_slice()).collect();
+        assert_eq!(targets, [[QubitId::new(2)], [QubitId::new(5)]]);
+        for applied in &channels {
+            assert_eq!(&applied.kraus, dep);
+            assert_eq!(applied.kraus.ops().as_ptr(), dep.ops().as_ptr());
+        }
+    }
+
+    #[test]
+    fn edge_rule_broadcasts_a_1q_channel_to_each_operand() {
+        let mut model = NoiseModel::new();
+        let dep = Kraus::depolarizing(0.1).unwrap();
+        model.with_gate_error_on("cx", [QubitId::new(2), QubitId::new(5)], dep.clone());
+        assert_broadcast_over_cx(&model, &dep);
+    }
+
+    #[test]
+    fn gate_rule_broadcasts_a_1q_channel_to_each_operand() {
+        let mut model = NoiseModel::new();
+        let dep = Kraus::depolarizing(0.1).unwrap();
+        model.with_gate_error("cx", dep.clone());
+        assert_broadcast_over_cx(&model, &dep);
+        // The same binding as the explicit per-operand scope.
+        let mut each = NoiseModel::new();
+        each.with_gate_error_each_qubit("cx", dep.clone());
+        let cx = Instruction::gate(Gate::Cx, [2, 5]);
+        assert_eq!(model.channels_for(&cx), each.channels_for(&cx));
+    }
+
+    #[test]
+    fn default_2q_broadcasts_a_1q_channel_to_each_operand() {
+        let mut model = NoiseModel::new();
+        let dep = Kraus::depolarizing(0.1).unwrap();
+        model.with_default_2q(dep.clone());
+        assert_broadcast_over_cx(&model, &dep);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned_across_rule_storage() {
+        // Every rule kind, two edges under one gate name. Program-cache
+        // keys include this value, so it must not move with the way the
+        // rules are stored.
+        let mut model = NoiseModel::new();
+        model
+            .with_default_1q(dep1())
+            .with_default_2q(dep2())
+            .with_gate_error("h", dep1())
+            .with_gate_error_each_qubit("cx", dep1())
+            .with_gate_error_on("cx", [QubitId::new(1), QubitId::new(0)], dep2())
+            .with_gate_error_on("cx", [QubitId::new(0), QubitId::new(1)], dep2())
+            .with_gate_error_on("x", [QubitId::new(3)], dep1())
+            .with_readout_error(1, ReadoutError::symmetric(0.04).unwrap());
+        assert_eq!(model.fingerprint(), PINNED_FINGERPRINT);
+        assert!(model.to_string().contains("edge rules: 3"), "{model}");
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //!    [`NoiseModel`]'s rule lookup runs once per instruction
 //!    ([`NoiseModel::bind_circuit`]) and the resulting
 //!    [`qnoise::AppliedChannel`]s ride on the compiled op. The per-shot
-//!    hot loop never consults the model again.
+//!    hot loop never consults the model again. Each bound channel shares
+//!    its Kraus operators and Pauli form with the channel registered in
+//!    the model, so binding, op emission, prefix extension, the hybrid
+//!    suffix and a program clone copy no matrix: a channel clone only
+//!    bumps reference counts.
 //! 2. **Gate fusion** — maximal runs of adjacent unconditioned
 //!    single-qubit gates on one wire (found via
 //!    [`CircuitDag::single_qubit_runs`]) collapse into one 2×2 matrix
@@ -584,6 +588,62 @@ mod tests {
         // Every gate carries a channel, so nothing absorbs a successor.
         assert_eq!(program.fused_gates(), 0);
         assert!(program.is_noisy());
+    }
+
+    /// Asserts that every channel bound in `program` shares its operator
+    /// storage with the channel `model.channels_for` binds for the same
+    /// source instruction. Every gate of `instrs` carries noise and none
+    /// is a barrier, so nothing fuses and the ops follow the instructions
+    /// one for one.
+    fn assert_channels_shared(
+        program: &CompiledProgram,
+        instrs: &[qcircuit::Instruction],
+        model: &NoiseModel,
+    ) {
+        assert_eq!(program.ops().len(), instrs.len());
+        let mut shared = 0;
+        for (op, instr) in program.ops().iter().zip(instrs) {
+            let expected = model.channels_for(instr);
+            assert_eq!(op.noise.len(), expected.len(), "{instr:?}");
+            for (applied, want) in op.noise.iter().zip(&expected) {
+                assert_eq!(applied.qubits, want.qubits);
+                assert_eq!(
+                    applied.kraus.ops().as_ptr(),
+                    want.kraus.ops().as_ptr(),
+                    "{instr:?}: a private copy of the model's operators"
+                );
+                shared += 1;
+            }
+        }
+        assert!(shared > 0, "the program binds no channel");
+    }
+
+    #[test]
+    fn noisy_programs_share_the_models_channel_storage() {
+        let model = presets::uniform(3, 0.01, 0.05, 0.02).unwrap();
+        let mut c = QuantumCircuit::new(3, 2);
+        c.h(0).unwrap().cx(0, 1).unwrap().cx(1, 2).unwrap();
+        c.t(0).unwrap().h(2).unwrap().cx(2, 0).unwrap();
+        c.measure(0, 0).unwrap().measure(2, 1).unwrap();
+        let instrs = c.instructions();
+
+        let fresh = compile(&c, Some(&model)).unwrap();
+        assert_channels_shared(&fresh, instrs, &model);
+        assert_channels_shared(&fresh.clone(), instrs, &model);
+        let plan = fresh.hybrid().expect("a Clifford prefix before the T");
+        assert_channels_shared(plan.suffix(), &instrs[plan.boundary()..], &model);
+
+        let mut head = QuantumCircuit::new(3, 0);
+        for instr in &instrs[..3] {
+            head.append(instr.clone()).unwrap();
+        }
+        let head = compile(&head, Some(&model)).unwrap();
+        assert!(extension_fusion_safe(&c, 3, CompileOptions::default()));
+        let extended =
+            compile_extension(&head, &c, 3, Some(&model), CompileOptions::default()).unwrap();
+        assert_channels_shared(&extended, instrs, &model);
+        let plan = extended.hybrid().expect("a Clifford prefix before the T");
+        assert_channels_shared(plan.suffix(), &instrs[plan.boundary()..], &model);
     }
 
     #[test]
