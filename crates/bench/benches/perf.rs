@@ -24,8 +24,8 @@ use qsim::tree::TREE_MAX_BYTES;
 use qsim::{
     run_clifford_sharded, run_compiled_sharded, run_compiled_sharded_scoped, run_hybrid_sharded,
     simd, Backend, BackendKind, CompiledProgram, Counts, DensityMatrixBackend, HybridBackend,
-    ProgramCache, ShardPool, SimError, SimdBackend, StabilizerBackend, StatevectorBackend,
-    TrajectoryBackend,
+    PrefixRegistry, ProgramCache, ShardPool, SimError, SimdBackend, StabilizerBackend,
+    StatevectorBackend, TrajectoryBackend,
 };
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -973,10 +973,12 @@ fn serve() -> Outcome {
 }
 
 /// Ceiling on lowering a noisy circuit against lowering it ideal. The
-/// bound channels share their operators with the model, so noise adds
-/// the rule lookup, one small `Vec` per bound channel and the Clifford
-/// pass's Pauli tables: 1.5-2.1x on a 2-vCPU Xeon. Deep-copying every
-/// bound operator read 3.9-4.3x there.
+/// bound channels share their operators with the model, and the Clifford
+/// scan with its Pauli tables runs only when a tableau backend reads it,
+/// so noise adds the rule lookup, one small `Vec` per bound channel and
+/// the model clone the program keeps: 0.9-1.2x on a 2-vCPU Xeon. When
+/// every compile ran the scan it read 1.5-2.1x there, and deep-copying
+/// every bound operator 3.9-4.3x.
 const LOWER_MAX_NOISY_RATIO: f64 = 3.0;
 
 /// The `nisq_sweep` workload's family shape: a GHZ-4 block with a phase,
@@ -1013,13 +1015,21 @@ fn nisq_family(ghz_phase: f64, plus_phase: f64, tilt: f64) -> Vec<QuantumCircuit
 ///
 /// * noisy leg: `TrajectoryBackend` under the workload's uniform noise
 ///   (1q depolarizing 0.0005, 2q depolarizing 0.003, readout 0.005);
-/// * ideal leg: `StatevectorBackend`.
+/// * ideal leg: `StatevectorBackend`;
+/// * extend leg: the noisy leg's circuits lowered point by point
+///   through one `PrefixRegistry`, the noise fingerprint computed once,
+///   as a session lowers a sweep: each family's first point compiles
+///   fresh and the other three extend the point before
+///   (`compile_extension`).
 ///
-/// Both legs lower the same circuits without a cache, so the ratio is
-/// what binding noise adds to a compile.
+/// The noisy and ideal legs lower the same circuits without a cache, so
+/// their ratio is what binding noise adds to a compile; the extend leg
+/// against the noisy leg is what prefix reuse saves or costs.
 ///
 /// Pre-asserts: each circuit lowers from the same source instructions
-/// on both legs, and every noisy program is noisy.
+/// on both compile legs, every noisy program is noisy, the extend leg
+/// reuses a prefix three times per family, and each extended program
+/// has its fresh compile's source instructions and op count.
 fn lower() -> Outcome {
     const FAMILIES: usize = 64;
     const ROUNDS: usize = 6;
@@ -1045,7 +1055,28 @@ fn lower() -> Outcome {
                 .collect::<Vec<_>>()
         })
     };
+    let noise = noisy.noise_model();
+    let noise_fp = noise.map(qnoise::NoiseModel::fingerprint);
+    let options = noisy.compile_options();
+    // The registry holds its programs weakly; the returned `Vec` keeps
+    // them alive, as a session's program cache does.
+    let extend_leg = || {
+        timed(|| {
+            let registry = PrefixRegistry::new();
+            let programs: Vec<_> = circuits
+                .iter()
+                .map(|c| {
+                    registry
+                        .compile_traced_with_fingerprint(c, noise, noise_fp, options)
+                        .expect("compiles")
+                        .0
+                })
+                .collect();
+            (programs, registry.hits())
+        })
+    };
     let (noisy_programs, ideal_programs) = (leg(&noisy).1, leg(&ideal).1);
+    let (extended_programs, hits) = extend_leg().1;
     require(
         noisy_programs
             .iter()
@@ -1057,26 +1088,35 @@ fn lower() -> Outcome {
         noisy_programs.iter().all(CompiledProgram::is_noisy),
         "lower: every program of the noisy leg must carry noise",
     );
-    drop((noisy_programs, ideal_programs));
+    require(
+        hits == 3 * FAMILIES as u64,
+        "lower: the extend leg must reuse a prefix for three points per family",
+    );
+    require(
+        extended_programs.iter().zip(&noisy_programs).all(|(e, n)| {
+            e.source_instructions() == n.source_instructions() && e.ops().len() == n.ops().len()
+        }),
+        "lower: each extended program must match its fresh compile",
+    );
+    drop((noisy_programs, ideal_programs, extended_programs));
 
-    let (mut noisy_secs, mut ideal_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut best = [f64::INFINITY; 3];
     for round in 0..ROUNDS {
-        let ((n, _), (i, _)) = if round % 2 == 0 {
-            let n = leg(&noisy);
-            (n, leg(&ideal))
-        } else {
-            let i = leg(&ideal);
-            (leg(&noisy), i)
-        };
-        noisy_secs = noisy_secs.min(n);
-        ideal_secs = ideal_secs.min(i);
+        for which in (0..3).map(|i| (i + round) % 3) {
+            let secs = match which {
+                0 => leg(&noisy).0,
+                1 => leg(&ideal).0,
+                _ => extend_leg().0,
+            };
+            best[which] = best[which].min(secs);
+        }
     }
-    let noisy_us = noisy_secs * 1e6 / circuits.len() as f64;
-    let ideal_us = ideal_secs * 1e6 / circuits.len() as f64;
+    let [noisy_us, ideal_us, extend_us] = best.map(|secs| secs * 1e6 / circuits.len() as f64);
     Outcome {
         metrics: vec![
             ("noisy_us_per_circuit", noisy_us),
             ("ideal_us_per_circuit", ideal_us),
+            ("extend_us_per_circuit", extend_us),
             ("ratio", noisy_us / ideal_us),
             ("circuits", circuits.len() as f64),
         ],

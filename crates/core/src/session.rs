@@ -99,8 +99,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub const DEFAULT_SHOTS: u64 = 1024;
 
 /// Bound on the session's registered-key memo — matches the prefix
-/// registry's own registration cap, beyond which registering is a no-op
-/// anyway, so remembering more keys buys nothing.
+/// registry's own registration cap. At its cap the registry evicts its
+/// oldest registration for each new one; a full memo stops registering
+/// cache-served programs, so a hot sweep past the cap pays no
+/// prefix-hash chain per cache hit.
 const REGISTERED_MEMO_CAP: usize = 1024;
 
 /// How [`AssertionSession::run_sweep`] schedules its points.
@@ -674,8 +676,10 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     fn memo_first_sight(&self, key: ProgramKey) -> bool {
         let mut memo = self.registered.lock().expect("session lock");
         if memo.len() >= REGISTERED_MEMO_CAP && !memo.contains(&key) {
-            // The prefix registry stops accepting new registrations at
-            // the same cap, so stop attempting (and stop growing).
+            // Stop growing at the registry's cap. The registry itself
+            // keeps accepting registrations there, evicting its oldest,
+            // so a miss still registers its program; only cache-served
+            // programs go unregistered.
             return false;
         }
         memo.insert(key)

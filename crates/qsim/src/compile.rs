@@ -9,8 +9,8 @@
 //!    hot loop never consults the model again. Each bound channel shares
 //!    its Kraus operators and Pauli form with the channel registered in
 //!    the model, so binding, op emission, prefix extension, the hybrid
-//!    suffix and a program clone copy no matrix: a channel clone only
-//!    bumps reference counts.
+//!    suffix, a program clone and the model clone a program keeps copy
+//!    no matrix: a channel clone only bumps reference counts.
 //! 2. **Gate fusion** — maximal runs of adjacent unconditioned
 //!    single-qubit gates on one wire (found via
 //!    [`CircuitDag::single_qubit_runs`]) collapse into one 2×2 matrix
@@ -27,6 +27,21 @@
 //! 4. **Fast-path analysis** — circuits whose non-unitary suffix is only
 //!    trailing measurements get a [`FastPath`] record, letting the
 //!    statevector backend evolve once and sample `shots` times.
+//! 5. **Batch planning** — contiguous runs of disjoint single-qubit and
+//!    controlled ops become blocked passes ([`crate::batch`]).
+//!
+//! That is all a compile does. The program keeps its source circuit,
+//! noise model and options, and builds the two analyses only the
+//! tableau backends read the first time a caller reads them: the
+//! Clifford lowering ([`CompiledProgram::clifford`], an exact per-gate
+//! classification of the *source* instructions, which fusion would
+//! erase) and, for a program that leaves the Clifford set after a
+//! non-empty Clifford prefix, the hybrid routing plan
+//! ([`CompiledProgram::hybrid`], which lowers the suffix past the first
+//! non-Clifford island on its own). Both are pure functions of
+//! `(circuit, noise, options)`, so one compilation still serves every
+//! backend, and a program built by [`compile_extension`] reads the
+//! same analyses as a fresh compile.
 //!
 //! # Fusion and numerical identity
 //!
@@ -39,9 +54,10 @@
 use crate::error::{CliffordBlock, SimError};
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};
 use crate::stabilizer::CliffordProgram;
-use qcircuit::{CircuitDag, Gate, OpKind, QuantumCircuit, QubitId};
+use qcircuit::{CircuitDag, CircuitError, Gate, OpKind, QuantumCircuit, QubitId};
 use qmath::Mat2;
 use qnoise::NoiseModel;
+use std::sync::Arc;
 
 /// Compilation knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,11 +114,22 @@ pub fn compile_with(
             num_clbits: circuit.num_clbits(),
         });
     }
+    let (ops, fused_gates) = lower_ops(circuit, noise, options)?;
+    Ok(assemble(circuit.clone(), noise, options, ops, fused_gates))
+}
+
+/// Steps 1–3 of the pipeline: the op stream of `circuit` and the number
+/// of source gates fusion absorbed.
+fn lower_ops(
+    circuit: &QuantumCircuit,
+    noise: Option<&NoiseModel>,
+    options: CompileOptions,
+) -> Result<(Vec<CompiledOp>, usize), SimError> {
     let instrs = circuit.instructions();
     let n = instrs.len();
 
     // 1. Bind noise channels per instruction, once.
-    let bound: Vec<Vec<qnoise::AppliedChannel>> = match noise {
+    let mut bound: Vec<Vec<qnoise::AppliedChannel>> = match noise {
         Some(model) => model.bind_circuit(circuit),
         None => vec![Vec::new(); n],
     };
@@ -196,42 +223,48 @@ pub fn compile_with(
         ops.push(CompiledOp {
             kind,
             condition,
-            noise: bound[i].clone(),
+            noise: std::mem::take(&mut bound[i]),
         });
     }
+    Ok((ops, fused_gates))
+}
 
-    // 4. Fast-path, batch and Clifford-eligibility analyses. The
-    //    Clifford pass reads the *source* instructions (classification
-    //    is exact per gate; fusion would erase it) plus the same bound
-    //    channels, so one compilation serves amplitude and tableau
-    //    backends alike. Ineligible programs additionally get the
-    //    hybrid routing analysis: the maximal Clifford prefix plus a
-    //    standalone compilation of the suffix past the first
-    //    non-Clifford island.
+/// Steps 4 and 5, pure functions of the op stream, and the program that
+/// keeps `source`, `noise` and `options` for the tableau-side analyses.
+fn assemble(
+    source: QuantumCircuit,
+    noise: Option<&NoiseModel>,
+    options: CompileOptions,
+    ops: Vec<CompiledOp>,
+    fused_gates: usize,
+) -> CompiledProgram {
     let fast_path = analyze_fast_path(&ops);
     let batch_plan = if options.batching {
         crate::batch::plan(&ops)
     } else {
         None
     };
-    let (clifford, clifford_prefix) =
-        crate::stabilizer::lower_clifford_scan(circuit, &bound, noise);
-    let hybrid = match (&clifford, clifford_prefix) {
-        (Err(block), Some(prefix)) => analyze_hybrid(circuit, noise, options, block, prefix),
-        _ => None,
-    };
-
-    Ok(CompiledProgram::new(
-        circuit.num_qubits(),
-        circuit.num_clbits(),
+    CompiledProgram::new(
+        source,
+        noise.cloned(),
+        options,
         ops,
         fast_path,
         batch_plan,
-        n,
         fused_gates,
-        clifford,
-        hybrid,
-    ))
+    )
+}
+
+/// The instructions of `circuit` from `start` on, as a circuit of the
+/// same register widths. Compiled ops carry absolute indices and noise
+/// binds per instruction, so its op stream is the full circuit's from
+/// that point.
+fn tail_circuit(circuit: &QuantumCircuit, start: usize) -> Result<QuantumCircuit, CircuitError> {
+    let mut tail = QuantumCircuit::new(circuit.num_qubits(), circuit.num_clbits());
+    for instr in &circuit.instructions()[start..] {
+        tail.append(instr.clone())?;
+    }
+    Ok(tail)
 }
 
 /// Amplitude-array passes one tableau→statevector handoff costs: the
@@ -247,32 +280,25 @@ const HANDOFF_EXTRACTION_PASSES: f64 = 3.0;
 /// Conservative (biases toward the fallback near the break-even point).
 const PREFIX_FUSION_DISCOUNT: f64 = 0.5;
 
-/// The hybrid routing analysis for a program blocked at `block`:
-/// compiles the suffix `[boundary..]` standalone at full register
-/// widths (compiled ops carry absolute indices and noise binds per
-/// instruction, so the op stream is position-independent — the
-/// [`compile_extension`] technique) and runs the compile-time cost
-/// model deciding whether the tableau prefix + extraction beats
-/// replaying the prefix on amplitudes.
-fn analyze_hybrid(
+/// The hybrid routing analysis for a program blocked at `block` after
+/// the maximal Clifford prefix `prefix`: compiles the suffix
+/// `[boundary..]` standalone at full register widths (the
+/// [`compile_extension`] technique) and runs the cost model deciding
+/// whether the tableau prefix + extraction beats replaying the prefix on
+/// amplitudes. [`CompiledProgram::hybrid`] runs it on first read.
+pub(crate) fn analyze_hybrid(
     circuit: &QuantumCircuit,
     noise: Option<&NoiseModel>,
     options: CompileOptions,
     block: &CliffordBlock,
-    prefix: CliffordProgram,
+    prefix: &Arc<CliffordProgram>,
 ) -> Option<HybridPlan> {
-    let boundary = block.instruction();
     if prefix.ops().is_empty() {
         return None;
     }
-    let mut suffix = QuantumCircuit::new(circuit.num_qubits(), circuit.num_clbits());
-    for instr in &circuit.instructions()[boundary..] {
-        suffix.append(instr.clone()).ok()?;
-    }
-    // The suffix starts with the non-Clifford blocker, so this
-    // recursion bottoms out immediately (the inner program's own
-    // hybrid analysis sees an empty prefix).
-    let suffix = compile_with(&suffix, noise, options).ok()?;
+    let suffix = tail_circuit(circuit, block.instruction()).ok()?;
+    let (ops, fused_gates) = lower_ops(&suffix, noise, options).ok()?;
+    let suffix = assemble(suffix, noise, options, ops, fused_gates);
 
     // Cost model, in units of full passes over the 2^n amplitude
     // array. Saved: the prefix ops the statevector path no longer
@@ -290,7 +316,7 @@ fn analyze_hybrid(
     let profitable = prefix_ops * PREFIX_FUSION_DISCOUNT
         > HANDOFF_EXTRACTION_PASSES + prefix_ops * tableau_pass_fraction;
     Some(HybridPlan::new(
-        prefix,
+        Arc::clone(prefix),
         block.clone(),
         Box::new(suffix),
         profitable,
@@ -299,7 +325,8 @@ fn analyze_hybrid(
 
 /// Extends an already-compiled prefix: lowers only
 /// `circuit.instructions()[prefix_len..]` and concatenates the op
-/// streams, recomputing the fast-path analysis over the whole program.
+/// streams, recomputing the fast-path and batch analyses over the whole
+/// program.
 ///
 /// `prefix` must be the compilation of the first `prefix_len`
 /// instructions of `circuit` under the *same noise model and options* —
@@ -311,6 +338,9 @@ fn analyze_hybrid(
 /// result is **identical** to a fresh [`compile_with`] of the full
 /// circuit provided no single-qubit fusion run crosses the prefix
 /// boundary; callers check that with [`extension_fusion_safe`] first.
+/// Like a fresh compile, it keeps `circuit` and builds its Clifford
+/// lowering and hybrid plan from it on first read, so those never
+/// depend on the prefix.
 ///
 /// # Errors
 ///
@@ -328,65 +358,19 @@ pub fn compile_extension(
             num_clbits: circuit.num_clbits(),
         });
     }
-    let mut suffix = QuantumCircuit::new(circuit.num_qubits(), circuit.num_clbits());
-    for instr in &circuit.instructions()[prefix_len..] {
-        suffix.append(instr.clone()).map_err(SimError::Circuit)?;
-    }
-    let tail = compile_with(&suffix, noise, options)?;
-    let mut ops: Vec<CompiledOp> = prefix.ops().to_vec();
-    ops.extend(tail.ops().iter().cloned());
-    // Both analyses are pure functions of the concatenated op stream, so
-    // recomputing them here yields exactly what a fresh full compile
-    // would (the prefix's own plan is not reusable: a batch may span the
-    // concatenation seam).
-    let fast_path = analyze_fast_path(&ops);
-    let batch_plan = if options.batching {
-        crate::batch::plan(&ops)
-    } else {
-        None
-    };
-    // The Clifford stream composes by concatenation (it is lowered from
-    // source instructions, which never fuse across the seam); a suffix
-    // verdict re-anchors its instruction index after the prefix.
-    let clifford = match (prefix.clifford(), tail.clifford()) {
-        (Ok(p), Ok(t)) => Ok(p.concat(t, circuit.num_qubits(), circuit.num_clbits())),
-        (Err(block), _) => Err(block.clone()),
-        (Ok(_), Err(block)) => Err(block.offset(prefix_len)),
-    };
-    // The hybrid analysis does not compose across the seam (the maximal
-    // Clifford prefix may end inside either half): recompute it from
-    // the full circuit. Scan + analysis are pure functions of
-    // `(circuit, noise, options)`, so the result is identical to a
-    // fresh compile's.
-    let hybrid = match &clifford {
-        Ok(_) => None,
-        Err(block) => {
-            let bound_full: Vec<Vec<qnoise::AppliedChannel>> = match noise {
-                Some(model) => model.bind_circuit(circuit),
-                None => vec![Vec::new(); circuit.instructions().len()],
-            };
-            match crate::stabilizer::lower_clifford_scan(circuit, &bound_full, noise) {
-                (Err(fresh), Some(clifford_prefix)) => {
-                    debug_assert_eq!(
-                        &fresh, block,
-                        "composed Clifford verdict must match a fresh scan of the full circuit"
-                    );
-                    analyze_hybrid(circuit, noise, options, &fresh, clifford_prefix)
-                }
-                _ => None,
-            }
-        }
-    };
-    Ok(CompiledProgram::new(
-        circuit.num_qubits(),
-        circuit.num_clbits(),
+    let tail = tail_circuit(circuit, prefix_len).map_err(SimError::Circuit)?;
+    let (tail_ops, tail_fused) = lower_ops(&tail, noise, options)?;
+    let mut ops = Vec::with_capacity(prefix.ops().len() + tail_ops.len());
+    ops.extend_from_slice(prefix.ops());
+    ops.extend(tail_ops);
+    // The prefix's own batch plan is not reusable (a batch may span the
+    // seam), so `assemble` plans the concatenated stream afresh.
+    Ok(assemble(
+        circuit.clone(),
+        noise,
+        options,
         ops,
-        fast_path,
-        batch_plan,
-        prefix.source_instructions() + tail.source_instructions(),
-        prefix.fused_gates() + tail.fused_gates(),
-        clifford,
-        hybrid,
+        prefix.fused_gates() + tail_fused,
     ))
 }
 

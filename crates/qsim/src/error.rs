@@ -51,16 +51,16 @@ pub enum SimError {
     /// post-selection.
     AllShotsDiscarded,
     /// The program is not Clifford-eligible, so the stabilizer tableau
-    /// backend cannot run it. Decided once at compile time (like the
-    /// statevector fast path) and carried on the compiled program; the
-    /// payload names the first offending instruction.
+    /// backend cannot run it. Decided once per compiled program, on the
+    /// first read of [`crate::CompiledProgram::clifford`], and kept
+    /// there; the payload names the first offending instruction.
     NotClifford(CliffordBlock),
 }
 
 /// Why a compiled program is ineligible for the stabilizer backend.
 ///
-/// Produced by the Clifford-eligibility pass in
-/// [`crate::compile`](mod@crate::compile), which classifies every
+/// Produced by the Clifford-eligibility scan behind
+/// [`crate::CompiledProgram::clifford`], which classifies every
 /// **source** instruction (pre-fusion, via
 /// [`qcircuit::Gate::clifford_kind`]) and every bound noise channel
 /// (via [`qnoise::Kraus::as_pauli_channel`]).
@@ -88,8 +88,9 @@ pub enum CliffordBlock {
 
 impl CliffordBlock {
     /// Source-circuit index of the blocking instruction — an **absolute**
-    /// index into the full circuit's instruction list, also when the
-    /// verdict was composed through `compile_extension`.
+    /// index into the full circuit's instruction list, also for a
+    /// program built by `compile_extension`, which scans the full
+    /// circuit.
     pub fn instruction(&self) -> usize {
         match self {
             CliffordBlock::NonCliffordGate { instruction, .. }

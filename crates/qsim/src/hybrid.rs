@@ -7,15 +7,15 @@
 //! whole-circuit choice: the stabilizer tableau rejects the island, the
 //! statevector pays `O(2^n)` for every prefix gate. [`HybridBackend`]
 //! routes instead of choosing: the **maximal Clifford prefix** (recorded
-//! at compile time by the eligibility scan, carried on the
-//! [`CompiledProgram`] as a [`HybridPlan`]) runs per shot on the
+//! by the eligibility scan and kept on the [`CompiledProgram`] as a
+//! [`HybridPlan`], both built on first read) runs per shot on the
 //! Aaronson–Gottesman tableau, the live state is materialized as
 //! amplitudes at the cut ([`Tableau::to_statevector`] — deterministic
 //! Gaussian elimination, no RNG), and the separately compiled suffix
 //! finishes the shot on the amplitude executor, batched/SIMD kernels
 //! included.
 //!
-//! # Routing decisions (all at compile time)
+//! # Routing decisions (once per compiled program, before any shot)
 //!
 //! * **Pure Clifford program** — delegates to the tableau harness
 //!   end-to-end, bit-identical to [`crate::StabilizerBackend`] with the
@@ -133,9 +133,9 @@ fn run_hybrid(
 ///
 /// Compiles through the shared pipeline — cached programs are shared
 /// with every other backend, and the routing verdict (Clifford
-/// lowering, [`HybridPlan`], cost model) is part of the compilation —
-/// so `ProgramCache`, `ShardPool`, sweeps, sessions and serve compose
-/// unchanged.
+/// lowering, [`HybridPlan`], cost model) is built on the program's
+/// first read and kept with it — so `ProgramCache`, `ShardPool`,
+/// sweeps, sessions and serve compose unchanged.
 ///
 /// # Example
 ///

@@ -34,11 +34,11 @@
 //!   scalar, `QSIM_SIMD` override), bit-identical across backends by a
 //!   strict no-FMA, same-association contract,
 //! * [`stabilizer`] — the bit-packed Aaronson–Gottesman tableau
-//!   executor: Clifford-only programs (eligibility decided at compile
-//!   time, carried on the [`CompiledProgram`]) run in `O(n²)` memory,
+//!   executor: Clifford-only programs (eligibility decided on first
+//!   read, kept on the [`CompiledProgram`]) run in `O(n²)` memory,
 //!   reaching thousands of qubits where amplitude backends stop near 30,
 //! * [`hybrid`] — Clifford routing: the maximal Clifford prefix
-//!   (recorded at compile time) runs per shot on the tableau, the live
+//!   (recorded on first read) runs per shot on the tableau, the live
 //!   state is materialized as amplitudes at the first non-Clifford
 //!   island, and the separately compiled suffix finishes the shot on
 //!   the amplitude executor,

@@ -18,17 +18,26 @@
 //!   nothing conditioned, no reset/post-selection) is decided once at
 //!   compile time ([`CompiledProgram::fast_path`]).
 //!
+//! The tableau-side analyses, the Clifford lowering
+//! ([`CompiledProgram::clifford`]) and the hybrid routing plan
+//! ([`CompiledProgram::hybrid`]), are built from the program's source
+//! circuit and noise model the first time a caller reads them, then
+//! kept on the program: only the stabilizer and hybrid backends read
+//! them, so a program the amplitude backends run never builds them.
+//!
 //! Backends execute this structure through the shared sharding harness in
 //! [`crate::executor`]; none of them walk raw circuit instructions per
 //! shot anymore.
 
 use crate::batch::BatchPlan;
+use crate::compile::CompileOptions;
 use crate::error::CliffordBlock;
-use crate::stabilizer::CliffordProgram;
+use crate::stabilizer::{CliffordProgram, CliffordScan};
 use crate::tree::{TreeStats, Trees};
-use qcircuit::{Condition, QubitId};
+use qcircuit::{Condition, QuantumCircuit, QubitId};
 use qmath::{CMatrix, Mat2};
-use qnoise::{AppliedChannel, ReadoutError};
+use qnoise::{AppliedChannel, NoiseModel, ReadoutError};
+use std::sync::{Arc, OnceLock};
 
 /// What one compiled op does (matrices pre-materialized).
 #[derive(Clone, Debug)]
@@ -131,30 +140,31 @@ pub struct FastPath {
     pub mapping: Vec<(usize, usize)>,
 }
 
-/// The hybrid Clifford routing decided at compile time: how a program
+/// The hybrid Clifford routing of a compiled program: how a program
 /// that is *not* Clifford-eligible splits at its first non-Clifford
-/// island.
+/// island. [`CompiledProgram::hybrid`] builds it on first read and keeps
+/// it on the program.
 ///
 /// The maximal Clifford prefix (everything before the blocking
 /// instruction) runs per shot on the stabilizer tableau; at the
 /// boundary the live state is materialized as amplitudes
 /// ([`crate::Tableau::to_statevector`]) and the separately compiled
 /// suffix finishes the shot on the amplitude executor — batched/SIMD
-/// kernels included. [`Self::profitable`] carries the compile-time cost
+/// kernels included. [`Self::profitable`] carries the cost model's
 /// verdict; the hybrid backend falls back to the pure statevector path
 /// when it is `false`.
 #[derive(Clone, Debug)]
 pub struct HybridPlan {
-    prefix: CliffordProgram,
+    prefix: Arc<CliffordProgram>,
     block: CliffordBlock,
     suffix: Box<CompiledProgram>,
     profitable: bool,
 }
 
 impl HybridPlan {
-    /// Assembles a plan (called by the compiler's hybrid analysis).
+    /// Assembles a plan (called by the hybrid analysis).
     pub(crate) fn new(
-        prefix: CliffordProgram,
+        prefix: Arc<CliffordProgram>,
         block: CliffordBlock,
         suffix: Box<CompiledProgram>,
         profitable: bool,
@@ -192,7 +202,7 @@ impl HybridPlan {
         &self.suffix
     }
 
-    /// Whether the compile-time cost model expects the tableau prefix +
+    /// Whether the routing cost model expects the tableau prefix +
     /// extraction to beat replaying the prefix on amplitudes.
     pub fn profitable(&self) -> bool {
         self.profitable
@@ -203,56 +213,63 @@ impl HybridPlan {
 ///
 /// Build one with [`crate::compile::compile`] (or through
 /// [`crate::Backend::compile`], which binds the backend's noise model).
+/// One program serves every backend: the amplitude lowering is built at
+/// compile time, the tableau-side analyses on first read.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
-    num_qubits: usize,
-    num_clbits: usize,
     ops: Vec<CompiledOp>,
     fast_path: Option<FastPath>,
     batch_plan: Option<BatchPlan>,
-    source_instructions: usize,
     fused_gates: usize,
-    clifford: Result<CliffordProgram, CliffordBlock>,
-    hybrid: Option<HybridPlan>,
+    /// What the tableau-side analyses read: the source circuit and the
+    /// noise model and options it was lowered under. A cloned model
+    /// shares its channels' operators, so keeping it copies no matrix.
+    source: QuantumCircuit,
+    noise: Option<NoiseModel>,
+    options: CompileOptions,
+    /// The Clifford-eligibility scan, built by the first
+    /// [`Self::clifford`] or [`Self::hybrid`] read.
+    clifford: OnceLock<CliffordScan>,
+    /// The hybrid routing analysis, built by the first [`Self::hybrid`]
+    /// read.
+    hybrid: OnceLock<Option<HybridPlan>>,
     trees: Trees,
 }
 
 impl CompiledProgram {
-    /// Assembles a program (called by the compiler).
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a program (called by the compiler) from the amplitude
+    /// lowering of `source` under `noise` and `options`.
     pub(crate) fn new(
-        num_qubits: usize,
-        num_clbits: usize,
+        source: QuantumCircuit,
+        noise: Option<NoiseModel>,
+        options: CompileOptions,
         ops: Vec<CompiledOp>,
         fast_path: Option<FastPath>,
         batch_plan: Option<BatchPlan>,
-        source_instructions: usize,
         fused_gates: usize,
-        clifford: Result<CliffordProgram, CliffordBlock>,
-        hybrid: Option<HybridPlan>,
     ) -> Self {
         CompiledProgram {
-            num_qubits,
-            num_clbits,
             ops,
             fast_path,
             batch_plan,
-            source_instructions,
             fused_gates,
-            clifford,
-            hybrid,
+            source,
+            noise,
+            options,
+            clifford: OnceLock::new(),
+            hybrid: OnceLock::new(),
             trees: Trees::default(),
         }
     }
 
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
-        self.num_qubits
+        self.source.num_qubits()
     }
 
     /// Number of classical bits.
     pub fn num_clbits(&self) -> usize {
-        self.num_clbits
+        self.source.num_clbits()
     }
 
     /// The executable op stream.
@@ -287,7 +304,7 @@ impl CompiledProgram {
     /// Instructions in the source circuit (including barriers, which
     /// compile away).
     pub fn source_instructions(&self) -> usize {
-        self.source_instructions
+        self.source.len()
     }
 
     /// Source gates eliminated by single-qubit fusion.
@@ -297,24 +314,45 @@ impl CompiledProgram {
 
     /// The program's Clifford lowering — the tableau op stream the
     /// stabilizer backend executes — or the first blocking instruction
-    /// when the program is ineligible. Decided once at compile time,
-    /// like the statevector fast path.
+    /// when the program is ineligible. Built from the source circuit on
+    /// the first read of this or [`Self::hybrid`], then kept on the
+    /// program; every read returns the same verdict.
     pub fn clifford(&self) -> Result<&CliffordProgram, &CliffordBlock> {
-        self.clifford.as_ref()
+        self.clifford_scan().as_ref().map_err(|(block, _)| block)
     }
 
-    /// Returns `true` when the stabilizer backend can run this program.
+    /// Returns `true` when the stabilizer backend can run this program
+    /// (reads [`Self::clifford`]).
     pub fn is_clifford(&self) -> bool {
-        self.clifford.is_ok()
+        self.clifford().is_ok()
     }
 
     /// The hybrid Clifford routing plan, present exactly when the
     /// program is *not* Clifford-eligible but has a non-empty maximal
-    /// Clifford prefix before its first non-Clifford island. Decided at
-    /// compile time like the other analyses; the hybrid backend
-    /// consults [`HybridPlan::profitable`] before using it.
+    /// Clifford prefix before its first non-Clifford island. Built on
+    /// the first read, which also runs the Clifford scan if
+    /// [`Self::clifford`] has not, then kept on the program; the hybrid
+    /// backend consults [`HybridPlan::profitable`] before using it.
     pub fn hybrid(&self) -> Option<&HybridPlan> {
-        self.hybrid.as_ref()
+        self.hybrid
+            .get_or_init(|| match self.clifford_scan() {
+                Ok(_) => None,
+                Err((block, prefix)) => crate::compile::analyze_hybrid(
+                    &self.source,
+                    self.noise.as_ref(),
+                    self.options,
+                    block,
+                    prefix,
+                ),
+            })
+            .as_ref()
+    }
+
+    /// The Clifford-eligibility scan, run on first use.
+    fn clifford_scan(&self) -> &CliffordScan {
+        self.clifford.get_or_init(|| {
+            crate::stabilizer::lower_clifford_scan(&self.source, self.noise.as_ref())
+        })
     }
 
     /// The program's outcome trees, one per draw contract (see
@@ -347,14 +385,16 @@ impl CompiledProgram {
 }
 
 impl std::fmt::Display for CompiledProgram {
+    // Reads `clifford()` and `hybrid()`, so it builds them if no caller
+    // has yet.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "compiled program ({} qubits, {} clbits): {} ops from {} instructions, {} gates fused{}{}{}",
-            self.num_qubits,
-            self.num_clbits,
+            self.num_qubits(),
+            self.num_clbits(),
             self.ops.len(),
-            self.source_instructions,
+            self.source_instructions(),
             self.fused_gates,
             match &self.batch_plan {
                 Some(plan) => format!(
@@ -364,13 +404,13 @@ impl std::fmt::Display for CompiledProgram {
                 ),
                 None => String::new(),
             },
-            match (&self.fast_path, &self.clifford) {
-                (Some(_), Ok(_)) => ", sample-once fast path, clifford-eligible",
-                (Some(_), Err(_)) => ", sample-once fast path",
-                (None, Ok(_)) => ", clifford-eligible",
-                (None, Err(_)) => "",
+            match (&self.fast_path, self.is_clifford()) {
+                (Some(_), true) => ", sample-once fast path, clifford-eligible",
+                (Some(_), false) => ", sample-once fast path",
+                (None, true) => ", clifford-eligible",
+                (None, false) => "",
             },
-            match &self.hybrid {
+            match self.hybrid() {
                 Some(plan) if plan.profitable() => format!(
                     ", hybrid clifford prefix of {} instructions",
                     plan.boundary()
@@ -378,5 +418,67 @@ impl std::fmt::Display for CompiledProgram {
                 _ => String::new(),
             }
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{
+        Backend, DensityMatrixBackend, HybridBackend, SimError, StabilizerBackend,
+        StatevectorBackend, TrajectoryBackend,
+    };
+    use qnoise::presets;
+
+    /// Which tableau-side analyses `program` holds: (Clifford scan,
+    /// hybrid plan).
+    fn built(program: &CompiledProgram) -> (bool, bool) {
+        (
+            program.clifford.get().is_some(),
+            program.hybrid.get().is_some(),
+        )
+    }
+
+    #[test]
+    fn only_the_tableau_backends_build_the_tableau_analyses() {
+        let model = presets::uniform(3, 0.01, 0.03, 0.02).unwrap();
+        let mut c = QuantumCircuit::new(3, 3);
+        c.h(0).unwrap().cx(0, 1).unwrap().cx(1, 2).unwrap();
+        c.s(2).unwrap().h(1).unwrap();
+        c.t(0).unwrap(); // instruction 5: the island
+        c.h(0).unwrap();
+        c.measure_all();
+        let program = crate::compile::compile(&c, Some(&model)).unwrap();
+        assert_eq!(built(&program), (false, false));
+
+        let amplitude: [&dyn Backend; 3] = [
+            &TrajectoryBackend::new(model.clone()),
+            &StatevectorBackend::new(),
+            &DensityMatrixBackend::new(model.clone()),
+        ];
+        for backend in amplitude {
+            backend
+                .run_compiled_seeded(&program, 64, Some(5), None)
+                .unwrap();
+            assert_eq!(built(&program), (false, false), "{}", backend.name());
+        }
+
+        let err = StabilizerBackend::new(model.clone())
+            .run_compiled_seeded(&program, 64, Some(5), None)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::NotClifford(CliffordBlock::NonCliffordGate {
+                gate: "t".to_string(),
+                instruction: 5,
+            })
+        );
+        assert_eq!(built(&program), (true, false));
+
+        HybridBackend::new(model)
+            .run_compiled_seeded(&program, 64, Some(5), None)
+            .unwrap();
+        assert_eq!(built(&program), (true, true));
+        assert_eq!(program.hybrid().map(HybridPlan::boundary), Some(5));
     }
 }

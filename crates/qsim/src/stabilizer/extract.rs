@@ -66,8 +66,8 @@ impl Tableau {
     /// # Panics
     ///
     /// Panics when the tableau is wider than the amplitude
-    /// representation supports (`n ≥ 30`); the hybrid compile-time
-    /// routing never hands such a state off.
+    /// representation supports (`n ≥ 30`); hybrid routing never hands
+    /// such a state off.
     pub fn to_statevector(&self) -> StateVector {
         let n = self.num_qubits();
         assert!(

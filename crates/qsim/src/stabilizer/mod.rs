@@ -8,14 +8,15 @@
 //! amplitude backends cannot represent — 1,024-qubit GHZ parity checks
 //! included.
 //!
-//! # Eligibility is decided at compile time
+//! # Eligibility is decided once per compiled program
 //!
-//! [`crate::compile::compile_with`] classifies every **source**
-//! instruction with [`qcircuit::Gate::clifford_kind`] and lowers every
-//! bound noise channel through [`qnoise::Kraus::as_pauli_channel`]; the
-//! verdict — a [`CliffordProgram`] or the first [`CliffordBlock`] — is
-//! carried on the [`CompiledProgram`], exactly like the statevector
-//! sample-once fast path. [`StabilizerBackend`] surfaces an ineligible
+//! The first read of [`CompiledProgram::clifford`] classifies every
+//! **source** instruction with [`qcircuit::Gate::clifford_kind`] and
+//! lowers every channel the program's noise model binds to a gate
+//! through [`qnoise::Kraus::as_pauli_channel`]; the verdict — a
+//! [`CliffordProgram`] or the first [`CliffordBlock`] — is then kept on
+//! the [`CompiledProgram`], so a program the amplitude backends run
+//! never pays for it. [`StabilizerBackend`] surfaces an ineligible
 //! program as [`SimError::NotClifford`] without running a single shot,
 //! so `ProgramCache`, `ShardPool`, sweeps and sessions compose
 //! unchanged: one cached compilation serves all backends.
@@ -23,7 +24,7 @@
 //! Pauli noise channels become **stochastic Pauli injections**: a
 //! channel whose Kraus operators are scaled Pauli strings is sampled
 //! per shot and applied as tableau X/Y/Z conjugations. Readout errors
-//! are pre-bound at compile time and sampled per measurement, as on the
+//! are bound by the scan and sampled per measurement, as on the
 //! amplitude backends.
 //!
 //! # Bit-exactness contract
@@ -54,7 +55,8 @@ use crate::pool::ShardPool;
 use crate::program::CompiledProgram;
 use crate::tree::OutcomeTree;
 use qcircuit::{CliffordKind, Condition, OpKind, QuantumCircuit};
-use qnoise::{AppliedChannel, NoiseModel, PauliTerm, ReadoutError};
+use qnoise::{NoiseModel, PauliTerm, ReadoutError};
+use std::sync::Arc;
 
 /// Tolerance for recognizing a Kraus operator as a scaled Pauli string.
 const PAULI_TOL: f64 = 1e-9;
@@ -106,7 +108,7 @@ pub enum CliffordOpKind {
         qubit: usize,
         /// The classical bit receiving the (possibly noisy) outcome.
         clbit: usize,
-        /// Readout error pre-bound at compile time (`None` under ideal
+        /// Readout error bound by the scan (`None` under ideal
         /// lowering — no readout randomness is drawn at all).
         readout: Option<ReadoutError>,
     },
@@ -160,52 +162,15 @@ impl CliffordProgram {
     pub fn ops(&self) -> &[CliffordOp] {
         &self.ops
     }
-
-    /// Concatenates a compiled prefix's Clifford stream with a suffix's
-    /// (the `compile_extension` composition path); the result carries
-    /// the full circuit's register widths.
-    pub(crate) fn concat(
-        &self,
-        tail: &CliffordProgram,
-        num_qubits: usize,
-        num_clbits: usize,
-    ) -> CliffordProgram {
-        let mut ops = Vec::with_capacity(self.ops.len() + tail.ops.len());
-        ops.extend_from_slice(&self.ops);
-        ops.extend_from_slice(&tail.ops);
-        CliffordProgram {
-            num_qubits,
-            num_clbits,
-            ops,
-        }
-    }
-}
-
-impl CliffordBlock {
-    /// Shifts the blocking instruction's index by `delta` — used when a
-    /// suffix compiled in isolation is re-anchored after a prefix.
-    pub(crate) fn offset(&self, delta: usize) -> CliffordBlock {
-        match self {
-            CliffordBlock::NonCliffordGate { gate, instruction } => {
-                CliffordBlock::NonCliffordGate {
-                    gate: gate.clone(),
-                    instruction: instruction + delta,
-                }
-            }
-            CliffordBlock::NonPauliChannel { op, instruction } => CliffordBlock::NonPauliChannel {
-                op: op.clone(),
-                instruction: instruction + delta,
-            },
-        }
-    }
 }
 
 /// Lowers one source instruction, or names it as the blocker.
-/// `Ok(None)` is a barrier (compiles away).
+/// `Ok(None)` is a barrier (compiles away). A gate's channels are bound
+/// here, after its classification, so a scan binds nothing past its
+/// blocker.
 fn lower_clifford_instr(
     i: usize,
     instr: &qcircuit::Instruction,
-    bound: &[AppliedChannel],
     noise: Option<&NoiseModel>,
 ) -> Result<Option<CliffordOp>, CliffordBlock> {
     let condition = instr.condition();
@@ -216,8 +181,9 @@ fn lower_clifford_instr(
                 gate: g.name().to_string(),
                 instruction: i,
             })?;
+            let bound = noise.map_or_else(Vec::new, |m| m.channels_for(instr));
             let mut lowered = Vec::with_capacity(bound.len());
-            for applied in bound {
+            for applied in &bound {
                 let table = applied.kraus.as_pauli_channel(PAULI_TOL).ok_or(
                     CliffordBlock::NonPauliChannel {
                         op: g.name().to_string(),
@@ -266,44 +232,41 @@ fn lower_clifford_instr(
     }))
 }
 
-/// The Clifford-eligibility pass, maximal-prefix form: classifies every
-/// source instruction and lowers every bound channel. Returns the full
-/// lowering (`Ok`) with no prefix, or the first blocking instruction
-/// **plus the maximal Clifford prefix** — the lowered ops of every
-/// instruction before the blocker, at the full circuit's register
-/// widths — which the hybrid routing analysis consumes.
+/// The Clifford-eligibility scan's verdict: the whole circuit's
+/// lowering, or the first blocking instruction together with the
+/// maximal Clifford prefix, the lowered ops of every instruction before
+/// it at the full circuit's register widths, which a hybrid plan shares.
+pub(crate) type CliffordScan = Result<CliffordProgram, (CliffordBlock, Arc<CliffordProgram>)>;
+
+/// The Clifford-eligibility pass: classifies every source instruction
+/// (exact per gate; fusion would erase it) and lowers every channel
+/// `noise` binds to a gate, stopping at the first blocker.
 pub(crate) fn lower_clifford_scan(
     circuit: &QuantumCircuit,
-    bound: &[Vec<AppliedChannel>],
     noise: Option<&NoiseModel>,
-) -> (
-    Result<CliffordProgram, CliffordBlock>,
-    Option<CliffordProgram>,
-) {
+) -> CliffordScan {
     let instrs = circuit.instructions();
     let mut ops = Vec::with_capacity(instrs.len());
+    let mut verdict = Ok(());
     for (i, instr) in instrs.iter().enumerate() {
-        match lower_clifford_instr(i, instr, &bound[i], noise) {
+        match lower_clifford_instr(i, instr, noise) {
             Ok(Some(op)) => ops.push(op),
             Ok(None) => {}
             Err(block) => {
-                let prefix = CliffordProgram {
-                    num_qubits: circuit.num_qubits(),
-                    num_clbits: circuit.num_clbits(),
-                    ops,
-                };
-                return (Err(block), Some(prefix));
+                verdict = Err(block);
+                break;
             }
         }
     }
-    (
-        Ok(CliffordProgram {
-            num_qubits: circuit.num_qubits(),
-            num_clbits: circuit.num_clbits(),
-            ops,
-        }),
-        None,
-    )
+    let program = CliffordProgram {
+        num_qubits: circuit.num_qubits(),
+        num_clbits: circuit.num_clbits(),
+        ops,
+    };
+    match verdict {
+        Ok(()) => Ok(program),
+        Err(block) => Err((block, Arc::new(program))),
+    }
 }
 
 /// Executes one shot on `tableau`, which it first resets to `|0…0⟩`;
@@ -356,8 +319,8 @@ pub(crate) fn run_clifford_shot<D: Draws + ?Sized>(
 ///
 /// # Errors
 ///
-/// Infallible at runtime today (eligibility was decided at compile
-/// time); the `Result` mirrors the amplitude harness for forward
+/// Infallible at runtime today (eligibility was decided before the
+/// call); the `Result` mirrors the amplitude harness for forward
 /// compatibility.
 pub fn run_clifford_sharded(
     program: &CliffordProgram,
