@@ -49,14 +49,18 @@
 //!
 //! # Prefix-aware sweeps
 //!
-//! Every circuit lowered through a session is also registered in a
-//! [`qsim::PrefixRegistry`]. When a later circuit of the same session
-//! *extends* an earlier one (the per-θ theory circuits do — each
+//! Every circuit a session *compiles* (a cache miss) is also registered
+//! in a [`qsim::PrefixRegistry`]. When a later circuit of the same
+//! session *extends* an earlier one (the per-θ theory circuits do — each
 //! assertion fragment appends to a shared preparation), only the suffix
 //! is lowered and the compiled prefix is reused; `prefix_hits` in the
 //! session telemetry counts those reuses. Reuse is bit-exact: the
 //! registry only splits where no gate-fusion run crosses the boundary,
-//! so the op stream is identical to a fresh compile.
+//! so the op stream is identical to a fresh compile. A program served
+//! whole from the cache is registered only by the session that compiled
+//! it: a circuit extending it reuses its prefix when the sessions share
+//! one registry ([`AssertionSession::prefix_registry`]), and compiles
+//! fresh otherwise.
 //!
 //! # Parallel sweeps
 //!
@@ -69,9 +73,10 @@
 //! results: lowering stays serial in input order, per-point seeds are
 //! pure functions of `(session seed, point index)`
 //! ([`qsim::sweep_point_seed`]), and per-point counts are bit-identical
-//! for any `(seed, threads, policy, worker count)`. Sweep telemetry is
-//! assembled from per-point traces plus the latch group's own pool
-//! counters, so it stays exact even when several sweeps run
+//! for any `(seed, threads, policy, worker count)`. A sweep folds the
+//! same per-lowering and per-run deltas the session's own telemetry
+//! folds, plus the latch group's own pool counters, so it stays exact
+//! even when several sweeps run
 //! concurrently — which also makes concurrent [`qsim::ProgramCache`]
 //! and [`qsim::PrefixRegistry`] access from pool workers a routine,
 //! tested path.
@@ -90,20 +95,12 @@ use qsim::{
     sweep_point_seed, tranche_seed, Backend, CompiledProgram, PrefixRegistry, ProgramCache,
     ProgramKey, RunResult, ShardPool, SimError,
 };
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default fixed shot budget when neither [`AssertionSession::shots`]
 /// nor [`AssertionSession::shot_plan`] is called.
 pub const DEFAULT_SHOTS: u64 = 1024;
-
-/// Bound on the session's registered-key memo — matches the prefix
-/// registry's own registration cap. At its cap the registry evicts its
-/// oldest registration for each new one; a full memo stops registering
-/// cache-served programs, so a hot sweep past the cap pays no
-/// prefix-hash chain per cache hit.
-const REGISTERED_MEMO_CAP: usize = 1024;
 
 /// How [`AssertionSession::run_sweep`] schedules its points.
 ///
@@ -141,6 +138,12 @@ enum CacheRef<'c> {
 }
 
 /// Counters a session accumulates across its lifetime.
+///
+/// A session counts by folding deltas through
+/// [`SessionTelemetry::merge`]: one per lowering (a cache hit, or a miss
+/// that may have reused a prefix) and one per planned run (its shots,
+/// tranches, stop and batched ops). [`AssertionSession::run_sweep`]
+/// folds the same deltas into the sweep's own telemetry.
 ///
 /// Snapshots are taken with [`AssertionSession::telemetry`]; deltas
 /// (e.g. for one sweep) with [`SessionTelemetry::since`]. Sweep
@@ -250,16 +253,30 @@ impl SessionTelemetry {
             self.simd_backend = other.simd_backend;
         }
     }
-}
 
-/// What one [`AssertionSession::lower`]-family call observed — the
-/// per-call attribution sweeps aggregate into exact telemetry.
-#[derive(Clone, Copy, Debug)]
-struct LowerTrace {
-    /// The lowering was served whole from the program cache.
-    cache_hit: bool,
-    /// The compile reused a registered prefix (miss path only).
-    prefix_hit: bool,
+    /// What one lowering adds: a cache hit, or a miss whose compile
+    /// reused a registered prefix when `prefix_hit`.
+    fn lowering(cache_hit: bool, prefix_hit: bool) -> SessionTelemetry {
+        SessionTelemetry {
+            cache_hits: u64::from(cache_hit),
+            cache_misses: u64::from(!cache_hit),
+            prefix_hits: u64::from(prefix_hit),
+            ..SessionTelemetry::default()
+        }
+    }
+
+    /// What one planned run of `program` adds.
+    fn run(program: &CompiledProgram, trace: &PlanTrace) -> SessionTelemetry {
+        SessionTelemetry {
+            runs: 1,
+            shots: trace.shots_used,
+            tranches: trace.tranches,
+            early_stops: u64::from(trace.stop == StopReason::Decided),
+            batched_ops: program.batched_ops() as u64,
+            batch_passes: program.batch_passes() as u64,
+            ..SessionTelemetry::default()
+        }
+    }
 }
 
 /// The result of [`AssertionSession::run_sweep`]: per-point outcomes
@@ -395,31 +412,18 @@ pub struct AssertionSession<'c, B: Backend> {
     prefix_reuse: bool,
     /// The prefix registry lowering compiles through. Owned by default;
     /// [`AssertionSession::prefix_registry`] shares one across sessions
-    /// (the multi-tenant server shape), which is why hits are counted
-    /// per-session in `prefix_hits` rather than read off the registry.
+    /// (the multi-tenant server shape), whose
+    /// [`PrefixRegistry::hits`] then aggregates every sharer — which is
+    /// why `counts` tallies this session's own prefix hits.
     prefixes: Arc<PrefixRegistry>,
-    /// Prefix reuses observed by *this session's* lowerings. The
-    /// registry's own [`PrefixRegistry::hits`] aggregates every sharer,
-    /// so telemetry reads this session-local counter instead.
-    prefix_hits: AtomicU64,
-    /// Keys already registered in `prefixes` — repeated cache hits on a
-    /// hot sweep circuit skip recomputing its prefix-hash chain. Capped
-    /// (see [`REGISTERED_MEMO_CAP`]); the registry itself refreshes
-    /// dead registrations on the miss path, so a stale memo entry can
-    /// only delay re-registration until the next cache miss.
-    registered: Mutex<HashSet<ProgramKey>>,
     /// The backend's noise fingerprint, hashed once on first use —
     /// fingerprinting walks the model's whole Kraus content, far too
     /// expensive to repeat on every lookup of a sweep.
     noise_fp: OnceLock<Option<u128>>,
-    runs: AtomicU64,
-    shots_run: AtomicU64,
-    tranches_run: AtomicU64,
-    early_stops: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    batched_ops: AtomicU64,
-    batch_passes: AtomicU64,
+    /// Every lowering and run so far, folded one delta at a time by
+    /// [`Self::tally`]; the pool and SIMD fields stay unset here and
+    /// are filled in by [`Self::telemetry`].
+    counts: Mutex<SessionTelemetry>,
     /// The widest program (qubit count) executed so far — reported in
     /// [`SessionRecord::max_qubits`] so repro artifacts show the scale
     /// a backend actually ran at.
@@ -448,17 +452,8 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
             pool: None,
             prefix_reuse: true,
             prefixes: Arc::new(PrefixRegistry::new()),
-            prefix_hits: AtomicU64::new(0),
-            registered: Mutex::new(HashSet::new()),
             noise_fp: OnceLock::new(),
-            runs: AtomicU64::new(0),
-            shots_run: AtomicU64::new(0),
-            tranches_run: AtomicU64::new(0),
-            early_stops: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            batched_ops: AtomicU64::new(0),
-            batch_passes: AtomicU64::new(0),
+            counts: Mutex::new(SessionTelemetry::default()),
             max_qubits: AtomicU64::new(0),
             pool_baseline: qsim::ShardPool::global_stats(),
         }
@@ -605,7 +600,9 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
 
     /// Compiles through a shared [`PrefixRegistry`] instead of a
     /// session-owned one: sessions built around the same `Arc` reuse
-    /// each other's compiled prefixes.
+    /// each other's compiled prefixes. Only a compile registers a
+    /// prefix, so a sharer extends what any sharer compiled, while a
+    /// session that found a program in the cache registers nothing.
     ///
     /// Sharing never changes results — prefix reuse is bit-identical
     /// to fresh compilation by construction — and telemetry stays
@@ -656,33 +653,21 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     pub fn telemetry(&self) -> SessionTelemetry {
         let pool = qsim::ShardPool::global_stats().since(&self.pool_baseline);
         SessionTelemetry {
-            runs: self.runs.load(Ordering::Relaxed),
-            shots: self.shots_run.load(Ordering::Relaxed),
-            tranches: self.tranches_run.load(Ordering::Relaxed),
-            early_stops: self.early_stops.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            prefix_hits: self.prefix_hits.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            batch_passes: self.batch_passes.load(Ordering::Relaxed),
             pool_tasks: pool.tasks_run,
             pool_steals: pool.steals,
             simd_backend: qsim::simd::active_backend().name(),
+            ..*self.counts.lock().expect("session counts lock")
         }
     }
 
-    /// Records the first sight of a lowered key, bounding the memo;
-    /// returns whether this call was the first.
-    fn memo_first_sight(&self, key: ProgramKey) -> bool {
-        let mut memo = self.registered.lock().expect("session lock");
-        if memo.len() >= REGISTERED_MEMO_CAP && !memo.contains(&key) {
-            // Stop growing at the registry's cap. The registry itself
-            // keeps accepting registrations there, evicting its oldest,
-            // so a miss still registers its program; only cache-served
-            // programs go unregistered.
-            return false;
-        }
-        memo.insert(key)
+    /// Folds one lowering's or run's delta into the session's counts
+    /// and hands it back, so a sweep folds the very same delta.
+    fn tally(&self, delta: SessionTelemetry) -> SessionTelemetry {
+        self.counts
+            .lock()
+            .expect("session counts lock")
+            .merge(&delta);
+        delta
     }
 
     /// Lowers a circuit through the session's cache and prefix registry
@@ -700,14 +685,14 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
         self.lower_traced(circuit).map(|(program, _)| program)
     }
 
-    /// [`AssertionSession::lower`] additionally reporting what *this*
-    /// call observed (cache hit vs miss, prefix reuse). Sweeps build
-    /// per-point telemetry from these traces instead of shared-counter
-    /// deltas, which would cross-attribute under concurrent use.
+    /// [`AssertionSession::lower`] additionally returning the delta
+    /// *this* call added to the session's counts. Sweeps fold these
+    /// deltas instead of differencing shared counters, which would
+    /// cross-attribute under concurrent use.
     fn lower_traced(
         &self,
         circuit: &QuantumCircuit,
-    ) -> Result<(Arc<CompiledProgram>, LowerTrace), AssertError> {
+    ) -> Result<(Arc<CompiledProgram>, SessionTelemetry), AssertError> {
         let noise = self.backend.noise_model();
         let options = self.backend.compile_options();
         let cache = self.program_cache();
@@ -716,44 +701,23 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
             .get_or_init(|| noise.map(qnoise::NoiseModel::fingerprint));
         let key = ProgramKey::from_fingerprint(circuit, noise_fp, options);
         if let Some(program) = cache.lookup(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if self.prefix_reuse && self.memo_first_sight(key) {
-                // A cache-served program is still prefix fodder for
-                // longer circuits later in the sweep (first sight only —
-                // repeat hits skip the prefix-hash computation).
-                self.prefixes
-                    .register_with_fingerprint(circuit, noise_fp, options, &program);
-            }
-            return Ok((
-                program,
-                LowerTrace {
-                    cache_hit: true,
-                    prefix_hit: false,
-                },
-            ));
+            return Ok((program, self.tally(SessionTelemetry::lowering(true, false))));
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let (program, prefix_hit) = if self.prefix_reuse {
+        let compiled = if self.prefix_reuse {
             // The registry registers (and revives an eviction-killed
             // registration for) this circuit itself.
-            let (compiled, reused) = self
-                .prefixes
-                .compile_traced_with_fingerprint(circuit, noise, noise_fp, options)?;
-            self.memo_first_sight(key);
-            if reused {
-                self.prefix_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            (compiled, reused)
+            self.prefixes
+                .compile_traced_with_fingerprint(circuit, noise, noise_fp, options)
         } else {
-            (Arc::new(self.backend.compile(circuit)?), false)
+            self.backend
+                .compile(circuit)
+                .map(|program| (Arc::new(program), false))
         };
-        Ok((
-            cache.insert(key, program),
-            LowerTrace {
-                cache_hit: false,
-                prefix_hit,
-            },
-        ))
+        // A compile that fails still counts its miss, as the cache did.
+        let reused = matches!(compiled, Ok((_, true)));
+        let delta = self.tally(SessionTelemetry::lowering(false, reused));
+        let (program, _) = compiled?;
+        Ok((cache.insert(key, program), delta))
     }
 
     /// The sequential test the session's verdicts evaluate under: the
@@ -791,25 +755,17 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
         Ok(raw)
     }
 
-    /// Bumps the session's lifetime counters for one executed run.
-    fn record_run(&self, program: &CompiledProgram, trace: &PlanTrace) {
-        self.runs.fetch_add(1, Ordering::Relaxed);
+    /// Folds one executed run into the session's counts, returning its
+    /// delta.
+    fn record_run(&self, program: &CompiledProgram, trace: &PlanTrace) -> SessionTelemetry {
         self.max_qubits
             .fetch_max(program.num_qubits() as u64, Ordering::Relaxed);
-        self.shots_run
-            .fetch_add(trace.shots_used, Ordering::Relaxed);
-        self.tranches_run
-            .fetch_add(trace.tranches, Ordering::Relaxed);
-        if trace.stop == StopReason::Decided {
-            self.early_stops.fetch_add(1, Ordering::Relaxed);
-        }
-        self.batched_ops
-            .fetch_add(program.batched_ops() as u64, Ordering::Relaxed);
-        self.batch_passes
-            .fetch_add(program.batch_passes() as u64, Ordering::Relaxed);
+        self.tally(SessionTelemetry::run(program, trace))
     }
 
-    /// Executes one instrumented program under the session's shot plan.
+    /// Executes one instrumented program under the session's shot plan
+    /// and folds the run into the session's counts, returning its delta
+    /// beside the result.
     ///
     /// [`ShotPlan::Fixed`] is exactly one backend call under
     /// `base_seed` — bit-identical to the pre-plan behavior, including
@@ -832,7 +788,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
         program: &Arc<CompiledProgram>,
         asserting: &AssertingCircuit,
         base_seed: Option<u64>,
-    ) -> Result<(RunResult, PlanTrace), AssertError> {
+    ) -> Result<(RunResult, PlanTrace, SessionTelemetry), AssertError> {
         let (raw, trace) = match self.plan {
             ShotPlan::Fixed(shots) => {
                 let raw =
@@ -905,8 +861,8 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                 )
             }
         };
-        self.record_run(program, &trace);
-        Ok((raw, trace))
+        let ran = self.record_run(program, &trace);
+        Ok((raw, trace, ran))
     }
 
     /// Runs an instrumented circuit under the session's shot plan and
@@ -923,7 +879,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     /// under [`FilterPolicy::RequireKept`].
     pub fn run(&self, asserting: &AssertingCircuit) -> Result<AssertionOutcome, AssertError> {
         let program = self.lower(asserting.circuit())?;
-        let (raw, trace) = self.run_planned(&program, asserting, self.seed)?;
+        let (raw, trace, _) = self.run_planned(&program, asserting, self.seed)?;
         self.analyze_traced(raw, asserting, trace)
     }
 
@@ -989,15 +945,16 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     /// cases), then analyzes under the session's filter and mitigation
     /// settings. Pure function of `(program, point, session config)`,
     /// which is what makes scheduling-independent sweeps possible.
+    /// Returns the run's delta beside the outcome.
     fn run_sweep_point(
         &self,
         program: &Arc<CompiledProgram>,
         point: usize,
         asserting: &AssertingCircuit,
-    ) -> Result<AssertionOutcome, AssertError> {
+    ) -> Result<(AssertionOutcome, SessionTelemetry), AssertError> {
         let base = self.sweep_point_base_seed(point);
-        let (raw, trace) = self.run_planned(program, asserting, base)?;
-        self.analyze_traced(raw, asserting, trace)
+        let (raw, trace, ran) = self.run_planned(program, asserting, base)?;
+        Ok((self.analyze_traced(raw, asserting, trace)?, ran))
     }
 
     /// Runs a family of instrumented circuits, returning per-point
@@ -1021,7 +978,8 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     ///
     /// # Telemetry
     ///
-    /// Aggregated from per-point traces and the sweep's own pool latch
+    /// Folded from the same per-lowering and per-run deltas the
+    /// session's own telemetry folds, plus the sweep's own pool latch
     /// group — not from shared-counter snapshots — so it stays exact
     /// even when other sweeps or sessions run concurrently.
     /// `pool_tasks`/`pool_steals` cover exactly this sweep's tasks
@@ -1065,20 +1023,10 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
             Some(pool) => pool,
             None => ShardPool::global(),
         };
-        // Either policy lowers on the calling thread, in input order,
-        // accumulating exact per-call traces — so cache/prefix
-        // telemetry (and prefix reuse itself) is policy-independent.
-        // Run/shot/tranche accounting is assembled from per-point plan
-        // traces *after* execution: under a sequential plan the shots a
-        // point spends aren't known at lowering time.
+        // Either policy lowers on the calling thread, in input order, so
+        // cache/prefix telemetry (and prefix reuse itself) is
+        // policy-independent.
         let mut telemetry = SessionTelemetry::default();
-        let mut record_lowering = |trace: LowerTrace, program: &CompiledProgram| {
-            telemetry.cache_hits += u64::from(trace.cache_hit);
-            telemetry.cache_misses += u64::from(!trace.cache_hit);
-            telemetry.prefix_hits += u64::from(trace.prefix_hit);
-            telemetry.batched_ops += program.batched_ops() as u64;
-            telemetry.batch_passes += program.batch_passes() as u64;
-        };
 
         let (points, pool_stats) = match self.sweep_policy {
             SweepPolicy::Serial => {
@@ -1090,9 +1038,12 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                     scope.run_attributed(|| {
                         for (point, asserting) in circuits.iter().enumerate() {
                             let attempt = self.lower_traced(asserting.circuit()).and_then(
-                                |(program, trace)| {
-                                    record_lowering(trace, &program);
-                                    self.run_sweep_point(&program, point, asserting)
+                                |(program, lowered)| {
+                                    telemetry.merge(&lowered);
+                                    let (outcome, ran) =
+                                        self.run_sweep_point(&program, point, asserting)?;
+                                    telemetry.merge(&ran);
+                                    Ok(outcome)
                                 },
                             );
                             match attempt {
@@ -1117,8 +1068,8 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                 let mut programs: Vec<Mutex<Option<Arc<CompiledProgram>>>> =
                     Vec::with_capacity(circuits.len());
                 for asserting in &circuits {
-                    let (program, trace) = self.lower_traced(asserting.circuit())?;
-                    record_lowering(trace, &program);
+                    let (program, lowered) = self.lower_traced(asserting.circuit())?;
+                    telemetry.merge(&lowered);
                     programs.push(Mutex::new(Some(program)));
                 }
 
@@ -1126,7 +1077,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                 // group, so the group's stats are exactly this sweep's
                 // pool activity. Each task takes its program out of the
                 // slot, releasing memory as the sweep progresses.
-                let slots: Vec<Mutex<Option<Result<AssertionOutcome, AssertError>>>> =
+                let slots: Vec<Mutex<Option<_>>> =
                     circuits.iter().map(|_| Mutex::new(None)).collect();
                 let ((), pool_stats) = pool.scope(|scope| {
                     let (slots, programs) = (&slots, &programs);
@@ -1146,7 +1097,10 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                 let mut points = Vec::with_capacity(slots.len());
                 for slot in slots {
                     match slot.into_inner().expect("sweep slot") {
-                        Some(Ok(outcome)) => points.push(outcome),
+                        Some(Ok((outcome, ran))) => {
+                            telemetry.merge(&ran);
+                            points.push(outcome);
+                        }
                         Some(Err(error)) => return Err(error),
                         None => unreachable!("scope drained with an unexecuted point"),
                     }
@@ -1154,15 +1108,6 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
                 (points, pool_stats)
             }
         };
-        // Run/shot/tranche accounting from the per-point plan traces —
-        // exact under any plan, policy, or concurrent session activity.
-        telemetry.runs = points.len() as u64;
-        telemetry.shots = points.iter().map(|p| p.plan.shots_used).sum();
-        telemetry.tranches = points.iter().map(|p| p.plan.tranches).sum();
-        telemetry.early_stops = points
-            .iter()
-            .filter(|p| p.plan.stop == StopReason::Decided)
-            .count() as u64;
         telemetry.pool_tasks = pool_stats.tasks_run;
         telemetry.pool_steals = pool_stats.steals;
         telemetry.simd_backend = qsim::simd::active_backend().name();
@@ -1326,6 +1271,66 @@ mod tests {
         // Both sweep points hit the program cached by the pre-sweep run.
         assert_eq!(sweep.telemetry.cache_hits, 2);
         assert_eq!(sweep.telemetry.cache_misses, 0);
+    }
+
+    #[test]
+    fn a_sweep_folds_exactly_what_its_session_counts() {
+        // Sweep and session fold the same per-lowering and per-run
+        // deltas, so a sweep that is the session's only activity reports
+        // exactly the session's gain on every deterministic field.
+        let family: Vec<AssertingCircuit> = (0..4)
+            .flat_map(|step| {
+                let (first, second) = theta_pair(0.3 + step as f64 * 0.5);
+                [first, second]
+            })
+            .collect();
+        let deterministic = |t: &SessionTelemetry| {
+            [
+                t.runs,
+                t.shots,
+                t.tranches,
+                t.early_stops,
+                t.cache_hits,
+                t.cache_misses,
+                t.prefix_hits,
+                t.batched_ops,
+                t.batch_passes,
+            ]
+        };
+        for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
+            let session = AssertionSession::new(StatevectorBackend::new())
+                .private_cache(16)
+                .shot_plan(ShotPlan::Sequential {
+                    alpha: 0.05,
+                    min_shots: 64,
+                    max_shots: 1024,
+                    tranche: 64,
+                })
+                .seed(5)
+                .sweep_policy(policy);
+            let before = session.telemetry();
+            let sweep = session.run_sweep(family.clone()).unwrap();
+            let gained = session.telemetry().since(&before);
+            assert_eq!(
+                deterministic(&sweep.telemetry),
+                deterministic(&gained),
+                "{policy:?}"
+            );
+            assert!(gained.early_stops > 0, "{policy:?}: {gained:?}");
+            assert!(gained.prefix_hits > 0, "{policy:?}: {gained:?}");
+
+            // A bare lowering adds only its cache field.
+            for (circuit, hit) in [(family[0].circuit(), 1), (&library::ghz(3), 0)] {
+                let before = session.telemetry();
+                session.lower(circuit).unwrap();
+                let lowered = session.telemetry().since(&before);
+                assert_eq!(
+                    deterministic(&lowered),
+                    [0, 0, 0, 0, hit, 1 - hit, 0, 0, 0],
+                    "{policy:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -77,8 +77,8 @@ struct Inner {
 /// hold [`Weak`] references, so memory remains bounded by whatever
 /// holds the strong `Arc`s — in the session flow, the `ProgramCache`
 /// and its LRU eviction. A registration whose program has been dropped
-/// (evicted) silently stops matching; keep the returned/registered
-/// `Arc`s alive for as long as reuse should be possible.
+/// (evicted) silently stops matching; keep the returned `Arc`s alive
+/// for as long as reuse should be possible.
 ///
 /// # Example
 ///
@@ -219,30 +219,6 @@ impl PrefixRegistry {
         };
         self.register_keyed(key_at(circuit.len()), circuit.len(), &program);
         Ok((program, reused))
-    }
-
-    /// Registers an already-compiled program (e.g. one served whole from
-    /// a [`crate::ProgramCache`]) so later circuits can extend it.
-    ///
-    /// `program` must be the lowering of `circuit` under exactly the
-    /// noise model fingerprinted `noise_fp` and `options` — the same
-    /// contract as [`crate::ProgramCache::insert`].
-    pub fn register_with_fingerprint(
-        &self,
-        circuit: &QuantumCircuit,
-        noise_fp: Option<u128>,
-        options: CompileOptions,
-        program: &Arc<CompiledProgram>,
-    ) {
-        let key = PrefixKey {
-            chain: *circuit
-                .prefix_hashes()
-                .last()
-                .expect("prefix hash chain is never empty"),
-            noise: noise_fp,
-            options,
-        };
-        self.register_keyed(key, circuit.len(), program);
     }
 
     fn register_keyed(&self, key: PrefixKey, len: usize, program: &Arc<CompiledProgram>) {
@@ -473,18 +449,6 @@ mod tests {
             1,
             "recompiled prefix must be reusable again"
         );
-    }
-
-    #[test]
-    fn register_makes_cache_served_programs_extendable() {
-        let registry = PrefixRegistry::new();
-        let (prefix, entangled) = theory_family(1.1);
-        let program = Arc::new(compile_with(&prefix, None, CompileOptions::default()).unwrap());
-        registry.register_with_fingerprint(&prefix, None, CompileOptions::default(), &program);
-        let _extended = registry
-            .compile(&entangled, None, CompileOptions::default())
-            .unwrap();
-        assert_eq!(registry.hits(), 1);
     }
 
     /// A one-op circuit family member: `cx(0,1)` repeated `n` times

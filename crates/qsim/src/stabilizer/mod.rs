@@ -391,7 +391,7 @@ pub(crate) fn run_clifford(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct StabilizerBackend {
     noise: Option<NoiseModel>,
     seed: u64,
@@ -442,6 +442,12 @@ impl StabilizerBackend {
     }
 }
 
+impl Default for StabilizerBackend {
+    fn default() -> Self {
+        StabilizerBackend::ideal()
+    }
+}
+
 impl Backend for StabilizerBackend {
     fn name(&self) -> &str {
         match &self.noise {
@@ -483,5 +489,18 @@ impl Backend for StabilizerBackend {
                 threads.unwrap_or(self.threads),
             )?,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_is_the_ideal_backend() {
+        assert_eq!(
+            format!("{:?}", StabilizerBackend::default()),
+            format!("{:?}", StabilizerBackend::ideal())
+        );
     }
 }

@@ -47,10 +47,16 @@ OPTIONS:
                             turn [default: min(cores, 4)]
     --conn-workers <N>      Threads serving connections, each one request
                             at a time from accept to last byte, its job
-                            included [default: 2*cores within 4..=16]
+                            included; a job waiting for a turn keeps its
+                            thread, so at most conn-workers minus
+                            job-workers jobs wait
+                            [default: 2*cores within 4..=16]
     --queue-capacity <N>    Admission bound on jobs waiting for a turn;
-                            beyond it submissions get a typed 429
-                            [default: 64]
+                            beyond it submissions get a typed 429. It
+                            binds only below conn-workers minus
+                            job-workers, so at the defaults no job gets
+                            a 429; further connections wait in the
+                            kernel's accept backlog [default: 64]
     --max-body-bytes <N>    Request body limit (413 beyond it)
                             [default: 1048576]
     --cache-capacity <N>    Shared compiled-program cache entries

@@ -9,6 +9,13 @@
 //! typed 429 **before** any execution work happens), so latency under
 //! overload is bounded by queue depth rather than unbounded buffering.
 //!
+//! Each waiting job blocks the connection worker that submitted it, so
+//! the server's sizing bounds the queue too: while every turn is held,
+//! at most `conn_workers − job_workers` jobs wait, and `capacity`
+//! rejects only when it is set below that number. Connections beyond
+//! the workers wait in the kernel's accept backlog, which
+//! [`JobQueue::depth`] does not count.
+//!
 //! Fairness happens when a turn frees: waiting jobs are grouped per
 //! tenant (the API-token header) and granted turns round-robin across
 //! tenants, so one tenant flooding the queue delays its *own* backlog,
@@ -29,11 +36,11 @@ pub(crate) enum SubmitError {
 
 struct Inner {
     /// Per-tenant FIFO lanes of waiting jobs' tickets, in
-    /// first-appearance order. Lanes persist for the queue's lifetime:
-    /// the tenant set is bounded by distinct API tokens seen, which
-    /// admission control keeps small relative to job volume.
+    /// first-appearance order. A lane goes when its last waiting job
+    /// takes its turn, so every lane holds a waiting job and there are
+    /// never more lanes than `waiting`.
     lanes: Vec<(String, VecDeque<u64>)>,
-    /// Round-robin cursor over `lanes`.
+    /// Round-robin cursor over `lanes`, taken modulo their count.
     cursor: usize,
     /// Jobs waiting for a turn, across all lanes.
     waiting: usize,
@@ -132,17 +139,20 @@ impl JobQueue {
         inner.waiting += 1;
         loop {
             if inner.held < self.turns {
-                // The lane whose front job is next in round-robin order.
-                let lanes = inner.lanes.len();
-                let lane = (0..lanes)
-                    .map(|probe| (inner.cursor + probe) % lanes)
-                    .find(|&lane| !inner.lanes[lane].1.is_empty())
-                    .expect("this job is waiting");
+                // The lane whose front job is next in round-robin order
+                // (this job waits in some lane, so there is one).
+                let lane = inner.cursor % inner.lanes.len();
                 if inner.lanes[lane].1.front() == Some(&ticket) {
                     inner.lanes[lane].1.pop_front();
                     // Advance past the lane we served so the next turn
-                    // goes to the following tenant.
-                    inner.cursor = (lane + 1) % inner.lanes.len();
+                    // goes to the following tenant: an emptied lane goes,
+                    // and the next lane shifts into its index.
+                    if inner.lanes[lane].1.is_empty() {
+                        inner.lanes.remove(lane);
+                        inner.cursor = lane;
+                    } else {
+                        inner.cursor = lane + 1;
+                    }
                     inner.waiting -= 1;
                     inner.held += 1;
                     if inner.held < self.turns && inner.waiting > 0 {
@@ -262,5 +272,14 @@ mod tests {
         });
         drop(second);
         assert_eq!((q.depth(), q.running()), (0, 0));
+    }
+
+    #[test]
+    fn served_tenants_leave_no_lane_behind() {
+        let q = JobQueue::new(4, 1);
+        for tenant in 0..10_000 {
+            drop(q.submit(&format!("tenant-{tenant}")).expect("a free turn"));
+        }
+        assert_eq!(q.inner.lock().expect("queue lock").lanes.len(), 0);
     }
 }

@@ -75,9 +75,16 @@ pub struct ServerConfig {
     /// Threads accepting and serving connections, one request at a
     /// time, its job included. Must exceed `job_workers` a little so
     /// health checks and queue-full rejections are answered while
-    /// every turn is held.
+    /// every turn is held. A job waiting for a turn keeps its worker,
+    /// so while every turn is held at most `conn_workers − job_workers`
+    /// jobs wait, whatever `queue_capacity` allows.
     pub conn_workers: usize,
     /// Bound on jobs waiting for a turn (admitted, not yet executing).
+    /// It rejects (429) only when set below `conn_workers −
+    /// job_workers`, the most jobs that can wait; at the default sizing
+    /// (64 against 4–16 connection workers) no job gets a 429.
+    /// Connections beyond the workers wait in the kernel's accept
+    /// backlog, which the `queue_depth` gauge does not count.
     pub queue_capacity: usize,
     /// Bound on request body size in bytes (413 beyond it).
     pub max_body_bytes: usize,
