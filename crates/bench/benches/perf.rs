@@ -37,7 +37,7 @@ type Row = (&'static str, fn() -> Outcome);
 /// The rows, in run order.
 const ROWS: [Row; 9] = [
     ("sweep", sweep),
-    ("batch", batch),
+    ("simd", simd_row),
     ("psweep", psweep),
     ("esweep", esweep),
     ("stab", stab),
@@ -183,24 +183,22 @@ fn sweep() -> Outcome {
     }
 }
 
-/// The batching floor, lowered from 1.5 when the unbatched leg gained
-/// vector sweeps (~2.2x faster), which compressed the batching advantage.
-const BATCH_MIN_SPEEDUP: f64 = 1.4;
-/// Batched per-shot ceiling, twice the 2,900,000 ns single-core
-/// baseline. No speedup fallback: this gate exists for regressions that
-/// slow both legs equally, which the ratio cannot see.
-const BATCH_MAX_PER_SHOT_NS: f64 = 5_800_000.0;
+/// Dispatched per-shot ceiling; the per-op sweeps read ~3,600,000 ns
+/// per shot on a 2-vCPU host. No speedup fallback: this gate exists for
+/// regressions that slow both legs equally, which the ratio cannot see.
+const SIMD_MAX_PER_SHOT_NS: f64 = 5_800_000.0;
 /// SIMD floor: long contiguous sweeps are compute-bound, so the vector
 /// ISA's width shows there.
-const BATCH_MIN_SIMD_SPEEDUP: f64 = 2.0;
+const SIMD_MIN_SPEEDUP: f64 = 2.0;
 /// When the dispatched ISA is itself scalar the ratio is ~1 by
 /// construction; this floor only catches a pathological dispatch.
-const BATCH_SCALAR_SIMD_FLOOR: f64 = 0.5;
+const SIMD_SCALAR_FLOOR: f64 = 0.5;
 
-/// The wide shallow instrumented circuit the batch planner exists for:
-/// `rounds` repetitions of a full-width 1q layer followed by a disjoint
-/// CX layer (offset every other round so columns cannot fuse away), an
-/// entanglement assertion, and full data measurement.
+/// A wide shallow instrumented circuit, the layer shape assertion
+/// instrumentation produces: `rounds` repetitions of a full-width 1q
+/// layer followed by a disjoint CX layer (offset every other round so
+/// columns cannot fuse away), an entanglement assertion, and full data
+/// measurement.
 fn wide_instrumented(qubits: usize, rounds: usize) -> AssertingCircuit {
     let mut prep = QuantumCircuit::new(qubits, 0);
     for round in 0..rounds {
@@ -226,8 +224,8 @@ fn wide_instrumented(qubits: usize, rounds: usize) -> AssertingCircuit {
 }
 
 /// Readout-only noise over `qubits` data qubits plus one assertion
-/// ancilla: gates stay ideal (and batchable), measurements sample per
-/// shot, the Table-1 execution shape without a sample-once escape.
+/// ancilla: gates stay ideal, measurements sample per shot, the Table-1
+/// execution shape without a sample-once escape.
 fn readout_noise(qubits: usize) -> qnoise::NoiseModel {
     let mut model = qnoise::NoiseModel::new();
     for q in 0..qubits + 1 {
@@ -239,91 +237,63 @@ fn readout_noise(qubits: usize) -> qnoise::NoiseModel {
     model
 }
 
-/// `batch`: 600 shots of a 14-qubit, 8-round wide shallow instrumented
-/// circuit under readout noise, seed 7 in 4 shards.
+/// `simd`: 600 shots of a 14-qubit, 8-round wide shallow instrumented
+/// circuit under readout noise, seed 7 in 4 shards, through
+/// `run_compiled_sharded` on the program a `TrajectoryBackend` compiles
+/// (one full sweep per op).
 ///
-/// * unbatched leg: `run_compiled_sharded` on the program a
-///   `TrajectoryBackend` built `with_batching(false)` compiles (one full
-///   sweep per op);
-/// * batched leg: `run_compiled_sharded` on the default
-///   `TrajectoryBackend`'s program (layer-planned blocked passes);
-/// * SIMD leg: the unbatched leg again under
-///   `simd::set_backend_override(Some(SimdBackend::Scalar))`, timed
-///   against the dispatched unbatched leg.
+/// * dispatched leg: on the host's detected ISA;
+/// * scalar leg: the same call under
+///   `simd::set_backend_override(Some(SimdBackend::Scalar))`.
 ///
-/// Every leg calls the plain entry point, which runs each shot in full:
-/// an outcome tree would replay the later legs' shots instead of timing
-/// the kernels.
+/// Both legs call the plain entry point, which runs each shot in full:
+/// an outcome tree would replay the second leg's shots instead of
+/// timing the kernels.
 ///
-/// Pre-asserts: the two compilations have equal op counts, some ops
-/// batch, the program executes per shot, and all three legs' counts are
-/// bit-identical.
-fn batch() -> Outcome {
+/// Pre-asserts: the program executes per shot, and both legs' counts
+/// are bit-identical.
+fn simd_row() -> Outcome {
     const QUBITS: usize = 14;
     const SHOTS: u64 = 600;
     let circuit = wide_instrumented(QUBITS, 8).circuit().clone();
-    let noise = readout_noise(QUBITS);
-    let batched = TrajectoryBackend::new(noise.clone());
-    let unbatched = TrajectoryBackend::new(noise).with_batching(false);
-    let batched_program = batched.compile(&circuit).expect("compiles");
-    let unbatched_program = unbatched.compile(&circuit).expect("compiles");
+    let program = TrajectoryBackend::new(readout_noise(QUBITS))
+        .compile(&circuit)
+        .expect("compiles");
     require(
-        batched_program.ops().len() == unbatched_program.ops().len(),
-        "batch: the two compilations must differ only in the plan",
+        program.fast_path().is_none() || program.is_noisy(),
+        "simd: the workload must execute per shot",
     );
-    require(
-        batched_program.batched_ops() > 0,
-        "batch: the wide layers must batch",
-    );
-    require(
-        batched_program.fast_path().is_none() || batched_program.is_noisy(),
-        "batch: the workload must execute per shot",
-    );
-    let run = |program: &CompiledProgram, shots: u64| {
-        timed_plain(|| run_compiled_sharded(program, shots, 7, 4))
-    };
-
-    run(&unbatched_program, SHOTS / 8);
-    run(&batched_program, SHOTS / 8);
-    let (unbatched_secs, unbatched_counts) = run(&unbatched_program, SHOTS);
-    let (batched_secs, batched_counts) = run(&batched_program, SHOTS);
-    require(
-        batched_counts == unbatched_counts,
-        "batch: batched counts diverge from per-op counts",
-    );
+    let run = |shots: u64| timed_plain(|| run_compiled_sharded(&program, shots, 7, 4));
 
     let dispatched = simd::active_backend();
+    run(SHOTS / 8);
+    let (dispatched_secs, dispatched_counts) = run(SHOTS);
     simd::set_backend_override(Some(SimdBackend::Scalar));
-    run(&unbatched_program, SHOTS / 8);
-    let (scalar_secs, scalar_counts) = run(&unbatched_program, SHOTS);
+    run(SHOTS / 8);
+    let (scalar_secs, scalar_counts) = run(SHOTS);
     simd::set_backend_override(None);
     require(
-        scalar_counts == unbatched_counts,
-        "batch: forced-scalar counts diverge from dispatched counts",
+        scalar_counts == dispatched_counts,
+        "simd: forced-scalar counts diverge from dispatched counts",
     );
 
-    let per_shot_ns = batched_secs * 1e9 / SHOTS as f64;
-    let speedup = unbatched_secs / batched_secs;
-    let simd_speedup = scalar_secs / unbatched_secs;
+    let per_shot_ns = dispatched_secs * 1e9 / SHOTS as f64;
+    let simd_speedup = scalar_secs / dispatched_secs;
     let simd_floor = if dispatched == SimdBackend::Scalar {
-        BATCH_SCALAR_SIMD_FLOOR
+        SIMD_SCALAR_FLOOR
     } else {
-        BATCH_MIN_SIMD_SPEEDUP
+        SIMD_MIN_SPEEDUP
     };
     Outcome {
         metrics: vec![
-            ("unbatched_ms", unbatched_secs * 1e3),
-            ("batched_ms", batched_secs * 1e3),
-            ("scalar_unbatched_ms", scalar_secs * 1e3),
-            ("speedup", speedup),
+            ("dispatched_ms", dispatched_secs * 1e3),
+            ("scalar_ms", scalar_secs * 1e3),
             ("per_shot_ns", per_shot_ns),
             ("simd_speedup", simd_speedup),
-            ("ops", batched_program.ops().len() as f64),
-            ("batched_ops", batched_program.batched_ops() as f64),
-            ("batch_passes", batched_program.batch_passes() as f64),
+            ("ops", program.ops().len() as f64),
         ],
         gates: vec![
-            gate!(speedup >= BATCH_MIN_SPEEDUP && per_shot_ns <= BATCH_MAX_PER_SHOT_NS),
+            gate!(per_shot_ns <= SIMD_MAX_PER_SHOT_NS),
             gate!(simd_speedup >= simd_floor),
         ],
     }
@@ -722,7 +692,8 @@ const TREE_MAX_SATURATED_RATIO: f64 = 1.5;
 /// * (a) 4,000 shots of [`clifford_island`], seed 7 in one shard:
 ///   `Backend::run_compiled_seeded` on `HybridBackend` with a warm tree
 ///   against `run_hybrid_sharded`;
-/// * (b) 600 shots of the `batch` row's readout-noise program, seed 7 in
+/// * (b) 600 shots of the 14-qubit, 8-round [`wide_instrumented`]
+///   circuit under readout noise (the `simd` row's program), seed 7 in
 ///   4 shards, where nearly every shot takes a new path:
 ///   `Backend::run_compiled_seeded` on `TrajectoryBackend`, after two
 ///   calls under other seeds have saturated its tree, against

@@ -266,10 +266,6 @@ impl ExperimentReport {
         self.metrics
             .push(Metric::new("session_early_stops", t.early_stops as f64));
         self.metrics
-            .push(Metric::new("batched_ops", t.batched_ops as f64));
-        self.metrics
-            .push(Metric::new("batch_passes", t.batch_passes as f64));
-        self.metrics
             .push(Metric::new("pool_tasks", t.pool_tasks as f64));
         self.metrics
             .push(Metric::new("pool_steals", t.pool_steals as f64));
@@ -609,8 +605,6 @@ mod tests {
             cache_hits: 3,
             cache_misses: 1,
             prefix_hits: 2,
-            batched_ops: 40,
-            batch_passes: 10,
             pool_tasks: 20,
             pool_steals: 3,
             simd_backend: "scalar",
@@ -622,8 +616,6 @@ mod tests {
         assert!(json.contains("\"name\":\"session_shots\",\"value\":500"));
         assert!(json.contains("\"name\":\"session_tranches\",\"value\":9"));
         assert!(json.contains("\"name\":\"session_early_stops\",\"value\":2"));
-        assert!(json.contains("\"name\":\"batched_ops\",\"value\":40"));
-        assert!(json.contains("\"name\":\"batch_passes\",\"value\":10"));
         assert!(json.contains("\"name\":\"pool_tasks\",\"value\":20"));
         assert!(json.contains("\"name\":\"pool_steals\",\"value\":3"));
         let text = r.render();

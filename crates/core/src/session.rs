@@ -142,8 +142,8 @@ enum CacheRef<'c> {
 /// A session counts by folding deltas through
 /// [`SessionTelemetry::merge`]: one per lowering (a cache hit, or a miss
 /// that may have reused a prefix) and one per planned run (its shots,
-/// tranches, stop and batched ops). [`AssertionSession::run_sweep`]
-/// folds the same deltas into the sweep's own telemetry.
+/// tranches and stop). [`AssertionSession::run_sweep`] folds the same
+/// deltas into the sweep's own telemetry.
 ///
 /// Snapshots are taken with [`AssertionSession::telemetry`]; deltas
 /// (e.g. for one sweep) with [`SessionTelemetry::since`]. Sweep
@@ -173,16 +173,6 @@ pub struct SessionTelemetry {
     /// Compiles that reused a previously lowered prefix, lowering only
     /// the suffix.
     pub prefix_hits: u64,
-    /// Ops covered by batched plan nodes across executed programs
-    /// (summed per run, not per shot). Per-shot backends execute these
-    /// through the blocked SoA kernels; the exact density-matrix
-    /// executor compiles plans but walks ops per branch, so for it
-    /// this counts plan *coverage*, not kernel executions.
-    pub batched_ops: u64,
-    /// Batched plan nodes across executed programs (summed per run,
-    /// not per shot) — blocked apply passes per shot on the per-shot
-    /// backends.
-    pub batch_passes: u64,
     /// Shard-pool tasks executed since the session was created
     /// ([`qsim::PoolStats::tasks_run`] deltas against the session's
     /// creation-time baseline). The global pool serves every session,
@@ -224,8 +214,6 @@ impl SessionTelemetry {
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
             prefix_hits: self.prefix_hits - earlier.prefix_hits,
-            batched_ops: self.batched_ops - earlier.batched_ops,
-            batch_passes: self.batch_passes - earlier.batch_passes,
             pool_tasks: self.pool_tasks - earlier.pool_tasks,
             pool_steals: self.pool_steals - earlier.pool_steals,
             simd_backend: self.simd_backend,
@@ -245,8 +233,6 @@ impl SessionTelemetry {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.prefix_hits += other.prefix_hits;
-        self.batched_ops += other.batched_ops;
-        self.batch_passes += other.batch_passes;
         self.pool_tasks += other.pool_tasks;
         self.pool_steals += other.pool_steals;
         if self.simd_backend.is_empty() {
@@ -265,15 +251,13 @@ impl SessionTelemetry {
         }
     }
 
-    /// What one planned run of `program` adds.
-    fn run(program: &CompiledProgram, trace: &PlanTrace) -> SessionTelemetry {
+    /// What one planned run adds.
+    fn run(trace: &PlanTrace) -> SessionTelemetry {
         SessionTelemetry {
             runs: 1,
             shots: trace.shots_used,
             tranches: trace.tranches,
             early_stops: u64::from(trace.stop == StopReason::Decided),
-            batched_ops: program.batched_ops() as u64,
-            batch_passes: program.batch_passes() as u64,
             ..SessionTelemetry::default()
         }
     }
@@ -760,7 +744,7 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
     fn record_run(&self, program: &CompiledProgram, trace: &PlanTrace) -> SessionTelemetry {
         self.max_qubits
             .fetch_max(program.num_qubits() as u64, Ordering::Relaxed);
-        self.tally(SessionTelemetry::run(program, trace))
+        self.tally(SessionTelemetry::run(trace))
     }
 
     /// Executes one instrumented program under the session's shot plan
@@ -1293,8 +1277,6 @@ mod tests {
                 t.cache_hits,
                 t.cache_misses,
                 t.prefix_hits,
-                t.batched_ops,
-                t.batch_passes,
             ]
         };
         for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
@@ -1326,7 +1308,7 @@ mod tests {
                 let lowered = session.telemetry().since(&before);
                 assert_eq!(
                     deterministic(&lowered),
-                    [0, 0, 0, 0, hit, 1 - hit, 0, 0, 0],
+                    [0, 0, 0, 0, hit, 1 - hit, 0],
                     "{policy:?}"
                 );
             }
@@ -1425,8 +1407,6 @@ mod tests {
             cache_hits: 3,
             cache_misses: 1,
             prefix_hits: 1,
-            batched_ops: 10,
-            batch_passes: 2,
             pool_tasks: 8,
             pool_steals: 1,
             simd_backend: "",
@@ -1439,8 +1419,6 @@ mod tests {
             cache_hits: 1,
             cache_misses: 3,
             prefix_hits: 0,
-            batched_ops: 5,
-            batch_passes: 1,
             pool_tasks: 4,
             pool_steals: 0,
             simd_backend: "avx2",
@@ -1450,8 +1428,6 @@ mod tests {
         assert_eq!(a.shots, 150);
         assert_eq!(a.tranches, 6);
         assert_eq!(a.early_stops, 1);
-        assert_eq!(a.batched_ops, 15);
-        assert_eq!(a.batch_passes, 3);
         assert_eq!(a.pool_tasks, 12);
         assert_eq!(a.pool_steals, 1);
         // An empty backend slot takes the merged-in one.
@@ -1609,34 +1585,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn batched_telemetry_counts_per_run() {
-        // A wide ideal layer batches; two runs double the counters.
-        let mut prep = QuantumCircuit::new(4, 0);
-        for _ in 0..2 {
-            for q in 0..4 {
-                prep.h(q).unwrap();
-            }
-            for q in 0..2 {
-                prep.cx(q, q + 2).unwrap();
-            }
-        }
-        let mut ac = AssertingCircuit::new(prep);
-        ac.assert_classical([0], [false]).unwrap();
-        ac.measure_data();
-        let session = AssertionSession::new(StatevectorBackend::new().with_seed(1))
-            .private_cache(4)
-            .shots(64);
-        session.run(&ac).unwrap();
-        let t1 = session.telemetry();
-        assert!(t1.batched_ops > 0, "wide layers must batch");
-        assert!(t1.batch_passes > 0);
-        session.run(&ac).unwrap();
-        let t2 = session.telemetry();
-        assert_eq!(t2.batched_ops, 2 * t1.batched_ops);
-        assert_eq!(t2.batch_passes, 2 * t1.batch_passes);
     }
 
     /// A bell pair asserted with the *wrong* parity: the assertion fires

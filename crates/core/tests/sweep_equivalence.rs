@@ -129,14 +129,6 @@ fn assert_telemetry_eq(parallel: &SessionTelemetry, serial: &SessionTelemetry, c
         parallel.prefix_hits, serial.prefix_hits,
         "{context}: prefix_hits"
     );
-    assert_eq!(
-        parallel.batched_ops, serial.batched_ops,
-        "{context}: batched_ops"
-    );
-    assert_eq!(
-        parallel.batch_passes, serial.batch_passes,
-        "{context}: batch_passes"
-    );
 }
 
 fn assert_outcomes_eq(parallel: &SweepOutcome, serial: &SweepOutcome, context: &str) {

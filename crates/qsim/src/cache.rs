@@ -315,14 +315,7 @@ mod tests {
             .get_or_compile(&c, None, CompileOptions::default())
             .unwrap();
         let unfused = cache
-            .get_or_compile(
-                &c,
-                None,
-                CompileOptions {
-                    fuse_1q: false,
-                    ..CompileOptions::default()
-                },
-            )
+            .get_or_compile(&c, None, CompileOptions { fuse_1q: false })
             .unwrap();
         let noise = qnoise::presets::ideal();
         let noisy = cache

@@ -27,10 +27,9 @@
 //! 4. **Fast-path analysis** — circuits whose non-unitary suffix is only
 //!    trailing measurements get a [`FastPath`] record, letting the
 //!    statevector backend evolve once and sample `shots` times.
-//! 5. **Batch planning** — contiguous runs of disjoint single-qubit and
-//!    controlled ops become blocked passes ([`crate::batch`]).
 //!
-//! That is all a compile does. The program keeps its source circuit,
+//! That is all a compile does: every amplitude executor walks the op
+//! stream one op at a time. The program keeps its source circuit,
 //! noise model and options, and builds the two analyses only the
 //! tableau backends read the first time a caller reads them: the
 //! Clifford lowering ([`CompiledProgram::clifford`], an exact per-gate
@@ -67,21 +66,11 @@ pub struct CompileOptions {
     /// the instruction stream — the reference the equivalence suite
     /// compares against.
     pub fuse_1q: bool,
-    /// Plan batched execution: contiguous runs of disjoint 1q and
-    /// controlled-1q ops become [`crate::batch::PlanNode::BatchedApply`]
-    /// nodes executed as one blocked pass per shot (default: on).
-    /// Batched execution is bit-identical to sequential execution of the
-    /// same op stream — the off position exists for the equivalence
-    /// suite and the unbatched leg of the `perf` bench's `batch` row.
-    pub batching: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            fuse_1q: true,
-            batching: true,
-        }
+        CompileOptions { fuse_1q: true }
     }
 }
 
@@ -229,8 +218,8 @@ fn lower_ops(
     Ok((ops, fused_gates))
 }
 
-/// Steps 4 and 5, pure functions of the op stream, and the program that
-/// keeps `source`, `noise` and `options` for the tableau-side analyses.
+/// Step 4, a pure function of the op stream, and the program that keeps
+/// `source`, `noise` and `options` for the tableau-side analyses.
 fn assemble(
     source: QuantumCircuit,
     noise: Option<&NoiseModel>,
@@ -239,20 +228,7 @@ fn assemble(
     fused_gates: usize,
 ) -> CompiledProgram {
     let fast_path = analyze_fast_path(&ops);
-    let batch_plan = if options.batching {
-        crate::batch::plan(&ops)
-    } else {
-        None
-    };
-    CompiledProgram::new(
-        source,
-        noise.cloned(),
-        options,
-        ops,
-        fast_path,
-        batch_plan,
-        fused_gates,
-    )
+    CompiledProgram::new(source, noise.cloned(), options, ops, fast_path, fused_gates)
 }
 
 /// The instructions of `circuit` from `start` on, as a circuit of the
@@ -274,10 +250,10 @@ fn tail_circuit(circuit: &QuantumCircuit, start: usize) -> Result<QuantumCircuit
 const HANDOFF_EXTRACTION_PASSES: f64 = 3.0;
 
 /// Discount on the prefix op count when estimating the amplitude passes
-/// the tableau saves: single-qubit fusion and batching would have
-/// collapsed part of the prefix on the statevector path anyway, so only
-/// a fraction of the lowered Clifford ops count as saved passes.
-/// Conservative (biases toward the fallback near the break-even point).
+/// the tableau saves: single-qubit fusion would have collapsed part of
+/// the prefix on the statevector path anyway, so only a fraction of the
+/// lowered Clifford ops count as saved passes. Conservative (biases
+/// toward the fallback near the break-even point).
 const PREFIX_FUSION_DISCOUNT: f64 = 0.5;
 
 /// The hybrid routing analysis for a program blocked at `block` after
@@ -325,8 +301,7 @@ pub(crate) fn analyze_hybrid(
 
 /// Extends an already-compiled prefix: lowers only
 /// `circuit.instructions()[prefix_len..]` and concatenates the op
-/// streams, recomputing the fast-path and batch analyses over the whole
-/// program.
+/// streams, recomputing the fast-path analysis over the whole program.
 ///
 /// `prefix` must be the compilation of the first `prefix_len`
 /// instructions of `circuit` under the *same noise model and options* —
@@ -363,8 +338,6 @@ pub fn compile_extension(
     let mut ops = Vec::with_capacity(prefix.ops().len() + tail_ops.len());
     ops.extend_from_slice(prefix.ops());
     ops.extend(tail_ops);
-    // The prefix's own batch plan is not reusable (a batch may span the
-    // seam), so `assemble` plans the concatenated stream afresh.
     Ok(assemble(
         circuit.clone(),
         noise,
@@ -432,7 +405,8 @@ fn gate_mat2(g: &Gate) -> Mat2 {
 /// # Errors
 ///
 /// Returns [`SimError::MatrixDimensionMismatch`] when the operand count
-/// does not match the gate's arity.
+/// does not match the gate's arity, or [`SimError::Circuit`] with
+/// [`CircuitError::DuplicateQubit`] when an operand repeats.
 pub(crate) fn lower_gate(g: &Gate, qubits: &[QubitId]) -> Result<CompiledKind, SimError> {
     if g.num_qubits() != qubits.len() {
         return Err(SimError::MatrixDimensionMismatch {
@@ -440,6 +414,7 @@ pub(crate) fn lower_gate(g: &Gate, qubits: &[QubitId]) -> Result<CompiledKind, S
             qubits: qubits.len(),
         });
     }
+    check_distinct(qubits)?;
     if let Some(m) = g.mat2() {
         return Ok(CompiledKind::Unitary1q {
             qubit: qubits[0],
@@ -465,6 +440,25 @@ pub(crate) fn lower_gate(g: &Gate, qubits: &[QubitId]) -> Result<CompiledKind, S
         target: qubits[1],
         matrix: gate_mat2(&target_gate),
     })
+}
+
+/// Rejects a repeated operand the way the circuit builder does: the
+/// kernels address each operand as its own bit, so a repeat has no
+/// meaning there.
+///
+/// # Errors
+///
+/// Returns [`SimError::Circuit`] with [`CircuitError::DuplicateQubit`]
+/// naming the first operand that appears again later.
+pub(crate) fn check_distinct(qubits: &[QubitId]) -> Result<(), SimError> {
+    for (i, q) in qubits.iter().enumerate() {
+        if qubits[i + 1..].contains(q) {
+            return Err(SimError::Circuit(CircuitError::DuplicateQubit {
+                qubit: q.index(),
+            }));
+        }
+    }
+    Ok(())
 }
 
 /// Detects the sample-once shape: no conditions, no reset/post-select,
@@ -527,15 +521,7 @@ mod tests {
     fn fusion_off_is_straight_interpretation() {
         let mut c = QuantumCircuit::new(1, 0);
         c.h(0).unwrap().t(0).unwrap().s(0).unwrap();
-        let program = compile_with(
-            &c,
-            None,
-            CompileOptions {
-                fuse_1q: false,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
+        let program = compile_with(&c, None, CompileOptions { fuse_1q: false }).unwrap();
         assert_eq!(program.ops().len(), 3);
         assert_eq!(program.fused_gates(), 0);
     }

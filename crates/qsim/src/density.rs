@@ -16,7 +16,7 @@
 //! reproduce the paper's Tables 1–2 without sampling noise.
 
 use crate::apply::{apply_controlled_mat2_at, apply_mat2_at, apply_matrix_at};
-use crate::compile::lower_gate;
+use crate::compile::{check_distinct, lower_gate};
 use crate::error::SimError;
 use crate::program::CompiledKind;
 use crate::statevector::StateVector;
@@ -119,7 +119,9 @@ impl DensityMatrix {
     /// # Errors
     ///
     /// Returns [`SimError::QubitOutOfRange`] or
-    /// [`SimError::MatrixDimensionMismatch`] on bad operands.
+    /// [`SimError::MatrixDimensionMismatch`] on bad operands, or
+    /// [`SimError::Circuit`] with [`qcircuit::CircuitError::DuplicateQubit`]
+    /// when an operand repeats.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[QubitId]) -> Result<(), SimError> {
         self.apply_unitary(&lower_gate(gate, qubits)?)
     }
@@ -166,7 +168,9 @@ impl DensityMatrix {
     /// # Errors
     ///
     /// Returns [`SimError::MatrixDimensionMismatch`] or
-    /// [`SimError::QubitOutOfRange`] on bad input.
+    /// [`SimError::QubitOutOfRange`] on bad input, or [`SimError::Circuit`]
+    /// with [`qcircuit::CircuitError::DuplicateQubit`] when an operand
+    /// repeats.
     pub fn apply_matrix(&mut self, m: &CMatrix, qubits: &[QubitId]) -> Result<(), SimError> {
         if m.dim() != 1 << qubits.len() {
             return Err(SimError::MatrixDimensionMismatch {
@@ -177,6 +181,7 @@ impl DensityMatrix {
         for q in qubits {
             self.check_qubit(*q)?;
         }
+        check_distinct(qubits)?;
         self.apply_matrix_unchecked(m, qubits);
         Ok(())
     }
@@ -193,8 +198,9 @@ impl DensityMatrix {
     /// # Errors
     ///
     /// Returns [`SimError::MatrixDimensionMismatch`] when the channel
-    /// arity does not match `qubits.len()`, or
-    /// [`SimError::QubitOutOfRange`].
+    /// arity does not match `qubits.len()`, [`SimError::QubitOutOfRange`],
+    /// or [`SimError::Circuit`] with
+    /// [`qcircuit::CircuitError::DuplicateQubit`] when an operand repeats.
     pub fn apply_kraus(&mut self, channel: &Kraus, qubits: &[QubitId]) -> Result<(), SimError> {
         if channel.num_qubits() != qubits.len() {
             return Err(SimError::MatrixDimensionMismatch {
@@ -205,6 +211,7 @@ impl DensityMatrix {
         for q in qubits {
             self.check_qubit(*q)?;
         }
+        check_distinct(qubits)?;
         let mut acc = vec![Complex::ZERO; self.data.len()];
         for k in channel.ops() {
             let mut branch = self.clone();
@@ -477,6 +484,45 @@ mod tests {
             rho.project(q(0), true),
             Err(SimError::ImpossiblePostSelection { .. })
         ));
+    }
+
+    /// The error a repeated operand gets: the circuit builder's own.
+    fn duplicate(qubit: usize) -> SimError {
+        SimError::Circuit(qcircuit::CircuitError::DuplicateQubit { qubit })
+    }
+
+    #[test]
+    fn apply_gate_rejects_a_repeated_operand() {
+        let mut rho = bell_rho();
+        let before = rho.clone();
+        assert_eq!(rho.apply_gate(&Gate::Cx, &[q(1), q(1)]), Err(duplicate(1)));
+        assert_eq!(
+            rho.apply_gate(&Gate::Swap, &[q(0), q(0)]),
+            Err(duplicate(0))
+        );
+        assert_eq!(rho, before);
+    }
+
+    #[test]
+    fn apply_matrix_rejects_a_repeated_operand() {
+        let mut rho = bell_rho();
+        let before = rho.clone();
+        assert_eq!(
+            rho.apply_matrix(&Gate::Cz.matrix(), &[q(1), q(1)]),
+            Err(duplicate(1))
+        );
+        assert_eq!(rho, before);
+    }
+
+    #[test]
+    fn apply_kraus_rejects_a_repeated_operand() {
+        let mut rho = bell_rho();
+        let before = rho.clone();
+        assert_eq!(
+            rho.apply_kraus(&Kraus::depolarizing2(0.1).unwrap(), &[q(1), q(1)]),
+            Err(duplicate(1))
+        );
+        assert_eq!(rho, before);
     }
 
     #[test]

@@ -56,14 +56,13 @@
 //! compiled execution against, and remains useful for one-off shots where
 //! compilation would not amortize.
 
-use crate::batch::PlanNode;
 use crate::compile::{compile_with, CompileOptions};
 use crate::counts::Counts;
 use crate::density::DensityMatrix;
 use crate::draws::Draws;
 use crate::error::SimError;
 use crate::pool::ShardPool;
-use crate::program::{CompiledKind, CompiledOp, CompiledProgram};
+use crate::program::{CompiledKind, CompiledProgram};
 use crate::statevector::StateVector;
 use crate::tree::{OutcomeTree, Recorder};
 use qcircuit::{Condition, Gate, OpKind, QuantumCircuit, QubitId};
@@ -449,15 +448,18 @@ pub fn run_shot<D: Draws + ?Sized>(
     Ok(Some(ShotRecord { state, clbits }))
 }
 
-/// Executes a contiguous slice of a program's op stream one op at a
-/// time; returns `Ok(false)` when a post-selection discarded the shot.
-fn run_ops_sequential<D: Draws + ?Sized>(
-    ops: &[CompiledOp],
+/// Executes a compiled program's whole op stream, one op at a time, on
+/// an existing `(state, clbits)` pair; returns `Ok(false)` when a
+/// post-selection discarded the shot. [`run_compiled_shot`] starts it
+/// from `|0…0⟩`; the hybrid handoff starts its suffix program from the
+/// tableau-extracted state and the prefix's classical record.
+pub(crate) fn run_compiled_from<D: Draws + ?Sized>(
+    program: &CompiledProgram,
     state: &mut StateVector,
     clbits: &mut u64,
     draws: &mut D,
 ) -> Result<bool, SimError> {
-    for op in ops {
+    for op in program.ops() {
         if !condition_holds(op.condition, *clbits) {
             continue;
         }
@@ -494,11 +496,7 @@ fn run_ops_sequential<D: Draws + ?Sized>(
 ///
 /// Consumes RNG draws in exactly the same order as [`run_shot`] does for
 /// the source circuit, so seeded compiled and interpreted runs agree
-/// shot-for-shot. Programs carrying a [`crate::batch::BatchPlan`]
-/// execute their batched nodes through the blocked SoA kernels — batched
-/// ops are noise-free unconditioned unitaries, so they consume no RNG
-/// and the draw sequence (and every amplitude) stays bit-identical to
-/// sequential execution.
+/// shot-for-shot.
 ///
 /// # Errors
 ///
@@ -516,70 +514,16 @@ pub fn run_compiled_shot<D: Draws + ?Sized>(
     Ok(Some(ShotRecord { state, clbits }))
 }
 
-/// Executes a compiled program's whole op stream on an existing
-/// `(state, clbits)` pair — the hybrid handoff entry point: the suffix
-/// program of a routed shot starts from the tableau-extracted state and
-/// the prefix's classical record instead of `|0…0⟩`. Dispatches batched
-/// plan nodes exactly like [`run_compiled_shot`]; returns `Ok(false)`
-/// when a post-selection discarded the shot.
-pub(crate) fn run_compiled_from<D: Draws + ?Sized>(
-    program: &CompiledProgram,
-    state: &mut StateVector,
-    clbits: &mut u64,
-    draws: &mut D,
-) -> Result<bool, SimError> {
-    let Some(plan) = program.batch_plan() else {
-        return run_ops_sequential(program.ops(), state, clbits, draws);
-    };
-    let ops = program.ops();
-    for node in plan.nodes() {
-        match node {
-            PlanNode::BatchedApply { kernel, .. } => kernel.apply(state.amps_mut()),
-            PlanNode::Sequential { start, end } => {
-                if !run_ops_sequential(&ops[*start..*end], state, clbits, draws)? {
-                    return Ok(false);
-                }
-            }
-        }
-    }
-    Ok(true)
-}
-
-/// Evolves `state` through the unitary ops `[0, upto)` of `program`,
-/// dispatching batched plan nodes to the blocked kernels. Used by the
-/// statevector sample-once fast path and compiled statevector
-/// evolution; bit-identical to per-op application.
+/// Evolves `state` through the unitary ops `[0, upto)` of `program`, one
+/// op at a time. Used by the statevector sample-once fast path and
+/// compiled statevector evolution.
 fn evolve_unitary_prefix(
     program: &CompiledProgram,
     upto: usize,
     state: &mut StateVector,
 ) -> Result<(), SimError> {
-    let ops = program.ops();
-    if let Some(plan) = program.batch_plan() {
-        for node in plan.nodes() {
-            let (start, end) = node.range();
-            if start >= upto {
-                break;
-            }
-            match node {
-                PlanNode::BatchedApply { kernel, .. } if end <= upto => {
-                    kernel.apply(state.amps_mut());
-                }
-                // A node straddling the cut (or a sequential node):
-                // apply its in-range ops one at a time — blocked and
-                // per-op application are bit-identical, so mixing is
-                // safe.
-                _ => {
-                    for op in &ops[start..end.min(upto)] {
-                        state.apply_unitary(&op.kind)?;
-                    }
-                }
-            }
-        }
-    } else {
-        for op in &ops[..upto] {
-            state.apply_unitary(&op.kind)?;
-        }
+    for op in &program.ops()[..upto] {
+        state.apply_unitary(&op.kind)?;
     }
     Ok(())
 }
@@ -1003,7 +947,6 @@ impl Backend for StatevectorBackend {
     fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fuse_1q: self.fuse_1q,
-            ..CompileOptions::default()
         }
     }
 
@@ -1020,9 +963,9 @@ impl Backend for StatevectorBackend {
         // noise model, and those pre-bound channels only execute on the
         // per-shot path.
         if let (Some(fp), false) = (program.fast_path(), program.is_noisy()) {
-            // Evolve the unitary prefix once (batched where planned),
-            // turn it into running sums in place, then sample it once per
-            // shot, by binary search, from one unsharded stream.
+            // Evolve the unitary prefix once, turn it into running sums
+            // in place, then sample it once per shot, by binary search,
+            // from one unsharded stream.
             let mut state = StateVector::zero_state(program.num_qubits());
             evolve_unitary_prefix(program, fp.unitary_prefix, &mut state)?;
             let sums = state.into_running_sums();
@@ -1067,7 +1010,6 @@ pub struct TrajectoryBackend {
     seed: u64,
     threads: usize,
     fuse_1q: bool,
-    batching: bool,
 }
 
 impl TrajectoryBackend {
@@ -1078,7 +1020,6 @@ impl TrajectoryBackend {
             seed: 0,
             threads: 1,
             fuse_1q: true,
-            batching: true,
         }
     }
 
@@ -1110,15 +1051,6 @@ impl TrajectoryBackend {
         self
     }
 
-    /// Enables or disables batched execution planning (on by default).
-    /// Ops carrying noise channels never batch, but the ideal stretches
-    /// of a noisy program still do.
-    #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> Self {
-        self.batching = batching;
-        self
-    }
-
     /// The underlying noise model.
     pub fn noise(&self) -> &NoiseModel {
         &self.noise
@@ -1141,7 +1073,6 @@ impl Backend for TrajectoryBackend {
     fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fuse_1q: self.fuse_1q,
-            batching: self.batching,
         }
     }
 
@@ -1375,14 +1306,9 @@ impl Backend for DensityMatrixBackend {
         self.noise.as_ref()
     }
 
-    /// Lowers with batch planning on, like the per-shot backends, so one
-    /// cached compilation serves both. The exact executor walks the flat
-    /// op stream per branch and ignores the plan: the amplitude-pair
-    /// kernels do not apply to density matrices.
     fn compile_options(&self) -> CompileOptions {
         CompileOptions {
             fuse_1q: self.fuse_1q,
-            ..CompileOptions::default()
         }
     }
 
@@ -1843,5 +1769,42 @@ mod tests {
         assert_eq!(dedup.len(), 8);
         // threads == 1 uses the backend seed directly, not shard 0.
         assert_ne!(shard_seed(42, 0), 42);
+    }
+
+    #[test]
+    fn conditions_match_a_hand_written_table() {
+        let on = |clbit: u32, value| {
+            Some(Condition {
+                clbit: qcircuit::ClbitId::new(clbit),
+                value,
+            })
+        };
+        let conditions = [
+            None,
+            on(0, true),
+            on(0, false),
+            on(1, true),
+            on(1, false),
+            on(63, true),
+            on(63, false),
+        ];
+        // One row per record, one column per condition above.
+        let table: [(u64, [bool; 7]); 3] = [
+            (0, [true, false, true, false, true, false, true]),
+            (u64::MAX, [true, true, false, true, false, true, false]),
+            (
+                0xAAAA_AAAA_AAAA_AAAA,
+                [true, false, true, true, false, true, false],
+            ),
+        ];
+        for (clbits, expected) in table {
+            for (condition, want) in conditions.iter().zip(expected) {
+                assert_eq!(
+                    condition_holds(*condition, clbits),
+                    want,
+                    "{condition:?} on {clbits:#x}"
+                );
+            }
+        }
     }
 }

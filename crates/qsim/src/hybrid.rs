@@ -12,8 +12,8 @@
 //! Aaronson–Gottesman tableau, the live state is materialized as
 //! amplitudes at the cut ([`Tableau::to_statevector`] — deterministic
 //! Gaussian elimination, no RNG), and the separately compiled suffix
-//! finishes the shot on the amplitude executor, batched/SIMD kernels
-//! included.
+//! finishes the shot on the amplitude executor, one op at a time
+//! through the SIMD-dispatched sweeps.
 //!
 //! # Routing decisions (once per compiled program, before any shot)
 //!

@@ -15,13 +15,10 @@
 //!   execution layer: circuits lower to a [`CompiledProgram`]
 //!   (matrices pre-materialized, adjacent single-qubit gates fused,
 //!   noise channels pre-bound, the statevector fast path decided up
-//!   front) that the per-shot hot loops execute,
-//! * [`batch`] / [`kernel`] — the batched execution layer: a compile-time
-//!   planner groups contiguous runs of disjoint 1q/controlled-1q ops
-//!   (the wide layers assertion instrumentation produces) into
-//!   [`PlanNode::BatchedApply`] nodes, and cache-blocked SoA kernels
-//!   execute each group in one pass over the amplitude array —
-//!   bit-identical to per-op application,
+//!   front) that the per-shot hot loops execute one op at a time,
+//! * [`apply`] — the amplitude kernels every executor applies a unitary
+//!   through: the 2×2 sweep, the controlled 2×2 sweep and the dense
+//!   `2^k × 2^k` loop,
 //! * [`cache`] — the keyed [`ProgramCache`] (circuit structural hash ×
 //!   noise-model fingerprint × compile options) that makes repeated
 //!   sweep analyses compile-free, with hit/miss/eviction counters,
@@ -29,7 +26,7 @@
 //!   thread runs only its own batch's tasks) that executes shot shards;
 //!   thousands of small `run_compiled` calls amortize thread-spawn cost
 //!   to ~zero,
-//! * [`simd`] — explicit-width vector implementations of the amplitude
+//! * [`simd`] — explicit-width vector implementations of the 2×2 sweep's
 //!   run primitives with runtime CPU-feature dispatch (AVX2 / NEON /
 //!   scalar, `QSIM_SIMD` override), bit-identical across backends by a
 //!   strict no-FMA, same-association contract,
@@ -79,7 +76,6 @@
 //! ```
 
 pub mod apply;
-pub mod batch;
 pub mod cache;
 pub mod compile;
 pub mod counts;
@@ -88,7 +84,6 @@ pub mod draws;
 pub mod error;
 pub mod executor;
 pub mod hybrid;
-pub mod kernel;
 pub mod pool;
 pub mod prefix;
 pub mod program;
@@ -97,7 +92,6 @@ pub mod stabilizer;
 pub mod statevector;
 pub mod tree;
 
-pub use batch::{BatchPlan, PlanNode};
 pub use cache::{CacheStats, ProgramCache, ProgramKey};
 pub use compile::{
     compile, compile_extension, compile_with, extension_fusion_safe, CompileOptions,
@@ -113,7 +107,6 @@ pub use executor::{
     TrajectoryBackend,
 };
 pub use hybrid::{run_hybrid_sharded, HybridBackend, MAX_HANDOFF_QUBITS};
-pub use kernel::BatchKernel;
 pub use pool::{PoolGauges, PoolScope, PoolStats, ShardPool};
 pub use prefix::PrefixRegistry;
 pub use program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};

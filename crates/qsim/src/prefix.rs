@@ -346,10 +346,7 @@ mod tests {
     #[test]
     fn fusion_off_makes_every_boundary_safe() {
         let registry = PrefixRegistry::new();
-        let opts = CompileOptions {
-            fuse_1q: false,
-            ..CompileOptions::default()
-        };
+        let opts = CompileOptions { fuse_1q: false };
         let mut prefix = QuantumCircuit::new(1, 0);
         prefix.h(0).unwrap();
         let mut full = prefix.clone();

@@ -26,10 +26,9 @@
 //! them, so a program the amplitude backends run never builds them.
 //!
 //! Backends execute this structure through the shared sharding harness in
-//! [`crate::executor`]; none of them walk raw circuit instructions per
-//! shot anymore.
+//! [`crate::executor`], one op at a time; none of them walk raw circuit
+//! instructions per shot anymore.
 
-use crate::batch::BatchPlan;
 use crate::compile::CompileOptions;
 use crate::error::CliffordBlock;
 use crate::stabilizer::{CliffordProgram, CliffordScan};
@@ -149,10 +148,9 @@ pub struct FastPath {
 /// instruction) runs per shot on the stabilizer tableau; at the
 /// boundary the live state is materialized as amplitudes
 /// ([`crate::Tableau::to_statevector`]) and the separately compiled
-/// suffix finishes the shot on the amplitude executor — batched/SIMD
-/// kernels included. [`Self::profitable`] carries the cost model's
-/// verdict; the hybrid backend falls back to the pure statevector path
-/// when it is `false`.
+/// suffix finishes the shot on the amplitude executor.
+/// [`Self::profitable`] carries the cost model's verdict; the hybrid
+/// backend falls back to the pure statevector path when it is `false`.
 #[derive(Clone, Debug)]
 pub struct HybridPlan {
     prefix: Arc<CliffordProgram>,
@@ -196,8 +194,8 @@ impl HybridPlan {
     }
 
     /// The suffix `[boundary..]`, compiled standalone at full register
-    /// widths (its own fusion runs and batch plan, starting from the
-    /// handed-off state rather than `|0…0⟩`).
+    /// widths (its own fusion runs, starting from the handed-off state
+    /// rather than `|0…0⟩`).
     pub fn suffix(&self) -> &CompiledProgram {
         &self.suffix
     }
@@ -219,7 +217,6 @@ impl HybridPlan {
 pub struct CompiledProgram {
     ops: Vec<CompiledOp>,
     fast_path: Option<FastPath>,
-    batch_plan: Option<BatchPlan>,
     fused_gates: usize,
     /// What the tableau-side analyses read: the source circuit and the
     /// noise model and options it was lowered under. A cloned model
@@ -245,13 +242,11 @@ impl CompiledProgram {
         options: CompileOptions,
         ops: Vec<CompiledOp>,
         fast_path: Option<FastPath>,
-        batch_plan: Option<BatchPlan>,
         fused_gates: usize,
     ) -> Self {
         CompiledProgram {
             ops,
             fast_path,
-            batch_plan,
             fused_gates,
             source,
             noise,
@@ -281,24 +276,6 @@ impl CompiledProgram {
     /// non-unitary operations are trailing measurements.
     pub fn fast_path(&self) -> Option<&FastPath> {
         self.fast_path.as_ref()
-    }
-
-    /// The batched execution schedule planned at compile time (`None`
-    /// when compiled with batching off, or when nothing in the stream
-    /// batches — executors then walk the flat op stream as before).
-    pub fn batch_plan(&self) -> Option<&BatchPlan> {
-        self.batch_plan.as_ref()
-    }
-
-    /// Ops covered by batched plan nodes (0 without a plan).
-    pub fn batched_ops(&self) -> usize {
-        self.batch_plan.as_ref().map_or(0, BatchPlan::batched_ops)
-    }
-
-    /// Blocked apply passes per shot — the number of batched plan nodes
-    /// (0 without a plan).
-    pub fn batch_passes(&self) -> usize {
-        self.batch_plan.as_ref().map_or(0, BatchPlan::passes)
     }
 
     /// Instructions in the source circuit (including barriers, which
@@ -390,20 +367,12 @@ impl std::fmt::Display for CompiledProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "compiled program ({} qubits, {} clbits): {} ops from {} instructions, {} gates fused{}{}{}",
+            "compiled program ({} qubits, {} clbits): {} ops from {} instructions, {} gates fused{}{}",
             self.num_qubits(),
             self.num_clbits(),
             self.ops.len(),
             self.source_instructions(),
             self.fused_gates,
-            match &self.batch_plan {
-                Some(plan) => format!(
-                    ", {} ops batched into {} passes",
-                    plan.batched_ops(),
-                    plan.passes()
-                ),
-                None => String::new(),
-            },
             match (&self.fast_path, self.is_clifford()) {
                 (Some(_), true) => ", sample-once fast path, clifford-eligible",
                 (Some(_), false) => ", sample-once fast path",

@@ -81,53 +81,6 @@ unsafe fn store1(p: *mut Complex, i: usize, v: float64x2_t) {
 
 impl Isa for NeonIsa {
     #[inline(always)]
-    unsafe fn cmul(p: *mut Complex, len: usize, z: Complex) {
-        let z = coeff(z);
-        for i in 0..len {
-            store1(p, i, cmul1(z, load1(p, i)));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn swap(x: *mut Complex, y: *mut Complex, len: usize) {
-        for i in 0..len {
-            let xv = load1(x, i);
-            let yv = load1(y, i);
-            store1(x, i, yv);
-            store1(y, i, xv);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn flip(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex) {
-        let b = coeff(b);
-        let c = coeff(c);
-        for i in 0..len {
-            let xv = load1(x, i);
-            let yv = load1(y, i);
-            store1(x, i, cmul1(b, yv));
-            store1(y, i, cmul1(c, xv));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn real_general(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]) {
-        let [a, b, c, d] = m;
-        let av = vdupq_n_f64(a);
-        let bv = vdupq_n_f64(b);
-        let cv = vdupq_n_f64(c);
-        let dv = vdupq_n_f64(d);
-        for i in 0..len {
-            let xv = load1(x, i);
-            let yv = load1(y, i);
-            // Real coefficients scale re and im alike:
-            // x' = a·x + b·y componentwise, exactly the scalar order.
-            store1(x, i, vaddq_f64(vmulq_f64(av, xv), vmulq_f64(bv, yv)));
-            store1(y, i, vaddq_f64(vmulq_f64(cv, xv), vmulq_f64(dv, yv)));
-        }
-    }
-
-    #[inline(always)]
     unsafe fn general(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
         let a = coeff(m.a);
         let b = coeff(m.b);

@@ -1,17 +1,16 @@
 //! Explicit-width SIMD amplitude kernels with runtime CPU-feature
 //! dispatch.
 //!
-//! The hot loops of the simulator — the blocked
-//! [`BatchKernel`](crate::kernel::BatchKernel) passes and the shared
-//! 2×2 sweeps in [`crate::apply`] (which the density-matrix row/column
-//! kernels reuse) — bottom out in five *run primitives* over contiguous
-//! spans of interleaved `Complex` amplitudes:
+//! The hot loop of the simulator — the shared 2×2 sweep in
+//! [`crate::apply`], which every single-qubit and controlled op of every
+//! amplitude executor runs, and which the density-matrix row/column
+//! kernels reuse — bottoms out in two *run primitives* over interleaved
+//! `Complex` amplitudes:
 //!
-//! * `cmul` — scale a span by one complex coefficient (Phase/Scale ops),
-//! * `swap` — exchange two spans (X/CX),
-//! * `flip` — anti-diagonal 2×2 (Y and phased flips),
-//! * `real_general` — real 2×2 (H, Ry),
-//! * `general` — full complex 2×2 ([`Mat2::apply`] per pair).
+//! * `general` — full complex 2×2 ([`Mat2::apply`] per pair) over two
+//!   contiguous spans,
+//! * `general_pairs` — the same on interleaved pairs `(p[2i], p[2i + 1])`,
+//!   for the qubit-0 sweep, whose runs are a single pair long.
 //!
 //! Each primitive has one implementation per instruction set (the
 //! `Isa` trait): `scalar` is the original per-pair arithmetic kept
@@ -33,8 +32,8 @@
 //! `x − y ≡ x + (−y)` and `(−a)·b ≡ −(a·b)` (how NEON synthesizes the
 //! missing `addsub`). Under this contract assertion counts cannot
 //! depend on which ISA ran the shots; `tests/simd_equivalence.rs` pins
-//! every primitive scalar-vs-vector with `f64::to_bits` equality, and
-//! the batch/compiled equivalence suites pin it end to end.
+//! the primitives and the sweeps scalar-vs-vector with `f64::to_bits`
+//! equality, and end to end through the backends.
 //!
 //! # Adding an ISA
 //!
@@ -63,7 +62,7 @@ pub(crate) mod x86;
 
 pub use dispatch::{active_backend, detected_backend, set_backend_override, SimdBackend};
 
-/// One instruction set's implementation of the five run primitives.
+/// One instruction set's implementation of the two run primitives.
 ///
 /// Spans are raw because callers slice disjoint windows out of one
 /// amplitude buffer.
@@ -71,70 +70,22 @@ pub use dispatch::{active_backend, detected_backend, set_backend_override, SimdB
 /// # Safety
 ///
 /// For every method: the pointers must be valid for reads and writes of
-/// `len` `Complex` values, and the `x`/`y` spans must not overlap.
-/// Implementations other than the scalar one additionally require their
-/// CPU features (callers hold that proof via [`SimdBackend::is_available`]
-/// and compile the call under a matching `#[target_feature]`).
+/// `len` `Complex` values (`2 × pairs` for `general_pairs`), and the
+/// `x`/`y` spans must not overlap. Implementations other than the scalar
+/// one additionally require their CPU features (callers hold that proof
+/// via [`SimdBackend::is_available`] and compile the call under a
+/// matching `#[target_feature]`).
 pub(crate) trait Isa {
-    /// `p[i] = z * p[i]` for `i < len`.
-    unsafe fn cmul(p: *mut Complex, len: usize, z: Complex);
-    /// `swap(x[i], y[i])` for `i < len`.
-    unsafe fn swap(x: *mut Complex, y: *mut Complex, len: usize);
-    /// `(x[i], y[i]) = (b * y[i], c * x[i])` for `i < len`.
-    unsafe fn flip(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex);
-    /// Real 2×2: `(x[i], y[i]) = (a·x[i] + b·y[i], c·x[i] + d·y[i])`
-    /// with `m = [a, b, c, d]` applied componentwise to re and im.
-    unsafe fn real_general(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]);
     /// Full complex 2×2: [`Mat2::apply`] on each pair.
     unsafe fn general(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2);
 
-    // Stride-1 pair primitives: the target is qubit 0, so the op's
-    // (x, y) pairs are the *interleaved* `(p[2i], p[2i + 1])` — runs
-    // degenerate to a single pair and the span-based primitives above
-    // cannot fill a vector. These walk the same pairs in the same
-    // ascending order with the same per-element arithmetic (the
-    // defaults literally call the span primitives pairwise); ISAs whose
-    // vectors hold more than one amplitude override them with
-    // in-register shuffles so qubit-0 ops vectorize too.
-
-    /// `p[2i + 1] = d * p[2i + 1]` for `i < pairs` (`diag(1, d)`); the
-    /// even slots must pass through untouched, bit for bit.
-    #[inline(always)]
-    unsafe fn phase_pairs(p: *mut Complex, pairs: usize, d: Complex) {
-        for i in 0..pairs {
-            Self::cmul(p.add(2 * i + 1), 1, d);
-        }
-    }
-    /// `(p[2i], p[2i + 1]) *= (a, d)` for `i < pairs` (`diag(a, d)`).
-    #[inline(always)]
-    unsafe fn scale_pairs(p: *mut Complex, pairs: usize, a: Complex, d: Complex) {
-        for i in 0..pairs {
-            Self::cmul(p.add(2 * i), 1, a);
-            Self::cmul(p.add(2 * i + 1), 1, d);
-        }
-    }
-    /// `swap(p[2i], p[2i + 1])` for `i < pairs`.
-    #[inline(always)]
-    unsafe fn swap_pairs(p: *mut Complex, pairs: usize) {
-        for i in 0..pairs {
-            Self::swap(p.add(2 * i), p.add(2 * i + 1), 1);
-        }
-    }
-    /// Anti-diagonal 2×2 on each interleaved pair.
-    #[inline(always)]
-    unsafe fn flip_pairs(p: *mut Complex, pairs: usize, b: Complex, c: Complex) {
-        for i in 0..pairs {
-            Self::flip(p.add(2 * i), p.add(2 * i + 1), 1, b, c);
-        }
-    }
-    /// Real 2×2 on each interleaved pair.
-    #[inline(always)]
-    unsafe fn real_general_pairs(p: *mut Complex, pairs: usize, m: [f64; 4]) {
-        for i in 0..pairs {
-            Self::real_general(p.add(2 * i), p.add(2 * i + 1), 1, m);
-        }
-    }
-    /// Full complex 2×2 on each interleaved pair.
+    /// Full complex 2×2 on each interleaved pair `(p[2i], p[2i + 1])`,
+    /// `i < pairs`: the qubit-0 sweep, whose runs degenerate to a single
+    /// pair that `general` cannot fill a vector with. Walks the same
+    /// pairs in the same ascending order with the same per-element
+    /// arithmetic (the default literally calls `general` pairwise); ISAs
+    /// whose vectors hold more than one amplitude override it with
+    /// in-register shuffles so qubit-0 ops vectorize too.
     #[inline(always)]
     unsafe fn general_pairs(p: *mut Complex, pairs: usize, m: &Mat2) {
         for i in 0..pairs {
@@ -180,7 +131,7 @@ pub(crate) struct RunShape {
 
 impl RunShape {
     /// Decomposes pair iteration for one op. `cmask` is the op's
-    /// *in-group* control mask: a single bit below the block size, or 0.
+    /// control mask: a single bit other than the stride bit, or 0.
     pub(crate) fn new(stride: usize, cmask: usize) -> Self {
         debug_assert!(stride.is_power_of_two());
         debug_assert!(cmask == 0 || (cmask.is_power_of_two() && cmask != stride));
@@ -227,9 +178,9 @@ impl RunShape {
 /// `ptr` must be valid for reads and writes over `[base, base + span)`,
 /// `span` a multiple of `2 × stride`, `base` a multiple of `2 × stride`
 /// aligned so that `base & group_mask` honestly reflects the control bit
-/// (both the blocked kernel walk and the whole-array sweeps satisfy this
-/// by construction). Every produced span lies inside the window: run
-/// offsets stay below `stride` and `y = x + stride < base + span`.
+/// (the whole-array sweeps satisfy this by construction). Every produced
+/// span lies inside the window: run offsets stay below `stride` and
+/// `y = x + stride < base + span`.
 macro_rules! for_runs {
     ($ptr:expr, $base:expr, $span:expr, $stride:expr, $shape:expr, |$x:pat_param, $y:pat_param, $len:pat_param| $body:expr) => {{
         let ptr = $ptr;
@@ -258,103 +209,26 @@ macro_rules! for_runs {
 }
 pub(crate) use for_runs;
 
-/// Safe per-backend entry points to the raw run primitives, used by the
-/// bitwise equivalence suites to compare every backend against the
-/// scalar oracle on the same inputs. Not part of the supported API.
+/// Safe per-backend entry points to the raw `general` primitive, used
+/// by the bitwise equivalence suite to compare every backend against
+/// the scalar oracle on the same inputs. Not part of the supported API.
 #[doc(hidden)]
 pub mod test_support {
     use super::*;
 
-    fn check(backend: SimdBackend, x_len: usize, y_len: usize) {
+    /// Full complex 2×2 on the pair of spans, on `backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `backend` is unavailable here or the spans' lengths
+    /// differ.
+    pub fn general(backend: SimdBackend, x: &mut [Complex], y: &mut [Complex], m: &Mat2) {
         assert!(
             backend.is_available(),
             "SIMD backend {} is not available on this host",
             backend.name()
         );
-        assert_eq!(x_len, y_len, "span lengths must match");
-    }
-
-    /// `amps[i] = z * amps[i]`, on `backend`.
-    pub fn cmul(backend: SimdBackend, amps: &mut [Complex], z: Complex) {
-        check(backend, amps.len(), amps.len());
-        let (p, len) = (amps.as_mut_ptr(), amps.len());
-        // SAFETY: span from a live mutable slice; availability asserted.
-        unsafe {
-            match backend {
-                SimdBackend::Scalar => scalar::ScalarIsa::cmul(p, len, z),
-                #[cfg(target_arch = "x86_64")]
-                SimdBackend::Avx2 => cmul_avx2(p, len, z),
-                #[cfg(target_arch = "aarch64")]
-                SimdBackend::Neon => cmul_neon(p, len, z),
-                #[allow(unreachable_patterns)]
-                other => unreachable!("{} unavailable", other.name()),
-            }
-        }
-    }
-
-    /// `swap(x[i], y[i])`, on `backend`.
-    pub fn swap(backend: SimdBackend, x: &mut [Complex], y: &mut [Complex]) {
-        check(backend, x.len(), y.len());
-        let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
-        // SAFETY: two distinct live slices; availability asserted.
-        unsafe {
-            match backend {
-                SimdBackend::Scalar => scalar::ScalarIsa::swap(px, py, len),
-                #[cfg(target_arch = "x86_64")]
-                SimdBackend::Avx2 => swap_avx2(px, py, len),
-                #[cfg(target_arch = "aarch64")]
-                SimdBackend::Neon => swap_neon(px, py, len),
-                #[allow(unreachable_patterns)]
-                other => unreachable!("{} unavailable", other.name()),
-            }
-        }
-    }
-
-    /// `(x[i], y[i]) = (b * y[i], c * x[i])`, on `backend`.
-    pub fn flip(
-        backend: SimdBackend,
-        x: &mut [Complex],
-        y: &mut [Complex],
-        b: Complex,
-        c: Complex,
-    ) {
-        check(backend, x.len(), y.len());
-        let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
-        // SAFETY: two distinct live slices; availability asserted.
-        unsafe {
-            match backend {
-                SimdBackend::Scalar => scalar::ScalarIsa::flip(px, py, len, b, c),
-                #[cfg(target_arch = "x86_64")]
-                SimdBackend::Avx2 => flip_avx2(px, py, len, b, c),
-                #[cfg(target_arch = "aarch64")]
-                SimdBackend::Neon => flip_neon(px, py, len, b, c),
-                #[allow(unreachable_patterns)]
-                other => unreachable!("{} unavailable", other.name()),
-            }
-        }
-    }
-
-    /// Real 2×2 on the pair of spans, on `backend`.
-    pub fn real_general(backend: SimdBackend, x: &mut [Complex], y: &mut [Complex], m: [f64; 4]) {
-        check(backend, x.len(), y.len());
-        let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
-        // SAFETY: two distinct live slices; availability asserted.
-        unsafe {
-            match backend {
-                SimdBackend::Scalar => scalar::ScalarIsa::real_general(px, py, len, m),
-                #[cfg(target_arch = "x86_64")]
-                SimdBackend::Avx2 => real_general_avx2(px, py, len, m),
-                #[cfg(target_arch = "aarch64")]
-                SimdBackend::Neon => real_general_neon(px, py, len, m),
-                #[allow(unreachable_patterns)]
-                other => unreachable!("{} unavailable", other.name()),
-            }
-        }
-    }
-
-    /// Full complex 2×2 on the pair of spans, on `backend`.
-    pub fn general(backend: SimdBackend, x: &mut [Complex], y: &mut [Complex], m: &Mat2) {
-        check(backend, x.len(), y.len());
+        assert_eq!(x.len(), y.len(), "span lengths must match");
         let (px, py, len) = (x.as_mut_ptr(), y.as_mut_ptr(), x.len());
         // SAFETY: two distinct live slices; availability asserted.
         unsafe {
@@ -372,50 +246,10 @@ pub mod test_support {
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn cmul_avx2(p: *mut Complex, len: usize, z: Complex) {
-        x86::Avx2Isa::cmul(p, len, z)
-    }
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn swap_avx2(x: *mut Complex, y: *mut Complex, len: usize) {
-        x86::Avx2Isa::swap(x, y, len)
-    }
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn flip_avx2(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex) {
-        x86::Avx2Isa::flip(x, y, len, b, c)
-    }
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn real_general_avx2(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]) {
-        x86::Avx2Isa::real_general(x, y, len, m)
-    }
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
     unsafe fn general_avx2(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
         x86::Avx2Isa::general(x, y, len, m)
     }
 
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn cmul_neon(p: *mut Complex, len: usize, z: Complex) {
-        aarch64::NeonIsa::cmul(p, len, z)
-    }
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn swap_neon(x: *mut Complex, y: *mut Complex, len: usize) {
-        aarch64::NeonIsa::swap(x, y, len)
-    }
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn flip_neon(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex) {
-        aarch64::NeonIsa::flip(x, y, len, b, c)
-    }
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn real_general_neon(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]) {
-        aarch64::NeonIsa::real_general(x, y, len, m)
-    }
     #[cfg(target_arch = "aarch64")]
     #[target_feature(enable = "neon")]
     unsafe fn general_neon(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
@@ -498,15 +332,25 @@ mod tests {
 
     #[test]
     fn test_support_primitives_agree_with_plain_complex_ops() {
-        // Smoke the safe wrappers on the backend this host detected —
+        // Smoke the safe wrapper on the backend this host detected —
         // the deep bitwise sweeps live in tests/simd_equivalence.rs.
         let backend = detected_backend();
-        let z = Complex::new(0.6, -0.8);
-        let mut a: Vec<Complex> = (0..5)
-            .map(|i| Complex::new(i as f64 + 0.25, -(i as f64) * 0.5))
-            .collect();
-        let expect: Vec<Complex> = a.iter().map(|&v| z * v).collect();
-        test_support::cmul(backend, &mut a, z);
-        assert_eq!(a, expect);
+        let m = Mat2::new(
+            Complex::new(0.6, -0.8),
+            Complex::new(0.1, 0.2),
+            Complex::new(-0.3, 0.4),
+            Complex::new(0.0, 1.0),
+        );
+        let span = |k: f64| -> Vec<Complex> {
+            (0..5)
+                .map(|i| Complex::new(i as f64 + k, -(i as f64) * 0.5))
+                .collect()
+        };
+        let (mut x, mut y) = (span(0.25), span(-0.75));
+        let expect: Vec<(Complex, Complex)> =
+            x.iter().zip(&y).map(|(&a, &b)| m.apply(a, b)).collect();
+        test_support::general(backend, &mut x, &mut y, &m);
+        let got: Vec<(Complex, Complex)> = x.into_iter().zip(y).collect();
+        assert_eq!(got, expect);
     }
 }

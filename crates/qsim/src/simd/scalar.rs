@@ -1,13 +1,13 @@
 //! The portable reference implementation of the run primitives.
 //!
-//! These loops are the original per-pair arithmetic of the blocked
-//! batch kernels and the shared 2×2 apply sweeps, kept verbatim: one
-//! scalar complex operation per amplitude, in ascending index order.
-//! They are the **bit-exactness oracle** — every vector backend must
-//! produce, for every output element, the same IEEE-754 operation
-//! sequence on the same values (see the [`crate::simd`] module docs) —
-//! and the fallback on hosts without a supported vector unit. The
-//! vector backends also call into them for sub-vector-width run tails.
+//! This loop is the original per-pair arithmetic of the shared 2×2
+//! apply sweeps, kept verbatim: one [`Mat2::apply`] per pair, in
+//! ascending index order. It is the **bit-exactness oracle** — every
+//! vector backend must produce, for every output element, the same
+//! IEEE-754 operation sequence on the same values (see the
+//! [`crate::simd`] module docs) — and the fallback on hosts without a
+//! supported vector unit. The vector backends also call into it for
+//! sub-vector-width run tails.
 
 use super::Isa;
 use qmath::{Complex, Mat2};
@@ -16,45 +16,6 @@ use qmath::{Complex, Mat2};
 pub(crate) struct ScalarIsa;
 
 impl Isa for ScalarIsa {
-    #[inline(always)]
-    unsafe fn cmul(p: *mut Complex, len: usize, z: Complex) {
-        for i in 0..len {
-            let q = p.add(i);
-            *q = z * *q;
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn swap(x: *mut Complex, y: *mut Complex, len: usize) {
-        for i in 0..len {
-            std::ptr::swap(x.add(i), y.add(i));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn flip(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex) {
-        for i in 0..len {
-            let px = x.add(i);
-            let py = y.add(i);
-            let old_x = *px;
-            *px = b * *py;
-            *py = c * old_x;
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn real_general(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]) {
-        let [a, b, c, d] = m;
-        for i in 0..len {
-            let px = x.add(i);
-            let py = y.add(i);
-            let xv = *px;
-            let yv = *py;
-            *px = Complex::new(a * xv.re + b * yv.re, a * xv.im + b * yv.im);
-            *py = Complex::new(c * xv.re + d * yv.re, c * xv.im + d * yv.im);
-        }
-    }
-
     #[inline(always)]
     unsafe fn general(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
         for i in 0..len {

@@ -32,7 +32,7 @@
 use super::scalar::ScalarIsa;
 use super::Isa;
 use core::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_blend_pd, _mm256_loadu_pd, _mm256_mul_pd,
+    __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_loadu_pd, _mm256_mul_pd,
     _mm256_permute2f128_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_setr_pd, _mm256_storeu_pd,
 };
 use qmath::{Complex, Mat2};
@@ -81,12 +81,6 @@ unsafe fn dup_hi(v: __m256d) -> __m256d {
     _mm256_permute2f128_pd::<0x11>(v, v)
 }
 
-/// Swaps the complex slots: `[x, y] → [y, x]`.
-#[inline(always)]
-unsafe fn swap_slots(v: __m256d) -> __m256d {
-    _mm256_permute2f128_pd::<0x01>(v, v)
-}
-
 /// `[z0 · v.lo, z1 · v.hi]` with the coefficients pre-split as
 /// `re = [z0.re, z0.re, z1.re, z1.re]`, `im = [z0.im, …]` — the same
 /// addsub shape as [`cmul2`], just with a different coefficient per
@@ -107,85 +101,6 @@ unsafe fn split_im(z0: Complex, z1: Complex) -> __m256d {
 }
 
 impl Isa for Avx2Isa {
-    #[inline(always)]
-    unsafe fn cmul(p: *mut Complex, len: usize, z: Complex) {
-        let zr = _mm256_set1_pd(z.re);
-        let zi = _mm256_set1_pd(z.im);
-        let mut i = 0;
-        while i + LANES <= len {
-            store2(p, i, cmul2(zr, zi, load2(p, i)));
-            i += LANES;
-        }
-        if i < len {
-            ScalarIsa::cmul(p.add(i), len - i, z);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn swap(x: *mut Complex, y: *mut Complex, len: usize) {
-        let mut i = 0;
-        while i + LANES <= len {
-            let xv = load2(x, i);
-            let yv = load2(y, i);
-            store2(x, i, yv);
-            store2(y, i, xv);
-            i += LANES;
-        }
-        if i < len {
-            ScalarIsa::swap(x.add(i), y.add(i), len - i);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn flip(x: *mut Complex, y: *mut Complex, len: usize, b: Complex, c: Complex) {
-        let br = _mm256_set1_pd(b.re);
-        let bi = _mm256_set1_pd(b.im);
-        let cr = _mm256_set1_pd(c.re);
-        let ci = _mm256_set1_pd(c.im);
-        let mut i = 0;
-        while i + LANES <= len {
-            let xv = load2(x, i);
-            let yv = load2(y, i);
-            store2(x, i, cmul2(br, bi, yv));
-            store2(y, i, cmul2(cr, ci, xv));
-            i += LANES;
-        }
-        if i < len {
-            ScalarIsa::flip(x.add(i), y.add(i), len - i, b, c);
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn real_general(x: *mut Complex, y: *mut Complex, len: usize, m: [f64; 4]) {
-        let [a, b, c, d] = m;
-        let av = _mm256_set1_pd(a);
-        let bv = _mm256_set1_pd(b);
-        let cv = _mm256_set1_pd(c);
-        let dv = _mm256_set1_pd(d);
-        let mut i = 0;
-        while i + LANES <= len {
-            let xv = load2(x, i);
-            let yv = load2(y, i);
-            // Real coefficients scale re and im alike, so the
-            // interleaved layout multiplies through unchanged:
-            // x' = a·x + b·y, componentwise, exactly the scalar order.
-            store2(
-                x,
-                i,
-                _mm256_add_pd(_mm256_mul_pd(av, xv), _mm256_mul_pd(bv, yv)),
-            );
-            store2(
-                y,
-                i,
-                _mm256_add_pd(_mm256_mul_pd(cv, xv), _mm256_mul_pd(dv, yv)),
-            );
-            i += LANES;
-        }
-        if i < len {
-            ScalarIsa::real_general(x.add(i), y.add(i), len - i, m);
-        }
-    }
-
     #[inline(always)]
     unsafe fn general(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
         let ar = _mm256_set1_pd(m.a.re);
@@ -212,66 +127,9 @@ impl Isa for Avx2Isa {
         }
     }
 
-    // Stride-1 overrides: one interleaved pair `[x, y]` per 256-bit
+    // Stride-1 override: one interleaved pair `[x, y]` per 256-bit
     // vector, coefficients split per complex slot, so qubit-0 ops run
     // at full vector width instead of falling to the scalar tails.
-
-    #[inline(always)]
-    unsafe fn phase_pairs(p: *mut Complex, pairs: usize, d: Complex) {
-        let dr = _mm256_set1_pd(d.re);
-        let di = _mm256_set1_pd(d.im);
-        for i in 0..pairs {
-            let v = load2(p, 2 * i);
-            // Blend keeps the x slot's original bits (the scalar path
-            // never touches it); only the y slot takes the product.
-            store2(p, 2 * i, _mm256_blend_pd::<0b1100>(v, cmul2(dr, di, v)));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn scale_pairs(p: *mut Complex, pairs: usize, a: Complex, d: Complex) {
-        let re = split_re(a, d);
-        let im = split_im(a, d);
-        for i in 0..pairs {
-            let v = load2(p, 2 * i);
-            store2(p, 2 * i, cmul_slots(re, im, v));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn swap_pairs(p: *mut Complex, pairs: usize) {
-        for i in 0..pairs {
-            store2(p, 2 * i, swap_slots(load2(p, 2 * i)));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn flip_pairs(p: *mut Complex, pairs: usize, b: Complex, c: Complex) {
-        let re = split_re(b, c);
-        let im = split_im(b, c);
-        for i in 0..pairs {
-            // (x', y') = (b·y, c·x): swap the slots, then one
-            // slot-split complex multiply.
-            let w = swap_slots(load2(p, 2 * i));
-            store2(p, 2 * i, cmul_slots(re, im, w));
-        }
-    }
-
-    #[inline(always)]
-    unsafe fn real_general_pairs(p: *mut Complex, pairs: usize, m: [f64; 4]) {
-        let [a, b, c, d] = m;
-        let ac = _mm256_setr_pd(a, a, c, c);
-        let bd = _mm256_setr_pd(b, b, d, d);
-        for i in 0..pairs {
-            let v = load2(p, 2 * i);
-            // [a·x + b·y, c·x + d·y] componentwise — the scalar order.
-            store2(
-                p,
-                2 * i,
-                _mm256_add_pd(_mm256_mul_pd(ac, dup_lo(v)), _mm256_mul_pd(bd, dup_hi(v))),
-            );
-        }
-    }
 
     #[inline(always)]
     unsafe fn general_pairs(p: *mut Complex, pairs: usize, m: &Mat2) {

@@ -9,7 +9,7 @@
 //! fidelity, Z expectations).
 
 use crate::apply::{apply_controlled_mat2_at, apply_mat2_at, apply_matrix_at};
-use crate::compile::lower_gate;
+use crate::compile::{check_distinct, lower_gate};
 use crate::draws::Draws;
 use crate::error::SimError;
 use crate::program::CompiledKind;
@@ -100,12 +100,6 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable amplitude access for the in-crate batch kernels
-    /// ([`crate::kernel`]); callers must preserve normalization.
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex] {
-        &mut self.amps
-    }
-
     fn check_qubit(&self, q: QubitId) -> Result<usize, SimError> {
         if q.index() >= self.num_qubits {
             Err(SimError::QubitOutOfRange {
@@ -123,9 +117,11 @@ impl StateVector {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::QubitOutOfRange`] for bad operands or
+    /// Returns [`SimError::QubitOutOfRange`] for bad operands,
     /// [`SimError::MatrixDimensionMismatch`] when the operand count does
-    /// not match the gate's arity.
+    /// not match the gate's arity, or [`SimError::Circuit`] with
+    /// [`qcircuit::CircuitError::DuplicateQubit`] when an operand
+    /// repeats.
     pub fn apply_gate(&mut self, gate: &Gate, qubits: &[QubitId]) -> Result<(), SimError> {
         self.apply_unitary(&lower_gate(gate, qubits)?)
     }
@@ -174,7 +170,9 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`SimError::MatrixDimensionMismatch`] or
-    /// [`SimError::QubitOutOfRange`] on bad input.
+    /// [`SimError::QubitOutOfRange`] on bad input, or [`SimError::Circuit`]
+    /// with [`qcircuit::CircuitError::DuplicateQubit`] when an operand
+    /// repeats.
     pub fn apply_matrix(&mut self, m: &CMatrix, qubits: &[QubitId]) -> Result<(), SimError> {
         if m.dim() != 1 << qubits.len() {
             return Err(SimError::MatrixDimensionMismatch {
@@ -185,6 +183,7 @@ impl StateVector {
         for q in qubits {
             self.check_qubit(*q)?;
         }
+        check_distinct(qubits)?;
         let bits: Vec<usize> = qubits.iter().map(|q| q.index()).collect();
         apply_matrix_at(&mut self.amps, &bits, m);
         Ok(())
@@ -504,6 +503,43 @@ mod tests {
                 outcome: true
             }
         );
+    }
+
+    /// The error a repeated operand gets: the circuit builder's own.
+    fn duplicate(qubit: usize) -> SimError {
+        SimError::Circuit(qcircuit::CircuitError::DuplicateQubit { qubit })
+    }
+
+    /// An entangled state with no zero amplitude, so any write shows.
+    fn dressed_pair() -> StateVector {
+        let mut psi = StateVector::zero_state(2);
+        psi.apply_gate(&Gate::U3(0.4, 0.3, -0.2), &[q(0)]).unwrap();
+        psi.apply_gate(&Gate::Ry(1.1), &[q(1)]).unwrap();
+        psi.apply_gate(&Gate::Cx, &[q(0), q(1)]).unwrap();
+        psi
+    }
+
+    #[test]
+    fn apply_gate_rejects_a_repeated_operand() {
+        let mut psi = dressed_pair();
+        let before = psi.clone();
+        assert_eq!(psi.apply_gate(&Gate::Cx, &[q(1), q(1)]), Err(duplicate(1)));
+        assert_eq!(
+            psi.apply_gate(&Gate::Swap, &[q(0), q(0)]),
+            Err(duplicate(0))
+        );
+        assert_eq!(psi, before);
+    }
+
+    #[test]
+    fn apply_matrix_rejects_a_repeated_operand() {
+        let mut psi = dressed_pair();
+        let before = psi.clone();
+        assert_eq!(
+            psi.apply_matrix(&Gate::Cz.matrix(), &[q(1), q(1)]),
+            Err(duplicate(1))
+        );
+        assert_eq!(psi, before);
     }
 
     #[test]

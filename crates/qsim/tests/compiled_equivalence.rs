@@ -97,15 +97,7 @@ fn compiled_shot_matches_interpreter_on_shared_stream() {
     let noisy_model = presets::uniform(4, 0.01, 0.06, 0.02).unwrap();
     for (name, circuit) in workloads() {
         for noise in [None, Some(&noisy_model)] {
-            let program = compile_with(
-                &circuit,
-                noise,
-                CompileOptions {
-                    fuse_1q: false,
-                    ..CompileOptions::default()
-                },
-            )
-            .unwrap();
+            let program = compile_with(&circuit, noise, CompileOptions { fuse_1q: false }).unwrap();
             let mut rng_a = StdRng::seed_from_u64(17);
             let mut rng_b = StdRng::seed_from_u64(17);
             for shot in 0..200 {
@@ -370,7 +362,7 @@ proptest! {
         for g in &gates {
             circuit.gate(*g, [0usize]).unwrap();
         }
-        let program = compile_with(&circuit, None, CompileOptions { fuse_1q: true, ..CompileOptions::default() }).unwrap();
+        let program = compile_with(&circuit, None, CompileOptions { fuse_1q: true }).unwrap();
         prop_assert_eq!(program.ops().len(), 1);
         let mut fused = StateVector::from_amplitudes(amps).unwrap();
         match &program.ops()[0].kind {

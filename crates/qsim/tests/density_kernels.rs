@@ -2,9 +2,8 @@
 //! runs CX, CY, CZ, CH and CP on the controlled 2×2 sweep: `m` on the
 //! row bits, then `m*` on the column bits, with the control moving along.
 //! It must equal the dense kernel, `apply_matrix(&gate.matrix(), …)`,
-//! entry for entry. The argument is the one `qsim::kernel` makes for its
-//! specialized products: both paths form the same products and add them
-//! in the same order, and the dense kernel only skips exact zeros, so the
+//! entry for entry. Both paths form the same products and add them in
+//! the same order, and the dense kernel only skips exact zeros, so the
 //! two can differ at most in the sign of a zero (`-0.0 == 0.0`).
 //!
 //! CI also runs this suite under `QSIM_SIMD=scalar`, so the controlled

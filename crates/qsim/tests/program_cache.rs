@@ -45,14 +45,8 @@ fn cached_programs_are_byte_identical_to_fresh_compiles() {
     for circuit in workloads() {
         for noise in [None, Some(&noise)] {
             for options in [
-                CompileOptions {
-                    fuse_1q: true,
-                    ..CompileOptions::default()
-                },
-                CompileOptions {
-                    fuse_1q: false,
-                    ..CompileOptions::default()
-                },
+                CompileOptions { fuse_1q: true },
+                CompileOptions { fuse_1q: false },
             ] {
                 let fresh = compile_with(&circuit, noise, options).unwrap();
                 let cached = cache.get_or_compile(&circuit, noise, options).unwrap();
@@ -77,14 +71,7 @@ fn distinct_compilations_never_share_an_entry() {
             for fuse_1q in [true, false] {
                 programs.push(
                     cache
-                        .get_or_compile(
-                            circuit,
-                            noise,
-                            CompileOptions {
-                                fuse_1q,
-                                ..CompileOptions::default()
-                            },
-                        )
+                        .get_or_compile(circuit, noise, CompileOptions { fuse_1q })
                         .unwrap(),
                 );
             }

@@ -5,10 +5,9 @@
 //!
 //! Three layers of evidence:
 //!
-//! 1. *Run primitives* — each of the five `qsim::simd` primitives on
-//!    random, odd-length, unaligned-tail amplitude spans and random
-//!    complex coefficients, plus directed sign-of-zero and subnormal
-//!    sweeps per specialized loop.
+//! 1. *Run primitive* — the `qsim::simd` `general` primitive on random,
+//!    odd-length, unaligned-tail amplitude spans and random complex
+//!    matrices, plus a directed sign-of-zero and subnormal sweep.
 //! 2. *Apply sweeps* — `apply_mat2_at_on` / `apply_controlled_mat2_at_on`
 //!    forced scalar vs forced vector on random matrices, bits, and
 //!    state sizes (the run-decomposition layer on top of the
@@ -74,83 +73,38 @@ fn random_complex(rng: &mut StdRng) -> Complex {
     Complex::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0)
 }
 
-/// Runs one primitive scalar-vs-vector on cloned spans and asserts
-/// bitwise agreement.
-fn check_primitive(len: usize, seed: u64, which: u64) {
+/// Runs the `general` primitive scalar-vs-vector on cloned spans and
+/// asserts bitwise agreement.
+fn check_general(len: usize, seed: u64) {
     let vector = vector_backend();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1F7);
     let x0 = random_span(len, seed);
     let y0 = random_span(len, seed.wrapping_add(1));
-    match which % 5 {
-        0 => {
-            let z = random_complex(&mut rng);
-            let mut s = x0.clone();
-            let mut v = x0;
-            test_support::cmul(SimdBackend::Scalar, &mut s, z);
-            test_support::cmul(vector, &mut v, z);
-            assert_bits_equal(&s, &v, "cmul");
-        }
-        1 => {
-            let (mut sx, mut sy) = (x0.clone(), y0.clone());
-            let (mut vx, mut vy) = (x0, y0);
-            test_support::swap(SimdBackend::Scalar, &mut sx, &mut sy);
-            test_support::swap(vector, &mut vx, &mut vy);
-            assert_bits_equal(&sx, &vx, "swap/x");
-            assert_bits_equal(&sy, &vy, "swap/y");
-        }
-        2 => {
-            let b = random_complex(&mut rng);
-            let c = random_complex(&mut rng);
-            let (mut sx, mut sy) = (x0.clone(), y0.clone());
-            let (mut vx, mut vy) = (x0, y0);
-            test_support::flip(SimdBackend::Scalar, &mut sx, &mut sy, b, c);
-            test_support::flip(vector, &mut vx, &mut vy, b, c);
-            assert_bits_equal(&sx, &vx, "flip/x");
-            assert_bits_equal(&sy, &vy, "flip/y");
-        }
-        3 => {
-            let m = [
-                rng.gen::<f64>() - 0.5,
-                rng.gen::<f64>() - 0.5,
-                rng.gen::<f64>() - 0.5,
-                rng.gen::<f64>() - 0.5,
-            ];
-            let (mut sx, mut sy) = (x0.clone(), y0.clone());
-            let (mut vx, mut vy) = (x0, y0);
-            test_support::real_general(SimdBackend::Scalar, &mut sx, &mut sy, m);
-            test_support::real_general(vector, &mut vx, &mut vy, m);
-            assert_bits_equal(&sx, &vx, "real_general/x");
-            assert_bits_equal(&sy, &vy, "real_general/y");
-        }
-        _ => {
-            let m = Mat2::new(
-                random_complex(&mut rng),
-                random_complex(&mut rng),
-                random_complex(&mut rng),
-                random_complex(&mut rng),
-            );
-            let (mut sx, mut sy) = (x0.clone(), y0.clone());
-            let (mut vx, mut vy) = (x0, y0);
-            test_support::general(SimdBackend::Scalar, &mut sx, &mut sy, &m);
-            test_support::general(vector, &mut vx, &mut vy, &m);
-            assert_bits_equal(&sx, &vx, "general/x");
-            assert_bits_equal(&sy, &vy, "general/y");
-        }
-    }
+    let m = Mat2::new(
+        random_complex(&mut rng),
+        random_complex(&mut rng),
+        random_complex(&mut rng),
+        random_complex(&mut rng),
+    );
+    let (mut sx, mut sy) = (x0.clone(), y0.clone());
+    let (mut vx, mut vy) = (x0, y0);
+    test_support::general(SimdBackend::Scalar, &mut sx, &mut sy, &m);
+    test_support::general(vector, &mut vx, &mut vy, &m);
+    assert_bits_equal(&sx, &vx, "general/x");
+    assert_bits_equal(&sy, &vy, "general/y");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Layer 1: every primitive, random spans — short odd lengths hammer
-    /// the sub-vector tails, longer ones the packed loops.
+    /// Layer 1: the primitive on random spans — short odd lengths
+    /// hammer the sub-vector tails, longer ones the packed loops.
     #[test]
     fn primitives_are_bit_identical_on_random_spans(
         len in 1usize..300,
         seed in any::<u64>(),
-        which in any::<u64>(),
     ) {
-        check_primitive(len, seed, which);
+        check_general(len, seed);
     }
 
     /// Layer 2: the 2×2 sweeps (run decomposition + dispatch) on random
@@ -187,19 +141,17 @@ proptest! {
 
 #[test]
 fn primitives_are_bit_identical_on_wide_spans() {
-    // The ISSUE's upper bound: 2^14 amplitudes through every primitive,
-    // plus deliberately misaligned (odd-offset) sub-spans.
-    for which in 0..5u64 {
-        check_primitive(1 << 14, 77 + which, which);
-        check_primitive((1 << 14) - 1, 177 + which, which);
-        check_primitive((1 << 14) + 1, 277 + which, which);
-    }
+    // 2^14 amplitudes, plus deliberately misaligned (odd-offset)
+    // sub-spans.
+    check_general(1 << 14, 81);
+    check_general((1 << 14) - 1, 181);
+    check_general((1 << 14) + 1, 281);
 }
 
 #[test]
 fn primitives_preserve_zero_signs_and_subnormals() {
-    // Directed edge sweep per specialized loop: spans of only signed
-    // zeros and subnormals, coefficients drawn from the same set —
+    // Directed edge sweep: spans of only signed zeros and subnormals,
+    // coefficients drawn from the same set —
     // the values where FMA contraction or reassociation would first
     // show up (double rounding at the subnormal boundary) and where
     // sign handling is visible (±0 sums).
@@ -223,29 +175,7 @@ fn primitives_preserve_zero_signs_and_subnormals() {
     for &cr in &edge {
         for &ci in &edge {
             let z = Complex::new(cr, ci);
-            // cmul
-            let mut s = span.clone();
-            let mut v = span.clone();
-            test_support::cmul(SimdBackend::Scalar, &mut s, z);
-            test_support::cmul(vector, &mut v, z);
-            assert_bits_equal(&s, &v, "edge cmul");
-            // flip (b = z, c = conjugate-ish partner)
             let c = Complex::new(ci, cr);
-            let (mut sx, mut sy) = (span.clone(), span.clone());
-            let (mut vx, mut vy) = (span.clone(), span.clone());
-            test_support::flip(SimdBackend::Scalar, &mut sx, &mut sy, z, c);
-            test_support::flip(vector, &mut vx, &mut vy, z, c);
-            assert_bits_equal(&sx, &vx, "edge flip/x");
-            assert_bits_equal(&sy, &vy, "edge flip/y");
-            // real_general
-            let m = [cr, ci, -cr, -ci];
-            let (mut sx, mut sy) = (span.clone(), span.clone());
-            let (mut vx, mut vy) = (span.clone(), span.clone());
-            test_support::real_general(SimdBackend::Scalar, &mut sx, &mut sy, m);
-            test_support::real_general(vector, &mut vx, &mut vy, m);
-            assert_bits_equal(&sx, &vx, "edge real_general/x");
-            assert_bits_equal(&sy, &vy, "edge real_general/y");
-            // general
             let g = Mat2::new(z, c, Complex::new(-cr, ci), Complex::new(ci, -cr));
             let (mut sx, mut sy) = (span.clone(), span.clone());
             let (mut vx, mut vy) = (span.clone(), span.clone());
@@ -255,17 +185,10 @@ fn primitives_preserve_zero_signs_and_subnormals() {
             assert_bits_equal(&sy, &vy, "edge general/y");
         }
     }
-    // swap is data movement; one directed pass suffices.
-    let (mut sx, mut sy) = (span.clone(), span.clone());
-    let (mut vx, mut vy) = (span.clone(), span);
-    test_support::swap(SimdBackend::Scalar, &mut sx, &mut sy);
-    test_support::swap(vector, &mut vx, &mut vy);
-    assert_bits_equal(&sx, &vx, "edge swap/x");
-    assert_bits_equal(&sy, &vy, "edge swap/y");
 }
 
-/// The paper's instrumented shape: wide 1q layers (every coefficient
-/// class), disjoint controlled layers, a mid-circuit ancilla
+/// The paper's instrumented shape: wide 1q layers (real, diagonal,
+/// anti-diagonal and general matrices), disjoint controlled layers, a mid-circuit ancilla
 /// measurement, full readout.
 fn wide_instrumented() -> qcircuit::QuantumCircuit {
     let mut c = qcircuit::QuantumCircuit::new(10, 10);
@@ -297,8 +220,8 @@ fn wide_instrumented() -> qcircuit::QuantumCircuit {
 
 #[test]
 fn end_to_end_counts_are_identical_forced_scalar_vs_forced_vector() {
-    // Layer 3: the real execution stack (compile → batch plan → kernels
-    // → sampling) under the process-global override, both backends.
+    // Layer 3: the real execution stack (compile → per-op sweeps →
+    // sampling) under the process-global override, both backends.
     let c = wide_instrumented();
     let vector = vector_backend();
     for threads in [1usize, 3] {

@@ -43,10 +43,7 @@ fn non_pauli_model(num_qubits: usize) -> NoiseModel {
 /// the fresh compile and a clone of each, taken both before and after
 /// their first read, agree on both analyses.
 fn assert_analyses_agree(circuit: &QuantumCircuit, noise: Option<&NoiseModel>, fuse_1q: bool) {
-    let options = CompileOptions {
-        fuse_1q,
-        ..CompileOptions::default()
-    };
+    let options = CompileOptions { fuse_1q };
     let fresh = compile_with(circuit, noise, options).unwrap();
     let fresh_cold = fresh.clone();
     let expected_clifford = fresh.clifford();
