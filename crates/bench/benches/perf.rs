@@ -145,7 +145,7 @@ fn sweep() -> Outcome {
                     .seed(call as u64)
                     .cache(cache)
                     .threads(THREADS)
-                    .shots(SHOTS)
+                    .shot_plan(ShotPlan::Fixed(SHOTS))
                     // One run per session: prefix registration cannot pay off.
                     .prefix_reuse(false)
                     .run(&ac)
@@ -324,7 +324,7 @@ fn psweep() -> Outcome {
     let run = |points: usize, policy: SweepPolicy| -> (f64, SweepOutcome) {
         let session = AssertionSession::new(&proto)
             .private_cache(8)
-            .shots(SHOTS)
+            .shot_plan(ShotPlan::Fixed(SHOTS))
             .threads(1)
             .seed(12345)
             .sweep_policy(policy);

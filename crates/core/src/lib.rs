@@ -53,19 +53,15 @@
 //! # }
 //! ```
 //!
-//! The shot budget is a [`ShotPlan`]: `Fixed(n)` (the default, and what
-//! the `.shots(n)` shim sets) runs the whole budget in one backend call;
+//! The shot budget is a [`ShotPlan`]: `Fixed(n)` (the default) runs the
+//! whole budget in one backend call;
 //! [`ShotPlan::Sequential`] runs tranches and stops each run as soon as
 //! every assertion's anytime-valid verdict
 //! ([`statistical::SequentialTest`]) is decided — see
 //! [`session`]'s module docs.
 //!
-//! Migrating older call shapes (the pre-session free functions are
-//! gone; a session covers each of them):
-//!
-//! | old | new |
-//! |---|---|
-//! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
+//! The pre-session free functions are gone; a session covers each of
+//! them.
 
 pub mod assertion;
 pub mod error;

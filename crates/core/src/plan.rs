@@ -6,7 +6,7 @@
 //! [`ShotPlan`] makes the budget a first-class session setting:
 //!
 //! * [`ShotPlan::Fixed`] — the default. Exactly `n` shots in one
-//!   backend call, bit-identical to the pre-plan `.shots(n)` behavior.
+//!   backend call, bit-identical to the pre-plan fixed-shot behavior.
 //! * [`ShotPlan::Sequential`] — shots run in tranches; after each
 //!   tranche every assertion's anytime-valid sequential test
 //!   ([`crate::statistical::SequentialTest`]) is folded over the
@@ -31,8 +31,7 @@ pub const DEFAULT_SEQUENTIAL_TRANCHE: u64 = 256;
 /// How a session spends a run's shot budget.
 ///
 /// Construct a plan and hand it to
-/// [`AssertionSession::shot_plan`](crate::AssertionSession::shot_plan);
-/// the legacy `.shots(n)` builder is a shim for `Fixed(n)`.
+/// [`AssertionSession::shot_plan`](crate::AssertionSession::shot_plan).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ShotPlan {
     /// Run exactly this many shots in one backend call — bit-identical

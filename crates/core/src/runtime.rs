@@ -186,13 +186,14 @@ pub(crate) fn analyze_with_policy(
 mod tests {
     use super::*;
     use crate::assertion::{Parity, SuperpositionBasis};
+    use crate::plan::ShotPlan;
     use crate::session::AssertionSession;
     use qcircuit::{library, QuantumCircuit};
     use qnoise::presets;
     use qsim::{Backend, DensityMatrixBackend, StatevectorBackend};
 
     fn session<B: Backend>(backend: B, shots: u64) -> AssertionSession<'static, B> {
-        AssertionSession::new(backend).shots(shots)
+        AssertionSession::new(backend).shot_plan(ShotPlan::Fixed(shots))
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! # Shot plans
 //!
 //! The budget every run spends is a [`ShotPlan`], set with
-//! [`AssertionSession::shot_plan`] ([`AssertionSession::shots`] is a
-//! shim for [`ShotPlan::Fixed`], which stays the bit-identical
-//! default). [`ShotPlan::Sequential`] runs shots in tranches and stops
+//! [`AssertionSession::shot_plan`]; [`ShotPlan::Fixed`] is the
+//! bit-identical default. [`ShotPlan::Sequential`] runs shots in tranches and stops
 //! as soon as every assertion's anytime-valid sequential verdict
 //! ([`crate::statistical::SequentialTest`]) is decided — clear-cut
 //! points finish in hundreds of shots instead of the full budget, and
@@ -40,12 +39,6 @@
 //! [`qsim::tranche_seed`]`(base, k)`, so sequential results are
 //! bit-reproducible for any `(seed, plan, threads, policy, workers)` —
 //! pinned, like fixed plans, by the `sweep_equivalence` property suite.
-//!
-//! # Migrating older call shapes
-//!
-//! | old | new |
-//! |---|---|
-//! | `.shots(n)` | `.shot_plan(ShotPlan::Fixed(n))`, or keep the shim |
 //!
 //! # Prefix-aware sweeps
 //!
@@ -98,8 +91,8 @@ use qsim::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default fixed shot budget when neither [`AssertionSession::shots`]
-/// nor [`AssertionSession::shot_plan`] is called.
+/// Default fixed shot budget when [`AssertionSession::shot_plan`] is
+/// not called.
 pub const DEFAULT_SHOTS: u64 = 1024;
 
 /// How [`AssertionSession::run_sweep`] schedules its points.
@@ -484,14 +477,6 @@ impl<'c, B: Backend> AssertionSession<'c, B> {
         }
         self.plan = plan;
         self
-    }
-
-    /// Shim for [`AssertionSession::shot_plan`] with
-    /// [`ShotPlan::Fixed`]`(shots)` — the pre-plan surface, kept for
-    /// the one-line fixed-budget case.
-    #[must_use]
-    pub fn shots(self, shots: u64) -> Self {
-        self.shot_plan(ShotPlan::Fixed(shots))
     }
 
     /// Overrides the backend's shard/thread count for per-shot
@@ -1154,15 +1139,15 @@ mod tests {
     fn zero_shot_fixed_plan_is_rejected_at_the_session() {
         // Regression: core validation owns the zero-budget rejection
         // (it used to live as a serve-side special case).
-        let _ = AssertionSession::new(DensityMatrixBackend::ideal()).shots(0);
+        let _ = AssertionSession::new(DensityMatrixBackend::ideal()).shot_plan(ShotPlan::Fixed(0));
     }
 
     #[test]
     fn borrowed_and_owned_backends_agree() {
         let ac = bell_assertion();
         let backend = StatevectorBackend::new().with_seed(11);
-        let owned = AssertionSession::new(backend.clone()).shots(300);
-        let borrowed = AssertionSession::new(&backend).shots(300);
+        let owned = AssertionSession::new(backend.clone()).shot_plan(ShotPlan::Fixed(300));
+        let borrowed = AssertionSession::new(&backend).shot_plan(ShotPlan::Fixed(300));
         let a = owned.run(&ac).unwrap();
         let b = borrowed.run(&ac).unwrap();
         assert_eq!(a.raw.counts, b.raw.counts);
@@ -1179,9 +1164,9 @@ mod tests {
             .with_threads(4);
         let overridden = AssertionSession::new(TrajectoryBackend::new(noise).with_seed(5))
             .threads(4)
-            .shots(801);
+            .shot_plan(ShotPlan::Fixed(801));
         let a = AssertionSession::new(configured)
-            .shots(801)
+            .shot_plan(ShotPlan::Fixed(801))
             .run(&ac)
             .unwrap();
         let b = overridden.run(&ac).unwrap();
@@ -1193,7 +1178,7 @@ mod tests {
         let ac = bell_assertion();
         let session = AssertionSession::new(StatevectorBackend::new().with_seed(2))
             .private_cache(4)
-            .shots(100);
+            .shot_plan(ShotPlan::Fixed(100));
         session.run(&ac).unwrap();
         session.run(&ac).unwrap();
         let t = session.telemetry();
@@ -1217,10 +1202,10 @@ mod tests {
         };
         let with_prefix = AssertionSession::new(StatevectorBackend::new().with_seed(3))
             .private_cache(64)
-            .shots(128);
+            .shot_plan(ShotPlan::Fixed(128));
         let without_prefix = AssertionSession::new(StatevectorBackend::new().with_seed(3))
             .private_cache(64)
-            .shots(128)
+            .shot_plan(ShotPlan::Fixed(128))
             .prefix_reuse(false);
         let a = with_prefix.run_sweep(circuits(6)).unwrap();
         let b = without_prefix.run_sweep(circuits(6)).unwrap();
@@ -1241,7 +1226,7 @@ mod tests {
     fn sweep_telemetry_covers_exactly_the_sweep() {
         let session = AssertionSession::new(StatevectorBackend::new().with_seed(4))
             .private_cache(16)
-            .shots(64);
+            .shot_plan(ShotPlan::Fixed(64));
         session.run(&bell_assertion()).unwrap(); // outside the sweep
         let sweep = session
             .run_sweep(vec![bell_assertion(), bell_assertion()])
@@ -1335,7 +1320,7 @@ mod tests {
     #[test]
     fn record_reports_the_effective_configuration() {
         let session = AssertionSession::new(DensityMatrixBackend::ideal())
-            .shots(4096)
+            .shot_plan(ShotPlan::Fixed(4096))
             .threads(3)
             .private_cache(32);
         let record = session.record();
@@ -1380,7 +1365,7 @@ mod tests {
         );
         let backend = DensityMatrixBackend::new(noise);
         let session = AssertionSession::new(backend)
-            .shots(1 << 14)
+            .shot_plan(ShotPlan::Fixed(1 << 14))
             .mitigator(mitigator);
         let outcome = session.run(&ac).unwrap();
         let mitigated = outcome.mitigated.as_ref().expect("mitigator attached");
@@ -1447,12 +1432,12 @@ mod tests {
         for seed in [0u64, 7, 1234] {
             let via_session = AssertionSession::new(&proto)
                 .seed(seed)
-                .shots(301)
+                .shot_plan(ShotPlan::Fixed(301))
                 .run(&ac)
                 .unwrap();
             let via_backend =
                 AssertionSession::new(TrajectoryBackend::new(noise.clone()).with_seed(seed))
-                    .shots(301)
+                    .shot_plan(ShotPlan::Fixed(301))
                     .run(&ac)
                     .unwrap();
             assert_eq!(
@@ -1481,7 +1466,7 @@ mod tests {
         let backend = TrajectoryBackend::new(noise);
         let reference = AssertionSession::new(&backend)
             .private_cache(16)
-            .shots(150)
+            .shot_plan(ShotPlan::Fixed(150))
             .seed(9)
             .threads(2)
             .sweep_policy(SweepPolicy::Serial)
@@ -1491,7 +1476,7 @@ mod tests {
             let pool = qsim::ShardPool::new(workers);
             let sweep = AssertionSession::new(&backend)
                 .private_cache(16)
-                .shots(150)
+                .shot_plan(ShotPlan::Fixed(150))
                 .seed(9)
                 .threads(2)
                 .sweep_policy(SweepPolicy::Parallel)
@@ -1528,14 +1513,14 @@ mod tests {
         let ac = bell_assertion();
         let sweep = AssertionSession::new(&backend)
             .private_cache(4)
-            .shots(300)
+            .shot_plan(ShotPlan::Fixed(300))
             .seed(42)
             .run_sweep(vec![ac.clone(), ac.clone()])
             .unwrap();
         for point in sweep.iter() {
             let isolated = AssertionSession::new(&backend)
                 .private_cache(4)
-                .shots(300)
+                .shot_plan(ShotPlan::Fixed(300))
                 .seed(qsim::sweep_point_seed(42, point.index()))
                 .run(&ac)
                 .unwrap();
@@ -1573,7 +1558,7 @@ mod tests {
                 threads.spawn(move || {
                     let sweep = AssertionSession::new(backend)
                         .private_cache(4)
-                        .shots(64)
+                        .shot_plan(ShotPlan::Fixed(64))
                         .threads(2)
                         .run_sweep(family(n))
                         .unwrap();
@@ -1705,7 +1690,7 @@ mod tests {
             let fixed = AssertionSession::new(StatevectorBackend::new())
                 .private_cache(4)
                 .filter_policy(FilterPolicy::AllowEmpty)
-                .shots(2048)
+                .shot_plan(ShotPlan::Fixed(2048))
                 .seed(11)
                 .run(&ac)
                 .unwrap();

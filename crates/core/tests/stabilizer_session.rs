@@ -267,7 +267,7 @@ fn verdicts_match_statevector_on_clear_cut_assertions() {
         let run = |backend: &dyn Backend| {
             AssertionSession::new(backend)
                 .private_cache(8)
-                .shots(512)
+                .shot_plan(ShotPlan::Fixed(512))
                 .filter_policy(FilterPolicy::AllowEmpty)
                 .seed(3)
                 .run(&ac)
@@ -297,7 +297,7 @@ fn ineligible_program_errors_without_partial_telemetry() {
 
     let session = AssertionSession::new(StabilizerBackend::ideal())
         .private_cache(8)
-        .shots(64);
+        .shot_plan(ShotPlan::Fixed(64));
     let before = session.telemetry();
     let err = session.run(&ac).unwrap_err();
     match err {
@@ -333,7 +333,7 @@ fn mid_sweep_ineligibility_propagates_under_both_policies() {
     for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
         let session = AssertionSession::new(StabilizerBackend::ideal())
             .private_cache(8)
-            .shots(64)
+            .shot_plan(ShotPlan::Fixed(64))
             .sweep_policy(policy);
         let before = session.telemetry();
         let result = session.run_sweep(vec![bell_assertion(), ineligible(), bell_assertion()]);

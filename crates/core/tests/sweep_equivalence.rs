@@ -408,7 +408,7 @@ fn single_point_sweep_matches_a_plain_run_with_the_derived_seed() {
     for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
         let sweep = AssertionSession::new(&backend)
             .private_cache(4)
-            .shots(200)
+            .shot_plan(ShotPlan::Fixed(200))
             .seed(31)
             .sweep_policy(policy)
             .run_sweep(vec![ac.clone()])
@@ -416,7 +416,7 @@ fn single_point_sweep_matches_a_plain_run_with_the_derived_seed() {
         assert_eq!(sweep.len(), 1);
         let isolated = AssertionSession::new(&backend)
             .private_cache(4)
-            .shots(200)
+            .shot_plan(ShotPlan::Fixed(200))
             .seed(qsim::sweep_point_seed(31, 0))
             .run(&ac)
             .unwrap();
@@ -431,13 +431,13 @@ fn single_point_sweep_matches_a_plain_run_with_the_derived_seed() {
     for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
         let sweep = AssertionSession::new(&backend)
             .private_cache(4)
-            .shots(200)
+            .shot_plan(ShotPlan::Fixed(200))
             .sweep_policy(policy)
             .run_sweep(vec![ac.clone()])
             .unwrap();
         let isolated = AssertionSession::new(&backend)
             .private_cache(4)
-            .shots(200)
+            .shot_plan(ShotPlan::Fixed(200))
             .run(&ac)
             .unwrap();
         assert_eq!(
@@ -463,7 +463,7 @@ fn mid_sweep_lowering_failure_propagates_without_partial_results() {
         let cache = ProgramCache::new(8);
         let session = AssertionSession::new(StatevectorBackend::new())
             .cache(&cache)
-            .shots(64)
+            .shot_plan(ShotPlan::Fixed(64))
             .sweep_policy(policy);
         let before = session.telemetry();
         let result = session.run_sweep(vec![bell_assertion(), unlowerable(), bell_assertion()]);
@@ -508,7 +508,7 @@ fn all_filtered_point_honors_the_filter_policy_mid_sweep() {
     for policy in [SweepPolicy::Serial, SweepPolicy::Parallel] {
         let strict = AssertionSession::new(StatevectorBackend::new().with_seed(5))
             .private_cache(8)
-            .shots(64)
+            .shot_plan(ShotPlan::Fixed(64))
             .sweep_policy(policy);
         let result = strict.run_sweep(vec![bell_assertion(), always_fires(), bell_assertion()]);
         assert!(
@@ -518,7 +518,7 @@ fn all_filtered_point_honors_the_filter_policy_mid_sweep() {
 
         let lenient = AssertionSession::new(StatevectorBackend::new().with_seed(5))
             .private_cache(8)
-            .shots(64)
+            .shot_plan(ShotPlan::Fixed(64))
             .filter_policy(FilterPolicy::AllowEmpty)
             .sweep_policy(policy);
         let sweep = lenient
@@ -540,7 +540,7 @@ fn concurrent_sweeps_on_one_session_stay_bit_identical() {
     let backend = TrajectoryBackend::new(noise);
     let shared = AssertionSession::new(&backend)
         .private_cache(64)
-        .shots(100)
+        .shot_plan(ShotPlan::Fixed(100))
         .seed(77)
         .threads(2);
     let families = [Family::Staged, Family::Thetas];
@@ -549,7 +549,7 @@ fn concurrent_sweeps_on_one_session_stay_bit_identical() {
         .map(|&family| {
             AssertionSession::new(&backend)
                 .private_cache(64)
-                .shots(100)
+                .shot_plan(ShotPlan::Fixed(100))
                 .seed(77)
                 .threads(2)
                 .sweep_policy(SweepPolicy::Serial)
@@ -666,7 +666,7 @@ fn staged_family_prefix_hits_are_policy_and_worker_independent() {
             let pool = ShardPool::new(workers);
             let sweep = AssertionSession::new(StatevectorBackend::new().with_seed(2))
                 .private_cache(32)
-                .shots(64)
+                .shot_plan(ShotPlan::Fixed(64))
                 .sweep_policy(policy)
                 .pool(&pool)
                 .run_sweep(family_circuits(Family::Staged, 5))

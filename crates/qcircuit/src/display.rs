@@ -1,7 +1,9 @@
 //! ASCII circuit rendering.
 //!
-//! [`render`] draws a circuit as text, one row per qubit, one column per
-//! DAG layer — handy in examples and failing-test output:
+//! [`render`] draws a circuit as text, one row per qubit, and each
+//! instruction one column past the deepest earlier instruction it shares
+//! a qubit, a clbit or its condition bit with — handy in examples and
+//! failing-test output:
 //!
 //! ```text
 //! q0: ──H───●───M0──
@@ -10,7 +12,6 @@
 //! ```
 
 use crate::circuit::QuantumCircuit;
-use crate::dag::CircuitDag;
 use crate::gate::Gate;
 use crate::instruction::{Instruction, OpKind};
 
@@ -34,8 +35,26 @@ pub fn render(circuit: &QuantumCircuit) -> String {
     if n == 0 {
         return String::from("(no qubits)\n");
     }
-    let dag = CircuitDag::build(circuit);
-    let layers = dag.layers();
+    // Each instruction's column is one past the deepest earlier one that
+    // shares a wire with it (a qubit, a clbit or its condition bit): the
+    // latest next free column among its wires. Clbit `c` is wire `n + c`.
+    let mut next_free = vec![0usize; n + circuit.num_clbits()];
+    let mut layers: Vec<Vec<&Instruction>> = Vec::new();
+    for instr in circuit.instructions() {
+        let clbits = instr.clbits().iter().copied();
+        let clbits = clbits.chain(instr.condition().map(|c| c.clbit));
+        let wires: Vec<usize> = (instr.qubits().iter().map(|q| q.index()))
+            .chain(clbits.map(|c| n + c.index()))
+            .collect();
+        let column = wires.iter().map(|&w| next_free[w]).max().unwrap_or(0);
+        for &w in &wires {
+            next_free[w] = column + 1;
+        }
+        if column == layers.len() {
+            layers.push(Vec::new());
+        }
+        layers[column].push(instr);
+    }
 
     // Grid rows: qubit rows at even indices, connector rows between them.
     let rows = 2 * n - 1;
@@ -55,12 +74,11 @@ pub fn render(circuit: &QuantumCircuit) -> String {
         }
     }
 
-    for layer in layers {
+    for layer in &layers {
         // Cell text for each qubit row in this column.
         let mut cells: Vec<Option<String>> = vec![None; n];
         let mut connect: Vec<bool> = vec![false; rows]; // vertical bars on connector rows
-        for &idx in layer {
-            let instr = &circuit.instructions()[idx];
+        for instr in layer {
             place_instruction(instr, &mut cells, &mut connect);
         }
         let width = cells
@@ -264,6 +282,41 @@ mod tests {
         let art = render(&c);
         assert!(art.contains("PS=0"));
         assert!(art.contains("|0⟩"));
+    }
+
+    #[test]
+    fn columns_follow_wire_dependencies() {
+        // Each instruction sits one column past the deepest earlier one
+        // it shares a qubit with: X beside H, the second CX after both.
+        let mut c = QuantumCircuit::new(3, 1);
+        c.h(0).unwrap().cx(0, 1).unwrap().x(2).unwrap();
+        c.cx(1, 2).unwrap().measure(2, 0).unwrap();
+        let expected = "\
+q0: ─H──●────────
+        │
+q1: ────⊕──●─────
+           │
+q2: ─X─────⊕──M0─
+";
+        assert_eq!(render(&c), expected);
+    }
+
+    #[test]
+    fn clbits_and_condition_bits_order_columns() {
+        // The conditioned X waits for the measure writing its bit, and
+        // the second measure into that bit waits for both.
+        let mut c = QuantumCircuit::new(3, 1);
+        c.measure(0, 0).unwrap();
+        c.gate_if(Gate::X, [1], 0, true).unwrap();
+        c.measure(2, 0).unwrap();
+        let expected = "\
+q0: ─M0─────────────
+
+q1: ─────X?c0=1─────
+
+q2: ─────────────M0─
+";
+        assert_eq!(render(&c), expected);
     }
 
     #[test]

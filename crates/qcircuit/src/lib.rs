@@ -9,7 +9,6 @@
 //! * [`Instruction`] / [`OpKind`] — gates plus measure, reset, barrier,
 //!   classically-conditioned gates, and QUIRK-style post-selection,
 //! * [`QuantumCircuit`] — the validated, fluent circuit builder,
-//! * [`CircuitDag`] — wire-dependency graph (layers, per-qubit chains),
 //! * [`qasm`] — OpenQASM 2.0 export/import,
 //! * [`display`] — ASCII circuit rendering,
 //! * [`library`] — standard workloads (Bell, GHZ, QFT, teleportation,
@@ -26,7 +25,6 @@
 //! ```
 
 pub mod circuit;
-pub mod dag;
 pub mod display;
 pub mod error;
 pub mod gate;
@@ -36,7 +34,6 @@ pub mod qasm;
 pub mod register;
 
 pub use circuit::QuantumCircuit;
-pub use dag::CircuitDag;
 pub use error::CircuitError;
 pub use gate::{CliffordKind, Gate};
 pub use instruction::{Condition, Instruction, OpKind};

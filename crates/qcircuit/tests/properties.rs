@@ -128,13 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn dag_layer_sizes_sum_to_length(c in arb_circuit(20)) {
-        let dag = qcircuit::CircuitDag::build(&c);
-        let total: usize = dag.layers().iter().map(Vec::len).sum();
-        prop_assert_eq!(total, c.len());
-    }
-
-    #[test]
     fn render_mentions_every_qubit(c in arb_circuit(10)) {
         let art = qcircuit::display::render(&c);
         for q in 0..c.num_qubits() {

@@ -64,8 +64,8 @@ impl fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// A single-qubit factor of a Pauli string, as detected by
-/// [`Kraus::as_pauli_channel`].
+/// A single-qubit factor of a Pauli string: [`PauliOp::term`] reads one
+/// from a channel's [Pauli form](Kraus::pauli_form).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PauliTerm {
     /// Identity factor.
@@ -89,10 +89,11 @@ impl PauliTerm {
 /// operator equals `c·P` entry for entry, where `P` is the Pauli string
 /// with X part `x` and Z part `z` and `weight` is `|c|²`.
 ///
-/// Bit `j` of each mask belongs to local qubit `j` (the channel's
-/// low-order qubit first, as in [`Kraus::as_pauli_channel`]): X part
+/// Bit `j` of each mask belongs to local qubit `j`, the channel's
+/// low-order qubit first, as in the gate local-basis convention: X part
 /// only is X, Z part only is Z, both is Y. A zero operator has weight 0
-/// and the identity string.
+/// and the identity string. The executors that sample the form read
+/// its factors through [`PauliOp::term`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PauliOp {
     /// `|c|²`: the operator's Born weight on every normalized state.
@@ -115,19 +116,16 @@ impl PauliOp {
     }
 }
 
-/// The string `P` and weight `|c|²` with `k = c·P` to within `tol` in
-/// each component of each entry, when `|c|² > tol²`; `tol = 0` demands
-/// equality.
+/// The string `P` and weight `|c|²` with `k = c·P` entry for entry (up
+/// to the sign of zero); the zero operator is `0·I`.
 ///
 /// A Pauli string has one nonzero entry per row, `P[r][r ^ x]`, equal to
 /// `P[0][x] = (−i)^|x ∧ z|` times `(−1)^|r ∧ z|`. So row 0's largest entry
 /// names the X part and the sign of row `2ʲ`'s entry against it the Z
 /// bit of qubit `j`; then every entry is checked: `O(d²)` for a `d × d`
-/// operator. For every operator with `|c|² > 2·tol²` this finds the
-/// string a search over all `4ⁿ` strings would; a smaller one can lie
-/// within `tol` of several strings and is checked against the one its
-/// row 0 names.
-fn pauli_multiple(k: &CMatrix, tol: f64) -> Option<PauliOp> {
+/// operator. A nonzero `k = c·P` has exactly one such string, the one a
+/// search over all `4ⁿ` strings finds.
+fn pauli_multiple(k: &CMatrix) -> Option<PauliOp> {
     let d = k.dim();
     let x = (1..d).fold(0, |best, col| {
         if k.get(0, col).norm_sqr() > k.get(0, best).norm_sqr() {
@@ -146,9 +144,6 @@ fn pauli_multiple(k: &CMatrix, tol: f64) -> Option<PauliOp> {
     // c = k0 / P[0][x] = k0 · i^|x ∧ z|: a quarter turn per Y factor,
     // exact in floating point.
     let c = (0..(x & z).count_ones()).fold(k0, |c, _| Complex::new(-c.im, c.re));
-    if c.norm_sqr() <= tol * tol {
-        return None;
-    }
     for r in 0..d {
         // c·P[r][r ^ x] = ±k0 exactly: P's entries are units, so the
         // product only moves and negates c's components.
@@ -159,7 +154,7 @@ fn pauli_multiple(k: &CMatrix, tol: f64) -> Option<PauliOp> {
         };
         for col in 0..d {
             let expected = if col == r ^ x { on } else { Complex::ZERO };
-            if !k.get(r, col).approx_eq(expected, tol) {
+            if !k.get(r, col).approx_eq(expected, 0.0) {
                 return None;
             }
         }
@@ -262,20 +257,7 @@ impl Kraus {
             ops.iter().all(|k| k.dim() == dim),
             "kraus operators must share one dimension"
         );
-        let pauli = ops
-            .iter()
-            .map(|k| {
-                if k.is_zero(0.0) {
-                    Some(PauliOp {
-                        weight: 0.0,
-                        x: 0,
-                        z: 0,
-                    })
-                } else {
-                    pauli_multiple(k, 0.0)
-                }
-            })
-            .collect();
+        let pauli = ops.iter().map(pauli_multiple).collect();
         Kraus {
             ops: ops.into(),
             num_qubits: dim.trailing_zeros() as usize,
@@ -547,7 +529,14 @@ impl Kraus {
     /// On a normalized state `ψ`, `‖Kᵢψ‖² = |cᵢ|²`, so the weights are
     /// the Born weights of every state, and a trajectory shot samples
     /// the channel from them without touching the state for the weights.
-    /// Unlike [`Kraus::as_pauli_channel`], the match is exact.
+    /// The match is exact: a channel a few ulps off a Pauli channel, such
+    /// as `coherent_overrotation(X, π)` with its `6e-17` diagonal, has no
+    /// form.
+    ///
+    /// This is the one definition of a Pauli channel. The stabilizer
+    /// tableau injects exactly the channels whose form's weights sum to
+    /// 1, and the per-shot amplitude executors sample the form whenever
+    /// there is one.
     pub fn pauli_form(&self) -> Option<&[PauliOp]> {
         self.pauli.as_deref()
     }
@@ -555,45 +544,6 @@ impl Kraus {
     /// Verifies the trace-preservation condition `Σ Kᵢ†Kᵢ = I`.
     pub fn is_cptp(&self, tol: f64) -> bool {
         is_cptp(&self.ops, tol).unwrap_or(false)
-    }
-
-    /// Detects whether this channel is a **Pauli channel** — every Kraus
-    /// operator a scalar multiple of a Pauli string — and returns its
-    /// probability table `[(pᵢ, Pᵢ)]` with `pᵢ = |cᵢ|²` when it is.
-    ///
-    /// Entry `j` of each returned string is the factor on local qubit
-    /// `j` (the channel's low-order qubit first, matching the gate
-    /// local-basis convention). Zero-weight operators (e.g. the pruned
-    /// `p = 0` Paulis of [`Kraus::depolarizing`]) are dropped from the
-    /// table; the remaining probabilities must sum to 1 within `1e-9`
-    /// or the channel is rejected.
-    ///
-    /// Returns `None` for anything else — amplitude/phase damping,
-    /// thermal relaxation, and generic coherent errors all mix Pauli
-    /// strings coherently and cannot be sampled as stochastic Pauli
-    /// injections. `tol` bounds the per-entry matrix comparison, so a
-    /// channel a few ulps off a Pauli channel, which has no exact
-    /// [Pauli form](Kraus::pauli_form), still gets its table here.
-    /// Each operator is checked in `O(d²)` against the one string its
-    /// rows 0 and `2ʲ` point to.
-    pub fn as_pauli_channel(&self, tol: f64) -> Option<Vec<(f64, Vec<PauliTerm>)>> {
-        let mut table = Vec::with_capacity(self.ops.len());
-        let mut total = 0.0;
-        for k in self.ops.iter() {
-            if k.is_zero(tol) {
-                continue; // zero-weight operator: probability 0
-            }
-            let op = pauli_multiple(k, tol)?;
-            total += op.weight;
-            table.push((
-                op.weight,
-                (0..self.num_qubits).map(|j| op.term(j)).collect(),
-            ));
-        }
-        if (total - 1.0).abs() > 1e-9 || table.is_empty() {
-            return None;
-        }
-        Some(table)
     }
 }
 
@@ -734,66 +684,9 @@ mod tests {
         assert!(ab.is_cptp(1e-10));
     }
 
-    #[test]
-    fn pauli_channels_are_detected_with_exact_probabilities() {
-        let table = Kraus::pauli_channel(0.1, 0.05, 0.2)
-            .unwrap()
-            .as_pauli_channel(1e-9)
-            .expect("pauli_channel is a Pauli channel");
-        let prob_of = |term: PauliTerm| {
-            table
-                .iter()
-                .find(|(_, s)| s == &vec![term])
-                .map(|(p, _)| *p)
-                .unwrap_or(0.0)
-        };
-        assert!((prob_of(PauliTerm::I) - 0.65).abs() < 1e-12);
-        assert!((prob_of(PauliTerm::X) - 0.1).abs() < 1e-12);
-        assert!((prob_of(PauliTerm::Y) - 0.05).abs() < 1e-12);
-        assert!((prob_of(PauliTerm::Z) - 0.2).abs() < 1e-12);
-
-        // Two-qubit depolarizing: 16 strings of weight p/16 plus the
-        // dominant identity, each of length 2.
-        let table = Kraus::depolarizing2(0.16)
-            .unwrap()
-            .as_pauli_channel(1e-9)
-            .expect("depolarizing2 is a Pauli channel");
-        assert_eq!(table.len(), 16);
-        assert!(table.iter().all(|(_, s)| s.len() == 2));
-        let sum: f64 = table.iter().map(|(p, _)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-
-        // Zero-probability ops are dropped, not reported.
-        let table = Kraus::depolarizing(0.0)
-            .unwrap()
-            .as_pauli_channel(1e-9)
-            .expect("p=0 depolarizing is the identity channel");
-        assert_eq!(table, vec![(1.0, vec![PauliTerm::I])]);
-    }
-
-    #[test]
-    fn non_pauli_channels_are_rejected() {
-        for ch in [
-            Kraus::amplitude_damping(0.25).unwrap(),
-            Kraus::phase_damping(0.15).unwrap(),
-            Kraus::thermal_relaxation(50_000.0, 30_000.0, 100.0).unwrap(),
-            Kraus::coherent_overrotation(RotationAxis::X, 0.3).unwrap(),
-        ] {
-            assert_eq!(ch.as_pauli_channel(1e-9), None, "{ch:?}");
-        }
-        // A coherent rotation that happens to *be* a Pauli (Rx(π) =
-        // −iX) is legitimately a unit-probability Pauli channel.
-        let table = Kraus::coherent_overrotation(RotationAxis::X, std::f64::consts::PI)
-            .unwrap()
-            .as_pauli_channel(1e-9)
-            .expect("Rx(pi) is -iX, a pure Pauli");
-        assert_eq!(table.len(), 1);
-        assert_eq!(table[0].1, vec![PauliTerm::X]);
-        assert!((table[0].0 - 1.0).abs() < 1e-12);
-    }
-
-    /// The search `as_pauli_channel` ran before the per-operator check:
-    /// all `4ⁿ` candidate strings built as matrices, first match wins.
+    /// An independent Pauli detector: all `4ⁿ` candidate strings built
+    /// as matrices, first match wins, zero operators skipped, and the
+    /// weights required to sum to 1 within `1e-9`.
     fn oracle(ch: &Kraus, tol: f64) -> Option<Vec<(f64, Vec<PauliTerm>)>> {
         const TERMS: [PauliTerm; 4] = [PauliTerm::I, PauliTerm::X, PauliTerm::Y, PauliTerm::Z];
         let n = ch.num_qubits();
@@ -829,20 +722,24 @@ mod tests {
         Some(table)
     }
 
-    /// `as_pauli_channel(1e-9)` equals the oracle bit for bit.
-    fn assert_table_matches_oracle(ch: &Kraus) {
-        let bits = |table: Option<Vec<(f64, Vec<PauliTerm>)>>| {
-            table.map(|t| {
-                t.into_iter()
-                    .map(|(p, s)| (p.to_bits(), s))
-                    .collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(
-            bits(ch.as_pauli_channel(1e-9)),
-            bits(oracle(ch, 1e-9)),
-            "{ch:?}"
-        );
+    /// The form's operators of nonzero weight equal the exact oracle's
+    /// table bit for bit, and a channel without a form has no table.
+    fn assert_form_matches_oracle(ch: &Kraus) {
+        let form = ch.pauli_form().map(|form| {
+            form.iter()
+                .filter(|op| op.weight > 0.0)
+                .map(|op| {
+                    let string = (0..ch.num_qubits()).map(|j| op.term(j)).collect();
+                    (op.weight.to_bits(), string)
+                })
+                .collect::<Vec<_>>()
+        });
+        let table = oracle(ch, 0.0).map(|t| {
+            t.into_iter()
+                .map(|(p, s)| (p.to_bits(), s))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(form, table, "{ch:?}");
     }
 
     /// A string written local qubit 0 first: `"XZ"` is X on qubit 0 and
@@ -879,7 +776,7 @@ mod tests {
                 );
             }
         }
-        assert_table_matches_oracle(ch);
+        assert_form_matches_oracle(ch);
     }
 
     #[test]
@@ -975,7 +872,7 @@ mod tests {
                 }
             }
             assert_eq!(i, form.len());
-            assert_table_matches_oracle(&composed);
+            assert_form_matches_oracle(&composed);
         }
     }
 
@@ -1000,21 +897,16 @@ mod tests {
         for instr in [&h, &cx] {
             channels.extend(device.channels_for(instr).into_iter().map(|a| a.kraus));
         }
+        // Rx(π) is −iX only up to cos(π/2) ≈ 6e-17 on its diagonal.
+        channels.push(Kraus::coherent_overrotation(RotationAxis::X, std::f64::consts::PI).unwrap());
         for ch in &channels {
             assert_eq!(ch.pauli_form(), None, "{ch:?}");
-            assert_eq!(ch.as_pauli_channel(1e-9), None, "{ch:?}");
-            assert_table_matches_oracle(ch);
+            assert_form_matches_oracle(ch);
         }
-        // Rx(π) is −iX only up to cos(π/2) ≈ 6e-17 on its diagonal: no
-        // exact form, but the tolerant table.
-        let rx_pi = Kraus::coherent_overrotation(RotationAxis::X, std::f64::consts::PI).unwrap();
-        assert_eq!(rx_pi.pauli_form(), None);
-        assert_table_matches_oracle(&rx_pi);
-        assert!(rx_pi.as_pauli_channel(1e-9).is_some());
     }
 
     #[test]
-    fn a_pauli_channel_perturbed_by_1e_12_keeps_its_table_but_not_its_form() {
+    fn a_pauli_channel_perturbed_by_1e_12_has_no_form() {
         let perturb = |ch: Kraus| {
             Kraus::from_ops(
                 ch.ops()
@@ -1037,14 +929,10 @@ mod tests {
                 .unwrap()
                 .kron(&Kraus::pauli_channel(0.1, 0.05, 0.2).unwrap()),
         ] {
-            let exact = ch.as_pauli_channel(1e-9).expect("a Pauli channel");
+            assert!(ch.pauli_form().is_some(), "{ch:?}");
             let nudged = perturb(ch);
             assert_eq!(nudged.pauli_form(), None, "{nudged:?}");
-            let table = nudged.as_pauli_channel(1e-9).expect("within tolerance");
-            let strings =
-                |t: &[(f64, Vec<PauliTerm>)]| t.iter().map(|(_, s)| s.clone()).collect::<Vec<_>>();
-            assert_eq!(strings(&table), strings(&exact));
-            assert_table_matches_oracle(&nudged);
+            assert_form_matches_oracle(&nudged);
         }
     }
 

@@ -124,7 +124,7 @@ unsafe fn sweep_with<I: Isa>(amps: &mut [Complex], stride: usize, shape: &RunSha
         return I::general_pairs(amps.as_mut_ptr(), len / 2, m);
     }
     let ptr = amps.as_mut_ptr();
-    for_runs!(ptr, 0, len, stride, shape, |x, y, run| I::general(
+    for_runs!(ptr, len, stride, shape, |x, y, run| I::general(
         x, y, run, m
     ));
 }

@@ -12,8 +12,8 @@
 //!    suffix, a program clone and the model clone a program keeps copy
 //!    no matrix: a channel clone only bumps reference counts.
 //! 2. **Gate fusion** — maximal runs of adjacent unconditioned
-//!    single-qubit gates on one wire (found via
-//!    [`CircuitDag::single_qubit_runs`]) collapse into one 2×2 matrix
+//!    single-qubit gates on one wire (adjacent in wire order: other
+//!    wires' instructions may interleave) collapse into one 2×2 matrix
 //!    product. A gate that carries noise channels terminates its run: the
 //!    channel must act between that gate and its successor, so fusing
 //!    across it would change semantics. With fusion on (the default) an
@@ -53,7 +53,7 @@
 use crate::error::{CliffordBlock, SimError};
 use crate::program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPlan};
 use crate::stabilizer::CliffordProgram;
-use qcircuit::{CircuitDag, CircuitError, Gate, OpKind, QuantumCircuit, QubitId};
+use qcircuit::{CircuitError, Gate, OpKind, QuantumCircuit, QubitId};
 use qmath::Mat2;
 use qnoise::NoiseModel;
 use std::sync::Arc;
@@ -136,35 +136,38 @@ fn lower_ops(
     let mut absorbed = vec![false; n];
     let mut fused_gates = 0usize;
     if options.fuse_1q {
-        let dag = CircuitDag::build(circuit);
-        for run in dag.single_qubit_runs(circuit) {
-            // A member with attached noise ends its segment *inclusively*:
-            // the channel acts after that gate, so the gate may absorb its
-            // predecessors but nothing may fuse past it.
-            let mut segment: Vec<usize> = Vec::new();
-            let flush = |segment: &mut Vec<usize>,
-                         run_at: &mut Vec<Option<Vec<usize>>>,
-                         absorbed: &mut Vec<bool>,
-                         fused_gates: &mut usize| {
-                if segment.len() >= 2 {
-                    *fused_gates += segment.len() - 1;
-                    let last = *segment.last().expect("segment non-empty");
-                    for &m in &segment[..segment.len() - 1] {
-                        absorbed[m] = true;
-                    }
-                    run_at[last] = Some(std::mem::take(segment));
-                } else {
-                    segment.clear();
+        let mut flush = |segment: &mut Vec<usize>| {
+            if segment.len() >= 2 {
+                fused_gates += segment.len() - 1;
+                let last = *segment.last().expect("segment non-empty");
+                for &m in &segment[..segment.len() - 1] {
+                    absorbed[m] = true;
                 }
-            };
-            for &i in &run {
-                segment.push(i);
-                if !bound[i].is_empty() {
-                    flush(&mut segment, &mut run_at, &mut absorbed, &mut fused_gates);
+                run_at[last] = Some(std::mem::take(segment));
+            } else {
+                segment.clear();
+            }
+        };
+        // The open run on each wire: the unconditioned single-qubit gates
+        // since the last other instruction touching it. A member with
+        // attached noise ends its run *inclusively*: the channel acts
+        // after that gate, so the gate may absorb its predecessors but
+        // nothing may fuse past it.
+        let mut open: Vec<Vec<usize>> = vec![Vec::new(); circuit.num_qubits()];
+        for (i, instr) in instrs.iter().enumerate() {
+            for q in instr.qubits() {
+                let segment = &mut open[q.index()];
+                if fusable(instr) {
+                    segment.push(i);
+                    if !bound[i].is_empty() {
+                        flush(segment);
+                    }
+                } else {
+                    flush(segment);
                 }
             }
-            flush(&mut segment, &mut run_at, &mut absorbed, &mut fused_gates);
         }
+        open.iter_mut().for_each(&mut flush);
     }
 
     // 3. Emit the op stream in program order.
@@ -353,8 +356,7 @@ pub fn compile_extension(
 /// A run crosses the boundary on wire `w` exactly when the last
 /// instruction before the cut touching `w` and the first instruction
 /// after the cut touching `w` are both run-fusable (unconditioned
-/// single-qubit gates — mirroring
-/// [`qcircuit::CircuitDag::single_qubit_runs`] membership); they are
+/// single-qubit gates — the fusion runs of [`compile_with`]); they are
 /// adjacent in wire order by construction. With fusion disabled every
 /// split is safe. The check is conservative about noise: a channel on
 /// the boundary gate would flush the run anyway, but declaring such
@@ -368,10 +370,6 @@ pub fn extension_fusion_safe(
         return true;
     }
     let instrs = circuit.instructions();
-    let fusable = |i: usize| {
-        instrs[i].condition().is_none()
-            && matches!(instrs[i].kind(), OpKind::Gate(g) if g.num_qubits() == 1)
-    };
     let mut last_before: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
     for (i, instr) in instrs[..prefix_len].iter().enumerate() {
         for q in instr.qubits() {
@@ -388,9 +386,15 @@ pub fn extension_fusion_safe(
         }
     }
     (0..circuit.num_qubits()).all(|w| match (last_before[w], first_after[w]) {
-        (Some(p), Some(s)) => !(fusable(p) && fusable(s)),
+        (Some(p), Some(s)) => !(fusable(&instrs[p]) && fusable(&instrs[s])),
         _ => true,
     })
+}
+
+/// Whether `instr` may join a single-qubit fusion run: an unconditioned
+/// single-qubit gate.
+fn fusable(instr: &qcircuit::Instruction) -> bool {
+    instr.condition().is_none() && matches!(instr.kind(), OpKind::Gate(g) if g.num_qubits() == 1)
 }
 
 /// The 2×2 matrix of a single-qubit gate (fusion-path helper).
@@ -515,6 +519,53 @@ mod tests {
             .mul(&Gate::T.mat2().unwrap())
             .mul(&Gate::H.mat2().unwrap());
         assert!(matrix.approx_eq(&expected, 1e-15));
+    }
+
+    /// Each op's fused-run length: `Some(n)` for a single-qubit op that
+    /// stands for `n` source gates, `None` for any other op.
+    fn fused_runs(c: &QuantumCircuit) -> Vec<Option<usize>> {
+        compile(c, None)
+            .unwrap()
+            .ops()
+            .iter()
+            .map(|op| match op.kind {
+                CompiledKind::Unitary1q { fused, .. } => Some(fused),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fusion_runs_are_found_per_wire() {
+        let mut c = QuantumCircuit::new(2, 1);
+        c.h(0).unwrap().t(0).unwrap(); // a run on q0
+        c.cx(0, 1).unwrap(); // breaks both wires
+        c.s(0).unwrap(); // alone on q0: not a run
+        c.x(1).unwrap().z(1).unwrap().h(1).unwrap(); // a run on q1
+                                                     // Each fused op sits at its run's last member.
+        assert_eq!(fused_runs(&c), [Some(2), None, Some(1), Some(3)]);
+    }
+
+    #[test]
+    fn conditions_measures_and_barriers_break_fusion_runs() {
+        let mut c = QuantumCircuit::new(1, 1);
+        c.h(0).unwrap().barrier([0usize]).unwrap().t(0).unwrap();
+        c.gate_if(Gate::X, [0usize], 0, true).unwrap();
+        c.s(0).unwrap().measure(0, 0).unwrap().z(0).unwrap();
+        let ops = [Some(1), Some(1), Some(1), Some(1), None, Some(1)];
+        assert_eq!(fused_runs(&c), ops);
+
+        let mut c = QuantumCircuit::new(1, 0);
+        c.h(0).unwrap().t(0).unwrap().s(0).unwrap();
+        assert_eq!(fused_runs(&c), [Some(3)]);
+    }
+
+    #[test]
+    fn interleaved_other_wire_instructions_do_not_break_fusion_runs() {
+        let mut c = QuantumCircuit::new(2, 0);
+        c.h(0).unwrap().x(1).unwrap().t(0).unwrap();
+        // H and T fuse past the X on q1, at T's position.
+        assert_eq!(fused_runs(&c), [Some(1), Some(2)]);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! gate's control moves to bit `c + n` with it. Gates lower through the
 //! same [`crate::compile`](mod@crate::compile) step as on the
 //! state-vector path, so the row and column sweeps of single-qubit and
-//! controlled gates ride on the same SIMD-dispatched [`crate::apply`]
-//! kernels (see [`crate::simd`]), with the identical bit-exactness
+//! controlled gates ride on the same SIMD-dispatched `apply` kernels (see [`crate::simd`]), with the identical bit-exactness
 //! contract; wider gates use the dense kernel.
 //!
 //! The exact noisy executor in [`crate::executor`] uses this type to

@@ -18,15 +18,17 @@ use rand::{Rng, RngCore};
 /// |---|---|
 /// | amplitude measurement, reset, post-selection | [`threshold`](Draws::threshold) on `P(1)` |
 /// | readout error on a measured bit | [`threshold`](Draws::threshold) on the flip probability |
-/// | Kraus channel with more than one operator | [`pick`](Draws::pick) over the Born weights: the weights of its [Pauli form](qnoise::Kraus::pauli_form) when it has one, else `‖Kᵢψ‖²` |
-/// | Pauli channel with more than one table entry | [`pick`](Draws::pick) over the table's probabilities |
+/// | amplitude Kraus channel with more than one operator | [`pick`](Draws::pick) over the Born weights: the weights of its [Pauli form](qnoise::Kraus::pauli_form) when it has one, else `‖Kᵢψ‖²` |
+/// | tableau Pauli channel with more than one operator of nonzero weight | [`pick`](Draws::pick) over those weights of its [Pauli form](qnoise::Kraus::pauli_form), in operator order; a draw past their running total lands on the last of them |
 /// | sample-once statevector shot | [`search`](Draws::search) over the basis-state probabilities' running sums |
 /// | tableau measurement with a random outcome | [`coin`](Draws::coin) |
 /// | hybrid handoff from tableau to amplitudes | [`marker`](Draws::marker) |
 ///
 /// Nothing else draws:
 ///
-/// - gates, single-operator Kraus channels and one-entry Pauli tables;
+/// - gates, single-operator Kraus channels, and tableau Pauli channels
+///   with one operator of nonzero weight (operators of weight 0 never
+///   fire on the tableau);
 /// - tableau measurements whose outcome is deterministic;
 /// - a measurement's readout when no noise model was bound at compile
 ///   time;
@@ -108,17 +110,17 @@ impl<R: RngCore + ?Sized> Draws for R {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Hands out scripted raw `u64`s and counts how many were taken.
-    struct Script {
+    pub(crate) struct Script {
         raw: Vec<u64>,
-        taken: usize,
+        pub(crate) taken: usize,
     }
 
     impl Script {
-        fn new(raw: &[u64]) -> Self {
+        pub(crate) fn new(raw: &[u64]) -> Self {
             Script {
                 raw: raw.to_vec(),
                 taken: 0,
@@ -134,7 +136,7 @@ mod tests {
     }
 
     /// The raw `u64` that draws as the `f64` `u` (a multiple of 2⁻⁵³).
-    fn raw(u: f64) -> u64 {
+    pub(crate) fn raw(u: f64) -> u64 {
         ((u * (1u64 << 53) as f64) as u64) << 11
     }
 

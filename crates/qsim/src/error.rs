@@ -63,7 +63,7 @@ pub enum SimError {
 /// [`crate::CompiledProgram::clifford`], which classifies every
 /// **source** instruction (pre-fusion, via
 /// [`qcircuit::Gate::clifford_kind`]) and every bound noise channel
-/// (via [`qnoise::Kraus::as_pauli_channel`]).
+/// (by its [Pauli form](qnoise::Kraus::pauli_form)).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliffordBlock {
     /// A gate outside the Clifford group — including every parametrized
@@ -75,9 +75,10 @@ pub enum CliffordBlock {
         /// Index of the offending source instruction.
         instruction: usize,
     },
-    /// A bound noise channel that is not a Pauli channel (amplitude or
-    /// phase damping, thermal relaxation, generic coherent errors), so
-    /// it cannot be lowered to stochastic Pauli injections.
+    /// A bound noise channel without an exact Pauli form whose weights
+    /// sum to 1 (amplitude or phase damping, thermal relaxation,
+    /// coherent errors, and channels a few ulps off a Pauli channel),
+    /// so the tableau cannot inject it.
     NonPauliChannel {
         /// Name of the source op the channel is bound to.
         op: String,

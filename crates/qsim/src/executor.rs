@@ -1807,4 +1807,28 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn read_out_matches_a_hand_written_table() {
+        use crate::draws::tests::{raw, Script};
+        // A true 0 reads as 1 at rate 0.125, a true 1 as 0 at 0.375: a
+        // flip exactly when the draw is below the true outcome's rate.
+        let readout = ReadoutError::new(0.125, 0.375).unwrap();
+        let draws = [0.0625, 0.125, 0.25, 0.375, 0.5];
+        let table = [
+            (false, [true, false, false, false, false]),
+            (true, [false, false, false, true, true]),
+        ];
+        for (actual, recorded) in table {
+            for (u, want) in draws.into_iter().zip(recorded) {
+                let mut script = Script::new(&[raw(u)]);
+                let got = read_out(actual, Some(readout), &mut script);
+                assert_eq!(got, want, "{actual} at u = {u}");
+                assert_eq!(script.taken, 1, "a bound readout draws once");
+            }
+            let mut script = Script::new(&[]);
+            assert_eq!(read_out(actual, None, &mut script), actual);
+            assert_eq!(script.taken, 0, "no readout draws nothing");
+        }
+    }
 }

@@ -16,9 +16,10 @@
 //!   (matrices pre-materialized, adjacent single-qubit gates fused,
 //!   noise channels pre-bound, the statevector fast path decided up
 //!   front) that the per-shot hot loops execute one op at a time,
-//! * [`apply`] — the amplitude kernels every executor applies a unitary
-//!   through: the 2×2 sweep, the controlled 2×2 sweep and the dense
-//!   `2^k × 2^k` loop,
+//! * `apply` (crate-private) — the amplitude kernels every executor
+//!   applies a unitary through: the 2×2 sweep, the controlled 2×2 sweep
+//!   and the dense `2^k × 2^k` loop. They panic on operands the public
+//!   entry points reject as typed errors first,
 //! * [`cache`] — the keyed [`ProgramCache`] (circuit structural hash ×
 //!   noise-model fingerprint × compile options) that makes repeated
 //!   sweep analyses compile-free, with hit/miss/eviction counters,
@@ -75,7 +76,7 @@
 //! # }
 //! ```
 
-pub mod apply;
+mod apply;
 pub mod cache;
 pub mod compile;
 pub mod counts;
@@ -113,7 +114,7 @@ pub use program::{CompiledKind, CompiledOp, CompiledProgram, FastPath, HybridPla
 pub use simd::SimdBackend;
 pub use stabilizer::{
     run_clifford_sharded, run_clifford_sharded_on, CliffordOp, CliffordOpKind, CliffordProgram,
-    PauliNoise, StabilizerBackend, Tableau,
+    StabilizerBackend, Tableau,
 };
 pub use statevector::StateVector;
 pub use tree::TreeStats;

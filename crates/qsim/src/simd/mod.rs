@@ -1,10 +1,10 @@
 //! Explicit-width SIMD amplitude kernels with runtime CPU-feature
 //! dispatch.
 //!
-//! The hot loop of the simulator — the shared 2×2 sweep in
-//! [`crate::apply`], which every single-qubit and controlled op of every
-//! amplitude executor runs, and which the density-matrix row/column
-//! kernels reuse — bottoms out in two *run primitives* over interleaved
+//! The hot loop of the simulator — the shared 2×2 sweep in the
+//! crate-private `apply` module, which every single-qubit and controlled
+//! op of every amplitude executor runs, and which the density-matrix
+//! row/column kernels reuse — bottoms out in two *run primitives* over interleaved
 //! `Complex` amplitudes:
 //!
 //! * `general` — full complex 2×2 ([`Mat2::apply`] per pair) over two
@@ -160,10 +160,9 @@ impl RunShape {
     }
 }
 
-/// Walks the contiguous runs of one op over `[base, base + span)` of the
-/// buffer at `ptr`, evaluating the body on each x-run and its
-/// stride-distant y-run: `for_runs!(ptr, base, span, stride, shape,
-/// |x, y, len| body)`.
+/// Walks the contiguous runs of one op over the `len` amplitudes at
+/// `ptr`, evaluating the body on each x-run and its stride-distant
+/// y-run: `for_runs!(ptr, len, stride, shape, |x, y, run| body)`.
 ///
 /// This is a macro, not a function taking a closure, **on purpose**: the
 /// body expands textually inside the caller, so when the caller is a
@@ -175,20 +174,17 @@ impl RunShape {
 ///
 /// # Safety
 ///
-/// `ptr` must be valid for reads and writes over `[base, base + span)`,
-/// `span` a multiple of `2 × stride`, `base` a multiple of `2 × stride`
-/// aligned so that `base & group_mask` honestly reflects the control bit
-/// (the whole-array sweeps satisfy this by construction). Every produced
-/// span lies inside the window: run offsets stay below `stride` and
-/// `y = x + stride < base + span`.
+/// `ptr` must be valid for reads and writes of `len` amplitudes, `len` a
+/// multiple of `2 × stride`. Every produced span lies inside the array:
+/// run offsets stay below `stride` and `y = x + stride < len`.
 macro_rules! for_runs {
-    ($ptr:expr, $base:expr, $span:expr, $stride:expr, $shape:expr, |$x:pat_param, $y:pat_param, $len:pat_param| $body:expr) => {{
+    ($ptr:expr, $len:expr, $stride:expr, $shape:expr, |$x:pat_param, $y:pat_param, $run:pat_param| $body:expr) => {{
         let ptr = $ptr;
         let stride = $stride;
         let shape = $shape;
-        let top = $base + $span;
-        let mut lo = $base;
-        while lo < top {
+        let len = $len;
+        let mut lo = 0;
+        while lo < len {
             if shape.group_mask == 0 || lo & shape.group_mask != 0 {
                 let end = lo + stride;
                 let mut off = lo + shape.first;
@@ -197,7 +193,7 @@ macro_rules! for_runs {
                     {
                         let $x = xp;
                         let $y = xp.add(stride);
-                        let $len = shape.run_len;
+                        let $run = shape.run_len;
                         $body
                     }
                     off += shape.inner_step;
@@ -209,9 +205,10 @@ macro_rules! for_runs {
 }
 pub(crate) use for_runs;
 
-/// Safe per-backend entry points to the raw `general` primitive, used
-/// by the bitwise equivalence suite to compare every backend against
-/// the scalar oracle on the same inputs. Not part of the supported API.
+/// Safe per-backend entry points to the raw `general` primitive and to
+/// the 2×2 sweeps built on it, used by the bitwise equivalence suite to
+/// compare every backend against the scalar oracle on the same inputs.
+/// Not part of the supported API.
 #[doc(hidden)]
 pub mod test_support {
     use super::*;
@@ -255,6 +252,32 @@ pub mod test_support {
     unsafe fn general_neon(x: *mut Complex, y: *mut Complex, len: usize, m: &Mat2) {
         aarch64::NeonIsa::general(x, y, len, m)
     }
+
+    /// The 2×2 sweep of bit `bit` over `amps`, on `backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `backend` is unavailable here, or unless `amps.len()`
+    /// is a power of two and `bit` addresses it.
+    pub fn mat2_sweep(backend: SimdBackend, amps: &mut [Complex], bit: usize, m: &Mat2) {
+        crate::apply::apply_mat2_at_on(backend, amps, bit, m)
+    }
+
+    /// The controlled 2×2 sweep over `amps`, on `backend`: `m` acts on
+    /// bit `target` where bit `control` is set.
+    ///
+    /// # Panics
+    ///
+    /// As [`mat2_sweep`], plus when `control == target`.
+    pub fn controlled_mat2_sweep(
+        backend: SimdBackend,
+        amps: &mut [Complex],
+        control: usize,
+        target: usize,
+        m: &Mat2,
+    ) {
+        crate::apply::apply_controlled_mat2_at_on(backend, amps, control, target, m)
+    }
 }
 
 #[cfg(test)]
@@ -263,19 +286,19 @@ mod tests {
 
     /// Collects the pairs `for_runs` visits, flattened back to
     /// per-pair index tuples in visit order.
-    fn run_pairs(base: usize, span: usize, stride: usize, cmask: usize) -> Vec<(usize, usize)> {
+    fn run_pairs(len: usize, stride: usize, cmask: usize) -> Vec<(usize, usize)> {
         let shape = RunShape::new(stride, cmask);
-        let mut dummy = vec![Complex::ZERO; base + span];
+        let mut dummy = vec![Complex::ZERO; len];
         let ptr = dummy.as_mut_ptr();
         let origin = ptr as usize;
         let mut pairs = Vec::new();
-        // SAFETY: the buffer covers [0, base + span); pointers are only
+        // SAFETY: the buffer covers [0, len); pointers are only
         // inspected, never dereferenced.
         unsafe {
-            for_runs!(ptr, base, span, stride, &shape, |x, y, len| {
+            for_runs!(ptr, len, stride, &shape, |x, y, run| {
                 let i0 = (x as usize - origin) / std::mem::size_of::<Complex>();
                 let i1 = (y as usize - origin) / std::mem::size_of::<Complex>();
-                for k in 0..len {
+                for k in 0..run {
                     pairs.push((i0 + k, i1 + k));
                 }
             });
@@ -284,10 +307,10 @@ mod tests {
     }
 
     /// The original per-pair loop, as the oracle.
-    fn pair_loop(base: usize, span: usize, stride: usize, cmask: usize) -> Vec<(usize, usize)> {
+    fn pair_loop(len: usize, stride: usize, cmask: usize) -> Vec<(usize, usize)> {
         let mut pairs = Vec::new();
-        let mut lo = base;
-        while lo < base + span {
+        let mut lo = 0;
+        while lo < len {
             for off in lo..lo + stride {
                 if cmask == 0 || off & cmask != 0 {
                     pairs.push((off, off + stride));
@@ -305,11 +328,11 @@ mod tests {
             let mut cmasks = vec![0usize];
             cmasks.extend((0..7usize).map(|b| 1usize << b).filter(|&c| c != stride));
             for &cmask in &cmasks {
-                for &(base, span) in &[(0usize, 128usize), (128, 128), (0, 2 * stride)] {
+                for len in [128, 2 * stride] {
                     assert_eq!(
-                        run_pairs(base, span, stride, cmask),
-                        pair_loop(base, span, stride, cmask),
-                        "stride={stride} cmask={cmask} base={base} span={span}"
+                        run_pairs(len, stride, cmask),
+                        pair_loop(len, stride, cmask),
+                        "stride={stride} cmask={cmask} len={len}"
                     );
                 }
             }

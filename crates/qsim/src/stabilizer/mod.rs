@@ -12,20 +12,20 @@
 //!
 //! The first read of [`CompiledProgram::clifford`] classifies every
 //! **source** instruction with [`qcircuit::Gate::clifford_kind`] and
-//! lowers every channel the program's noise model binds to a gate
-//! through [`qnoise::Kraus::as_pauli_channel`]; the verdict — a
-//! [`CliffordProgram`] or the first [`CliffordBlock`] — is then kept on
-//! the [`CompiledProgram`], so a program the amplitude backends run
-//! never pays for it. [`StabilizerBackend`] surfaces an ineligible
+//! keeps every channel the program's noise model binds to a gate when
+//! it has a [Pauli form](qnoise::Kraus::pauli_form) whose weights sum
+//! to 1 within `1e-9`. The verdict — a [`CliffordProgram`] or the first
+//! [`CliffordBlock`] — is then kept on the [`CompiledProgram`], so a
+//! program the amplitude backends run never pays for it. [`StabilizerBackend`] surfaces an ineligible
 //! program as [`SimError::NotClifford`] without running a single shot,
 //! so `ProgramCache`, `ShardPool`, sweeps and sessions compose
 //! unchanged: one cached compilation serves all backends.
 //!
-//! Pauli noise channels become **stochastic Pauli injections**: a
-//! channel whose Kraus operators are scaled Pauli strings is sampled
-//! per shot and applied as tableau X/Y/Z conjugations. Readout errors
-//! are bound by the scan and sampled per measurement, as on the
-//! amplitude backends.
+//! Pauli noise channels become **stochastic Pauli injections**: each
+//! shot samples one string of the channel's Pauli form, the same form a
+//! trajectory shot samples, and applies it as tableau X/Y/Z
+//! conjugations. Readout errors are bound by the scan and sampled per
+//! measurement, as on the amplitude backends.
 //!
 //! # Bit-exactness contract
 //!
@@ -55,41 +55,41 @@ use crate::pool::ShardPool;
 use crate::program::CompiledProgram;
 use crate::tree::OutcomeTree;
 use qcircuit::{CliffordKind, Condition, OpKind, QuantumCircuit};
-use qnoise::{NoiseModel, PauliTerm, ReadoutError};
+use qnoise::{AppliedChannel, Kraus, NoiseModel, PauliTerm, ReadoutError};
 use std::sync::Arc;
 
-/// Tolerance for recognizing a Kraus operator as a scaled Pauli string.
-const PAULI_TOL: f64 = 1e-9;
-
-/// A noise channel lowered to stochastic Pauli injections.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PauliNoise {
-    /// The circuit qubits the channel acts on, channel-local order.
-    pub qubits: Vec<usize>,
-    /// `(probability, Pauli string)` table; entry `j` of a string acts
-    /// on `qubits[j]`. Probabilities sum to 1.
-    pub table: Vec<(f64, Vec<PauliTerm>)>,
-}
-
-impl PauliNoise {
-    /// Samples one Pauli string and conjugates it into the tableau.
-    /// A one-entry table draws nothing, like a single-operator Kraus
-    /// channel.
-    fn inject<D: Draws + ?Sized>(&self, t: &mut Tableau, draws: &mut D) {
-        let chosen = if self.table.len() == 1 {
-            0
-        } else {
-            draws.pick(self.table.iter().map(|(p, _)| *p))
-        };
-        for (j, term) in self.table[chosen].1.iter().enumerate() {
-            match term {
-                PauliTerm::I => {}
-                PauliTerm::X => t.x(self.qubits[j]),
-                PauliTerm::Y => t.y(self.qubits[j]),
-                PauliTerm::Z => t.z(self.qubits[j]),
-            }
+/// Samples one string of `channel`'s Pauli form and conjugates it into
+/// the tableau. Operators of weight 0 never fire: when one operator is
+/// left it applies without a draw, otherwise one [`Draws::pick`] runs
+/// over the remaining weights in operator order.
+fn inject<D: Draws + ?Sized>(t: &mut Tableau, channel: &AppliedChannel, draws: &mut D) {
+    let form = channel
+        .kraus
+        .pauli_form()
+        .expect("the Clifford scan keeps only channels with a Pauli form");
+    let live = || form.iter().filter(|op| op.weight > 0.0);
+    let picked = if live().count() == 1 {
+        0
+    } else {
+        draws.pick(live().map(|op| op.weight))
+    };
+    let op = live().nth(picked).expect("a pick lands on a live operator");
+    for (j, qubit) in channel.qubits.iter().enumerate() {
+        match op.term(j) {
+            PauliTerm::I => {}
+            PauliTerm::X => t.x(qubit.index()),
+            PauliTerm::Y => t.y(qubit.index()),
+            PauliTerm::Z => t.z(qubit.index()),
         }
     }
+}
+
+/// Whether the tableau can inject `channel`: it has a Pauli form whose
+/// weights sum to 1 within `1e-9`.
+fn injectable(channel: &Kraus) -> bool {
+    channel
+        .pauli_form()
+        .is_some_and(|form| (form.iter().map(|op| op.weight).sum::<f64>() - 1.0).abs() <= 1e-9)
 }
 
 /// One lowered Clifford-eligible operation.
@@ -134,8 +134,9 @@ pub struct CliffordOp {
     /// Classical condition gating the op (condition unsatisfied ⇒ the
     /// op **and its noise** are skipped, like the amplitude backends).
     pub condition: Option<Condition>,
-    /// Pauli channels fired after the op (gates only).
-    pub noise: Vec<PauliNoise>,
+    /// Channels fired after the op (gates only), each bound as on the
+    /// amplitude ops and each with a Pauli form.
+    pub noise: Vec<AppliedChannel>,
 }
 
 /// The Clifford lowering of a compiled program: the tableau-executable
@@ -182,17 +183,10 @@ fn lower_clifford_instr(
                 instruction: i,
             })?;
             let bound = noise.map_or_else(Vec::new, |m| m.channels_for(instr));
-            let mut lowered = Vec::with_capacity(bound.len());
-            for applied in &bound {
-                let table = applied.kraus.as_pauli_channel(PAULI_TOL).ok_or(
-                    CliffordBlock::NonPauliChannel {
-                        op: g.name().to_string(),
-                        instruction: i,
-                    },
-                )?;
-                lowered.push(PauliNoise {
-                    qubits: applied.qubits.iter().map(|q| q.index()).collect(),
-                    table,
+            if !bound.iter().all(|applied| injectable(&applied.kraus)) {
+                return Err(CliffordBlock::NonPauliChannel {
+                    op: g.name().to_string(),
+                    instruction: i,
                 });
             }
             (
@@ -200,7 +194,7 @@ fn lower_clifford_instr(
                     kind,
                     qubits: instr.qubits().iter().map(|q| q.index()).collect(),
                 },
-                lowered,
+                bound,
             )
         }
         OpKind::Measure => (
@@ -239,7 +233,7 @@ fn lower_clifford_instr(
 pub(crate) type CliffordScan = Result<CliffordProgram, (CliffordBlock, Arc<CliffordProgram>)>;
 
 /// The Clifford-eligibility pass: classifies every source instruction
-/// (exact per gate; fusion would erase it) and lowers every channel
+/// (exact per gate; fusion would erase it) and checks every channel
 /// `noise` binds to a gate, stopping at the first blocker.
 pub(crate) fn lower_clifford_scan(
     circuit: &QuantumCircuit,
@@ -291,7 +285,7 @@ pub(crate) fn run_clifford_shot<D: Draws + ?Sized>(
             CliffordOpKind::Gate { kind, qubits } => {
                 tableau.apply_clifford(*kind, qubits);
                 for channel in &op.noise {
-                    channel.inject(tableau, draws);
+                    inject(tableau, channel, draws);
                 }
             }
             CliffordOpKind::Measure {
@@ -409,9 +403,9 @@ impl StabilizerBackend {
     }
 
     /// A noisy stabilizer backend: `noise` is bound at compile time;
-    /// its Pauli channels become stochastic Pauli injections and its
-    /// readout errors are sampled per measurement. Channels that are
-    /// not Pauli channels make every program ineligible.
+    /// its channels with an exact Pauli form become stochastic Pauli
+    /// injections and its readout errors are sampled per measurement.
+    /// Any other channel makes every program that binds it ineligible.
     pub fn new(noise: NoiseModel) -> Self {
         StabilizerBackend {
             noise: Some(noise),
@@ -495,6 +489,62 @@ impl Backend for StabilizerBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draws::tests::{raw, Script};
+    use qcircuit::Gate;
+
+    /// One shot of a Bell pair whose qubit 0 passes an `id` gate bound
+    /// to `channel`, decoded superdense: the record holds the injected
+    /// string's Z part in bit 0 and its X part in bit 1. `pick` scripts
+    /// the injection's draw, if it takes one; the two readouts (ideal,
+    /// but bound with the model) take one draw each after it. Returns
+    /// the record and the draws the injection took.
+    fn decoded(channel: Kraus, pick: Option<f64>) -> (u64, usize) {
+        let mut noise = NoiseModel::new();
+        noise.with_gate_error("id", channel);
+        let mut c = QuantumCircuit::new(2, 2);
+        c.h(0)
+            .unwrap()
+            .cx(0, 1)
+            .unwrap()
+            .gate(Gate::I, [0])
+            .unwrap();
+        c.cx(0, 1).unwrap().h(0).unwrap();
+        c.measure(0, 0).unwrap().measure(1, 1).unwrap();
+        let program = lower_clifford_scan(&c, Some(&noise)).unwrap();
+        let scripted: Vec<u64> = pick.into_iter().chain([0.5, 0.5]).map(raw).collect();
+        let mut script = Script::new(&scripted);
+        let record = run_clifford_shot(&program, &mut Tableau::new(2), &mut script).unwrap();
+        assert_eq!(script.taken, scripted.len(), "every scripted draw taken");
+        (record, script.taken - 2)
+    }
+
+    #[test]
+    fn injection_picks_over_the_nonzero_operators_only() {
+        let (i, x, y, z) = (0b00, 0b10, 0b11, 0b01);
+        // One nonzero operator applies without a draw, wherever it sits.
+        assert_eq!(decoded(Kraus::bit_flip(0.0).unwrap(), None), (i, 0));
+        let only_y = Kraus::pauli_channel(0.0, 1.0, 0.0).unwrap();
+        assert_eq!(decoded(only_y, None), (y, 0));
+        // Several take one draw over their weights in operator order:
+        // I 0.25, X 0.25, Y 0, Z 0.5.
+        let channel = Kraus::pauli_channel(0.25, 0.0, 0.5).unwrap();
+        for (u, string) in [(0.0, i), (0.25, x), (0.5, z), (0.75, z)] {
+            assert_eq!(decoded(channel.clone(), Some(u)), (string, 1), "u = {u}");
+        }
+        // I 0.95, X 0.01 and Y 0.04 sum one ulp short of 1, so the
+        // largest draw passes their running total: it lands on Y, the
+        // last nonzero operator, not on Z of weight 0 after it.
+        let channel = Kraus::pauli_channel(0.01, 0.04, 0.0).unwrap();
+        let total: f64 = channel
+            .pauli_form()
+            .unwrap()
+            .iter()
+            .map(|op| op.weight)
+            .sum();
+        let largest = 1.0 - f64::EPSILON / 2.0;
+        assert!(total <= largest, "total {total}");
+        assert_eq!(decoded(channel, Some(largest)), (y, 1));
+    }
 
     #[test]
     fn default_is_the_ideal_backend() {

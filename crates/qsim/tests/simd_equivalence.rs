@@ -22,7 +22,6 @@
 
 use proptest::prelude::*;
 use qmath::{Complex, Mat2};
-use qsim::apply::{apply_controlled_mat2_at_on, apply_mat2_at_on};
 use qsim::simd::{self, test_support};
 use qsim::{Backend, SimdBackend, StatevectorBackend, TrajectoryBackend};
 use rand::rngs::StdRng;
@@ -129,11 +128,11 @@ proptest! {
         let mut scalar_out = amps0.clone();
         let mut vector_out = amps0;
         if controlled && control != target {
-            apply_controlled_mat2_at_on(SimdBackend::Scalar, &mut scalar_out, control, target, &m);
-            apply_controlled_mat2_at_on(vector_backend(), &mut vector_out, control, target, &m);
+            test_support::controlled_mat2_sweep(SimdBackend::Scalar, &mut scalar_out, control, target, &m);
+            test_support::controlled_mat2_sweep(vector_backend(), &mut vector_out, control, target, &m);
         } else {
-            apply_mat2_at_on(SimdBackend::Scalar, &mut scalar_out, target, &m);
-            apply_mat2_at_on(vector_backend(), &mut vector_out, target, &m);
+            test_support::mat2_sweep(SimdBackend::Scalar, &mut scalar_out, target, &m);
+            test_support::mat2_sweep(vector_backend(), &mut vector_out, target, &m);
         }
         assert_bits_equal(&scalar_out, &vector_out, "mat2 sweep");
     }

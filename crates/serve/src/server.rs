@@ -6,9 +6,9 @@
 //! ```text
 //! conn worker (× conn_workers; each blocks in accept() on its own
 //!   │          listener clone and serves one connection at a time)
-//!   │ read and route the request; for a job, parse the JSON and QASM
-//!   │ and instrument the assertions (bad input: 400, a panic: 500;
-//!   │ neither takes a queue slot)
+//!   │ read and route the request; for a job, parse the JSON and QASM,
+//!   │ instrument the assertions and build the noise model (bad input:
+//!   │ 400, a panic: 500; neither takes a queue slot)
 //!   v
 //! JobQueue::submit(tenant) ──(queue_capacity jobs wait)──> 429
 //!   │ blocks until the job's fair turn: round-robin across tenants,
@@ -46,7 +46,7 @@ use crate::json::{obj, Value};
 use crate::protocol::{outcome_records, queue_full_error, telemetry_record, ApiError, JobSpec};
 use crate::queue::{JobQueue, SubmitError};
 use qassert::{AssertingCircuit, AssertionSession, SessionTelemetry};
-use qnoise::presets;
+use qnoise::{presets, NoiseModel};
 use qsim::{
     Backend, BackendKind, DensityMatrixBackend, HybridBackend, ProgramCache, ShardPool,
     StabilizerBackend, StatevectorBackend, TrajectoryBackend,
@@ -344,9 +344,15 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
     let body = std::str::from_utf8(&request.body)
         .map_err(|_| ApiError::bad_request("invalid_json", "body is not valid UTF-8"))?;
     let spec = JobSpec::from_json(body)?;
-    // Parse the QASM and instrument the assertions *before* admission:
-    // a malformed job must cost a 400, never a queue slot.
+    // Parse the QASM, instrument the assertions and build the noise
+    // model *before* admission: a malformed job must cost a 400, never a
+    // queue slot.
     let circuit = state.guarded(|| spec.build_circuit())?;
+    let noise = spec
+        .noise
+        .map(|(p1, p2, readout)| presets::uniform(circuit.circuit().num_qubits(), p1, p2, readout))
+        .transpose()
+        .map_err(|e| ApiError::bad_request("invalid_noise", e.to_string()))?;
 
     let tenant = request.header("x-api-token").unwrap_or("anonymous");
     let turn = state
@@ -356,7 +362,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
             state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             queue_full_error(capacity)
         })?;
-    let result = state.guarded(|| execute(state, &spec, &circuit));
+    let result = state.guarded(|| execute(state, &spec, &circuit, noise));
     // Free the turn before the response is written: a slow reader must
     // not hold up the next job.
     drop(turn);
@@ -364,22 +370,17 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
     result
 }
 
-/// Executes one admitted job on the requested backend through a
-/// session sharing the server-wide program cache, and
-/// renders the full NDJSON record stream (telemetry trailer included).
+/// Executes one admitted job on the requested backend, under the
+/// job's noise model, through a session sharing the server-wide program
+/// cache, and renders the full NDJSON record stream (telemetry trailer
+/// included).
 fn execute(
     state: &ServeState,
     spec: &JobSpec,
     circuit: &AssertingCircuit,
+    noise: Option<NoiseModel>,
 ) -> Result<Vec<String>, ApiError> {
     let n = circuit.circuit().num_qubits();
-    let noise = match spec.noise {
-        None => None,
-        Some((p1, p2, readout)) => Some(
-            presets::uniform(n, p1, p2, readout)
-                .map_err(|e| ApiError::bad_request("invalid_noise", e.to_string()))?,
-        ),
-    };
     let backend: Box<dyn Backend + Send + Sync> = match (spec.backend, noise) {
         (BackendKind::Statevector, _) => Box::new(StatevectorBackend::new()),
         (BackendKind::Trajectory, noise) => {

@@ -262,6 +262,55 @@ fn queue_full_gets_typed_429_without_executing() {
 }
 
 #[test]
+fn invalid_noise_gets_its_400_before_admission() {
+    let server = Server::start(ServerConfig {
+        job_workers: 1,
+        ..test_config()
+    })
+    .expect("start");
+    let addr = server.addr();
+
+    // A slow trajectory job holds the only turn.
+    let slow = format!(
+        "{{\"qasm\": \"{GHZ_QASM}\", \"backend\": \"trajectory\", \
+         \"noise\": {{\"p1\": 0.001, \"p2\": 0.01, \"readout\": 0.01}}, \
+         \"plan\": {{\"fixed\": 4194304}}, \"seed\": 1}}"
+    );
+    let slow_job = std::thread::spawn(move || client::post_job(addr, "slow", &slow).expect("post"));
+    wait_for_metrics(addr, Duration::from_secs(60), |m| {
+        field(m, "jobs_running") == 1
+    });
+
+    // A p1 past 1 is a malformed job: its 400 comes back while the slow
+    // job still holds the turn, so it never waited for one.
+    let bad = ghz_job(
+        ", \"backend\": \"trajectory\", \
+         \"noise\": {\"p1\": 2.0, \"p2\": 0.01, \"readout\": 0.01}",
+    );
+    let response = client::post_job(addr, "bad", &bad).expect("post");
+    assert_eq!(response.status, 400, "body: {}", response.body);
+    assert!(
+        response.body.contains("\"error\":\"invalid_noise\""),
+        "{}",
+        response.body
+    );
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    let metrics = qassert_serve::json::parse(&metrics.body).expect("metrics JSON");
+    assert_eq!(field(&metrics, "jobs_running"), 1, "{}", metrics.render());
+    assert_eq!(field(&metrics, "jobs_done"), 0, "{}", metrics.render());
+
+    let response = slow_job.join().expect("slow job thread");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    // Only the slow job executed.
+    let metrics = wait_for_metrics(addr, Duration::from_secs(5), |m| {
+        field(m, "jobs_running") == 0
+    });
+    assert_eq!(field(&metrics, "jobs_done"), 1, "{}", metrics.render());
+
+    server.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_admitted_jobs() {
     let server = Server::start(ServerConfig {
         job_workers: 1,

@@ -16,11 +16,11 @@ fn bell_assertion_pipeline_trajectory_vs_exact() {
     qdevice::verify::check_native(&lowered.circuit, &topo).unwrap();
 
     let noise = qnoise::presets::ibmqx4();
-    let exact_session =
-        AssertionSession::new(DensityMatrixBackend::new(noise.clone())).shots(1 << 15);
+    let exact_session = AssertionSession::new(DensityMatrixBackend::new(noise.clone()))
+        .shot_plan(ShotPlan::Fixed(1 << 15));
     let sampled_session = AssertionSession::new(TrajectoryBackend::new(noise).with_seed(42))
         .threads(4)
-        .shots(1 << 15);
+        .shot_plan(ShotPlan::Fixed(1 << 15));
     let exact = exact_session.run_circuit(&lowered.circuit).unwrap();
     let sampled = sampled_session.run_circuit(&lowered.circuit).unwrap();
     let tvd = exact.counts.tvd(&sampled.counts);
@@ -88,8 +88,8 @@ fn ghz3_assertion_on_device_reduces_error() {
     let lowered = qdevice::transpile::transpile(program.circuit(), &topo).unwrap();
     qdevice::verify::check_native(&lowered.circuit, &topo).unwrap();
 
-    let session =
-        AssertionSession::new(DensityMatrixBackend::new(qnoise::presets::ibmqx4())).shots(1 << 14);
+    let session = AssertionSession::new(DensityMatrixBackend::new(qnoise::presets::ibmqx4()))
+        .shot_plan(ShotPlan::Fixed(1 << 14));
     let raw = session.run_circuit(&lowered.circuit).unwrap();
     let outcome = session.analyze(raw, &program).unwrap();
     assert!(outcome.assertion_error_rate > 0.0);
@@ -117,11 +117,11 @@ fn ideal_backends_agree_on_asserted_program() {
     program.measure_data();
 
     let sv = AssertionSession::new(StatevectorBackend::new().with_seed(1))
-        .shots(1 << 15)
+        .shot_plan(ShotPlan::Fixed(1 << 15))
         .run(&program)
         .unwrap();
     let dm = AssertionSession::new(DensityMatrixBackend::ideal())
-        .shots(1 << 15)
+        .shot_plan(ShotPlan::Fixed(1 << 15))
         .run(&program)
         .unwrap();
     assert!(sv.raw.counts.tvd(&dm.raw.counts) < 0.02);
@@ -175,7 +175,8 @@ fn staged_assertion_sweep_reuses_prefixes_without_changing_outcomes() {
     };
     let family: Vec<AssertingCircuit> = (1..=4).map(staged).collect();
 
-    let session = AssertionSession::new(StatevectorBackend::new().with_seed(9)).shots(256);
+    let session = AssertionSession::new(StatevectorBackend::new().with_seed(9))
+        .shot_plan(ShotPlan::Fixed(256));
     let sweep = session.run_sweep(family.clone()).unwrap();
     assert_eq!(sweep.len(), 4);
     assert_eq!(
@@ -189,7 +190,7 @@ fn staged_assertion_sweep_reuses_prefixes_without_changing_outcomes() {
     // Bit-identical to isolated, prefix-free sessions.
     for (i, program) in family.iter().enumerate() {
         let isolated = AssertionSession::new(StatevectorBackend::new().with_seed(9))
-            .shots(256)
+            .shot_plan(ShotPlan::Fixed(256))
             .prefix_reuse(false)
             .run(program)
             .unwrap();

@@ -28,7 +28,7 @@ fn both_accept_correct_superposition() {
         .unwrap();
     program.measure_data();
     let outcome = AssertionSession::new(ideal())
-        .shots(2000)
+        .shot_plan(ShotPlan::Fixed(2000))
         .run(&program)
         .unwrap();
     assert_eq!(outcome.assertion_error_rate, 0.0);
@@ -51,7 +51,7 @@ fn both_reject_bugged_superposition() {
         .unwrap();
     program.measure_data();
     let outcome = AssertionSession::new(ideal())
-        .shots(4000)
+        .shot_plan(ShotPlan::Fixed(4000))
         .run(&program)
         .unwrap();
     let rate = outcome.assertion_error_rate;
@@ -71,7 +71,7 @@ fn only_dynamic_assertions_preserve_downstream_computation() {
     program.circuit_mut().x(1).unwrap();
     program.measure_data();
     let outcome = AssertionSession::new(ideal())
-        .shots(1000)
+        .shot_plan(ShotPlan::Fixed(1000))
         .run(&program)
         .unwrap();
     // Downstream X's executed on the *still-entangled* state.
@@ -99,7 +99,7 @@ fn dynamic_detects_deterministic_bug_in_one_shot() {
     let mut program = AssertingCircuit::new(prefix.clone());
     program.assert_classical([0], [false]).unwrap();
     let outcome = AssertionSession::new(ideal())
-        .shots(1)
+        .shot_plan(ShotPlan::Fixed(1))
         .filter_policy(FilterPolicy::AllowEmpty)
         .run(&program)
         .unwrap();

@@ -185,7 +185,7 @@ fn instrumented_bv_assertion_is_silent_and_answer_unchanged() {
         c.measure(q, q).unwrap();
     }
     let outcome = AssertionSession::new(ideal())
-        .shots(512)
+        .shot_plan(ShotPlan::Fixed(512))
         .run(&program)
         .unwrap();
     assert_eq!(outcome.assertion_error_rate, 0.0);
