@@ -876,7 +876,6 @@ fn serve() -> Outcome {
         addr: "127.0.0.1:0".to_string(),
         job_workers: CLIENTS,
         conn_workers: 2 * CLIENTS,
-        queue_capacity: 4 * CLIENTS,
         ..ServerConfig::default()
     })
     .expect("server starts");

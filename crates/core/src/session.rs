@@ -1135,6 +1135,32 @@ mod tests {
     }
 
     #[test]
+    fn density_runs_that_keep_no_shot_are_all_shots_discarded() {
+        // Post-selection keeps weight 0.001: 100 shots round to none
+        // kept, 10,000 keep 10.
+        let mut base = QuantumCircuit::new(1, 1);
+        base.ry(2.0 * 0.001f64.sqrt().asin(), 0).unwrap();
+        base.post_select(0, true).unwrap();
+        base.measure(0, 0).unwrap();
+        let backend = DensityMatrixBackend::ideal();
+        let program = backend.compile(&base).unwrap();
+        assert_eq!(
+            backend.run_compiled(&program, 100),
+            Err(SimError::AllShotsDiscarded)
+        );
+        let kept = backend.run_compiled(&program, 10_000).unwrap();
+        assert_eq!((kept.counts.get(1), kept.shots_discarded), (10, 9_990));
+
+        let mut ac = AssertingCircuit::new(base);
+        ac.assert_classical([0], [true]).unwrap();
+        let err = AssertionSession::new(&backend)
+            .shot_plan(ShotPlan::Fixed(100))
+            .run(&ac)
+            .unwrap_err();
+        assert_eq!(err, AssertError::Sim(SimError::AllShotsDiscarded));
+    }
+
+    #[test]
     #[should_panic(expected = "invalid shot plan")]
     fn zero_shot_fixed_plan_is_rejected_at_the_session() {
         // Regression: core validation owns the zero-budget rejection

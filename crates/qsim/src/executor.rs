@@ -1331,8 +1331,8 @@ impl Backend for DensityMatrixBackend {
         _threads: Option<usize>,
     ) -> Result<RunResult, SimError> {
         let dist = self.exact_distribution_compiled(program)?;
-        let discarded = (dist.discarded_weight * shots as f64).round() as u64;
-        let kept_shots = shots - discarded.min(shots);
+        let discarded = ((dist.discarded_weight * shots as f64).round() as u64).min(shots);
+        let kept_shots = shots - discarded;
 
         // Largest-remainder apportionment of kept shots.
         let mut counts = Counts::new(dist.num_clbits);
@@ -1357,11 +1357,7 @@ impl Backend for DensityMatrixBackend {
         for (k, n, _) in floored {
             counts.record(k, n);
         }
-        Ok(RunResult {
-            counts,
-            shots_requested: shots,
-            shots_discarded: discarded,
-        })
+        RunResult::from_shots(shots, (counts, discarded))
     }
 }
 

@@ -49,14 +49,9 @@ OPTIONS:
                             at a time from accept to last byte, its job
                             included; a job waiting for a turn keeps its
                             thread, so at most conn-workers minus
-                            job-workers jobs wait
-                            [default: 2*cores within 4..=16]
-    --queue-capacity <N>    Admission bound on jobs waiting for a turn;
-                            beyond it submissions get a typed 429. It
-                            binds only below conn-workers minus
-                            job-workers, so at the defaults no job gets
-                            a 429; further connections wait in the
-                            kernel's accept backlog [default: 64]
+                            job-workers jobs wait, and further
+                            connections wait in the kernel's accept
+                            backlog [default: 2*cores within 4..=16]
     --max-body-bytes <N>    Request body limit (413 beyond it)
                             [default: 1048576]
     --cache-capacity <N>    Shared compiled-program cache entries
@@ -99,7 +94,6 @@ fn parse_config(args: &[String]) -> ServerConfig {
             "--addr" => config.addr = value.clone(),
             "--job-workers" => config.job_workers = parse_usize(value).max(1),
             "--conn-workers" => config.conn_workers = parse_usize(value).max(1),
-            "--queue-capacity" => config.queue_capacity = parse_usize(value).max(1),
             "--max-body-bytes" => config.max_body_bytes = parse_usize(value).max(1024),
             "--cache-capacity" => config.cache_capacity = parse_usize(value).max(1),
             other => fail(&format!("unknown flag '{other}'")),
@@ -118,11 +112,10 @@ fn main() {
         Err(e) => fail(&format!("cannot bind {}: {e}", config.addr)),
     };
     eprintln!(
-        "qassert-serve listening on {} (conn workers {}, job turns {}, queue {})",
+        "qassert-serve listening on {} (conn workers {}, job turns {})",
         server.addr(),
         config.conn_workers,
-        config.job_workers,
-        config.queue_capacity
+        config.job_workers
     );
 
     while !STOP.load(Ordering::Acquire) {

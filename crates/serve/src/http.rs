@@ -186,7 +186,6 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
         _ => "Internal Server Error",
     }
 }
@@ -378,10 +377,10 @@ mod tests {
     #[test]
     fn fixed_response_has_content_length_framing() {
         let received = pipe(|stream| {
-            write_response(stream, 429, "application/json", b"{\"x\":1}").expect("write");
+            write_response(stream, 413, "application/json", b"{\"x\":1}").expect("write");
         });
         let text = String::from_utf8(received).expect("utf-8");
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
+        assert!(text.starts_with("HTTP/1.1 413 Payload Too Large\r\n"));
         assert!(text.contains("content-length: 7\r\n"));
         assert!(text.ends_with("{\"x\":1}"));
     }

@@ -335,12 +335,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash as one
+                // slice: both are ASCII, so the run ends on a character
+                // boundary, and each byte is validated once.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |run| *pos + run);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| "invalid utf-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty rest");
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -434,6 +439,18 @@ mod tests {
     fn escapes_decode() {
         let v = parse(r#""line\nbreak A \" \\""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "line\nbreak A \" \\");
+    }
+
+    #[test]
+    fn a_long_string_decodes_exactly_in_linear_time() {
+        // A 1 MiB run ending in a multi-byte character and an escape.
+        let long = "a".repeat(1 << 20);
+        let src = format!("\"{long}\u{1F600}\\n\"");
+        let start = std::time::Instant::now();
+        let v = parse(&src).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v.as_str(), Some(format!("{long}\u{1F600}\n").as_str()));
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -94,19 +94,16 @@
 //! | 404/405| —                   | Unknown route / wrong method                |
 //! | 413    | `body_too_large`    | Body exceeds the configured limit           |
 //! | 422    | `execution_failed`  | Well-formed job the backend cannot run      |
-//! | 429    | `queue_full`        | Admission control: job was **not** executed |
 //! | 500    | `internal`          | Job panicked; `message` has the panic text  |
 //!
-//! A 429 is decided before compilation or execution — rejection under
-//! overload costs the server one queue-depth check. A job waiting for
-//! its turn keeps its connection worker, so while every turn is held at
-//! most `conn_workers − job_workers` jobs wait, and `queue_capacity`
-//! rejects only when set below that number. At the default
-//! [`ServerConfig`] sizing no job gets a 429: connections beyond the
-//! workers wait in the kernel's accept backlog, which the `queue_depth`
-//! gauge does not count. Graceful shutdown
-//! (SIGTERM) drains admitted jobs before exit, so an admitted job's
-//! response is never cut short by shutdown.
+//! Every 400 is decided before the job waits for a turn. No job is
+//! refused for load: the [`ServerConfig`] thread counts are the only
+//! admission bound. A job waiting for its turn keeps its connection
+//! worker, so while every turn is held at most `conn_workers −
+//! job_workers` jobs wait; connections beyond the workers wait in the
+//! kernel's accept backlog, which the `queue_depth` gauge does not
+//! count. Graceful shutdown (SIGTERM) drains admitted jobs before exit,
+//! so an admitted job's response is never cut short by shutdown.
 
 pub mod client;
 pub mod http;

@@ -17,7 +17,7 @@ use qsim::BackendKind;
 
 /// A structured service error: HTTP status plus a machine-readable
 /// JSON body (`error` code, `message`, and optional extra fields such
-/// as the QASM source span or the queue capacity).
+/// as the QASM source span or the shot ceiling).
 #[derive(Debug)]
 pub struct ApiError {
     /// HTTP status to answer with.
@@ -132,9 +132,8 @@ pub struct JobSpec {
 pub const DEFAULT_JOB_SHOTS: u64 = 1024;
 
 /// The hard ceiling on any job's shot budget (fixed shots or a
-/// sequential plan's `max_shots`): one admission-control knob the
-/// queue's depth bound cannot express — a single huge job would
-/// otherwise monopolize a worker.
+/// sequential plan's `max_shots`), checked at parse time, before
+/// admission: a single huge job would otherwise monopolize a turn.
 pub const MAX_JOB_SHOTS: u64 = 1 << 22;
 
 /// The ceiling on a job's `threads` (its shard count). Each shard costs
@@ -568,17 +567,6 @@ pub fn telemetry_record(telemetry: &SessionTelemetry, extra: Vec<(&str, Value)>)
     obj_from(members)
 }
 
-/// The stable body of a queue-full rejection (429): names the bound
-/// that tripped so clients can implement backoff against `capacity`.
-pub fn queue_full_error(capacity: usize) -> ApiError {
-    ApiError {
-        status: 429,
-        code: "queue_full",
-        message: format!("job queue is at capacity ({capacity}); retry with backoff"),
-        details: vec![("capacity", Value::from(capacity))],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,15 +687,6 @@ mod tests {
         .unwrap();
         let err = spec.build_circuit().unwrap_err();
         assert_eq!(err.code, "invalid_assertion");
-    }
-
-    #[test]
-    fn queue_full_body_names_the_capacity() {
-        let err = queue_full_error(32);
-        assert_eq!(err.status, 429);
-        let body = err.body();
-        assert!(body.contains("\"error\":\"queue_full\""), "{body}");
-        assert!(body.contains("\"capacity\":32"), "{body}");
     }
 
     #[test]

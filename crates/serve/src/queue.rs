@@ -1,20 +1,13 @@
-//! Bounded, fair admission of jobs to a fixed number of execution turns.
+//! Fair admission of jobs to a fixed number of execution turns.
 //!
 //! A job runs on the connection worker that parsed it, once that worker
 //! holds a [`Turn`]; at most `turns` are held at once.
 //!
-//! Admission control happens at [`JobQueue::submit`]: at most
-//! `capacity` jobs wait for a turn *in total*; one more is rejected
-//! immediately ([`SubmitError::Full`] — the server turns this into a
-//! typed 429 **before** any execution work happens), so latency under
-//! overload is bounded by queue depth rather than unbounded buffering.
-//!
 //! Each waiting job blocks the connection worker that submitted it, so
-//! the server's sizing bounds the queue too: while every turn is held,
-//! at most `conn_workers − job_workers` jobs wait, and `capacity`
-//! rejects only when it is set below that number. Connections beyond
-//! the workers wait in the kernel's accept backlog, which
-//! [`JobQueue::depth`] does not count.
+//! the server's thread counts are the only bound on waiting: while
+//! every turn is held, at most `conn_workers − job_workers` jobs wait.
+//! Connections beyond the workers wait in the kernel's accept backlog,
+//! which [`JobQueue::depth`] does not count.
 //!
 //! Fairness happens when a turn frees: waiting jobs are grouped per
 //! tenant (the API-token header) and granted turns round-robin across
@@ -23,16 +16,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-/// Why a submission was not admitted.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum SubmitError {
-    /// `capacity` jobs already wait; the job was NOT admitted.
-    Full {
-        /// The configured bound that tripped.
-        capacity: usize,
-    },
-}
 
 struct Inner {
     /// Per-tenant FIFO lanes of waiting jobs' tickets, in
@@ -49,12 +32,11 @@ struct Inner {
     next_ticket: u64,
 }
 
-/// The bounded fair queue of jobs waiting for an execution turn.
+/// The fair queue of jobs waiting for an execution turn.
 pub(crate) struct JobQueue {
     inner: Mutex<Inner>,
     /// Signalled whenever a turn frees or is taken with more waiting.
     changed: Condvar,
-    capacity: usize,
     turns: usize,
 }
 
@@ -75,15 +57,12 @@ impl Drop for Turn<'_> {
 }
 
 impl JobQueue {
-    /// Creates a queue admitting at most `capacity` waiting jobs to at
-    /// most `turns` concurrent turns.
+    /// Creates a queue granting at most `turns` concurrent turns.
     ///
     /// # Panics
     ///
-    /// Panics when `capacity == 0` or `turns == 0` (nothing could ever
-    /// be admitted or run).
-    pub(crate) fn new(capacity: usize, turns: usize) -> Self {
-        assert!(capacity >= 1, "queue capacity must be at least 1");
+    /// Panics when `turns == 0` (no job could ever run).
+    pub(crate) fn new(turns: usize) -> Self {
         assert!(turns >= 1, "turns must be at least 1");
         JobQueue {
             inner: Mutex::new(Inner {
@@ -94,14 +73,8 @@ impl JobQueue {
                 next_ticket: 0,
             }),
             changed: Condvar::new(),
-            capacity,
             turns,
         }
-    }
-
-    /// The configured admission bound.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Jobs currently waiting for a turn (momentary gauge).
@@ -114,20 +87,9 @@ impl JobQueue {
         self.inner.lock().expect("queue lock").held
     }
 
-    /// Admits a job for `tenant` and blocks until its fair turn, or
-    /// rejects it without side effects.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Full`] when `capacity` jobs already wait; the job
-    /// never entered the queue.
-    pub(crate) fn submit(&self, tenant: &str) -> Result<Turn<'_>, SubmitError> {
+    /// Enqueues a job for `tenant` and blocks until its fair turn.
+    pub(crate) fn submit(&self, tenant: &str) -> Turn<'_> {
         let mut inner = self.inner.lock().expect("queue lock");
-        if inner.waiting >= self.capacity {
-            return Err(SubmitError::Full {
-                capacity: self.capacity,
-            });
-        }
         let ticket = inner.next_ticket;
         inner.next_ticket += 1;
         match inner.lanes.iter_mut().find(|(name, _)| name == tenant) {
@@ -159,7 +121,7 @@ impl JobQueue {
                         // A turn is still free for the next job in line.
                         self.changed.notify_all();
                     }
-                    return Ok(Turn(self));
+                    return Turn(self);
                 }
             }
             inner = self.changed.wait(inner).expect("queue wait");
@@ -177,11 +139,11 @@ mod tests {
     fn grant_order(q: &JobQueue, jobs: &[(&str, &str)]) -> Vec<String> {
         let order = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
-            let held = q.submit("holder").expect("a free turn");
+            let held = q.submit("holder");
             for (queued, &(tenant, label)) in jobs.iter().enumerate() {
                 let order = &order;
                 scope.spawn(move || {
-                    let _turn = q.submit(tenant).expect("admitted");
+                    let _turn = q.submit(tenant);
                     order.lock().expect("order lock").push(label.to_string());
                 });
                 while q.depth() <= queued {
@@ -195,7 +157,7 @@ mod tests {
 
     #[test]
     fn fifo_within_a_tenant() {
-        let q = JobQueue::new(8, 1);
+        let q = JobQueue::new(1);
         let jobs = [
             ("alice", "0"),
             ("alice", "1"),
@@ -207,7 +169,7 @@ mod tests {
 
     #[test]
     fn round_robin_across_tenants() {
-        let q = JobQueue::new(16, 1);
+        let q = JobQueue::new(1);
         // alice floods, bob and carol each submit one.
         let mut jobs: Vec<(&str, &str)> = ["a0", "a1", "a2", "a3", "a4"]
             .into_iter()
@@ -226,33 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_rejects_without_admitting() {
-        let q = JobQueue::new(2, 1);
-        std::thread::scope(|scope| {
-            let held = q.submit("t").expect("a free turn");
-            for _ in 0..2 {
-                scope.spawn(|| drop(q.submit("t").expect("admitted")));
-            }
-            while q.depth() < 2 {
-                std::thread::yield_now();
-            }
-            assert_eq!(q.submit("t").err(), Some(SubmitError::Full { capacity: 2 }));
-            assert_eq!(q.depth(), 2, "the rejected job never entered");
-            drop(held);
-        });
-        // Granting turns frees capacity again.
-        assert_eq!((q.depth(), q.running()), (0, 0));
-        assert!(q.submit("t").is_ok());
-    }
-
-    #[test]
     fn at_most_job_workers_turns_are_held() {
-        let q = JobQueue::new(4, 2);
-        let first = q.submit("x").expect("a free turn");
-        let second = q.submit("y").expect("a free turn");
+        let q = JobQueue::new(2);
+        let first = q.submit("x");
+        let second = q.submit("y");
         std::thread::scope(|scope| {
             let third = scope.spawn(|| {
-                let _turn = q.submit("z").expect("admitted");
+                let _turn = q.submit("z");
                 q.running()
             });
             while q.depth() < 1 {
@@ -276,9 +218,9 @@ mod tests {
 
     #[test]
     fn served_tenants_leave_no_lane_behind() {
-        let q = JobQueue::new(4, 1);
+        let q = JobQueue::new(1);
         for tenant in 0..10_000 {
-            drop(q.submit(&format!("tenant-{tenant}")).expect("a free turn"));
+            drop(q.submit(&format!("tenant-{tenant}")));
         }
         assert_eq!(q.inner.lock().expect("queue lock").lanes.len(), 0);
     }

@@ -10,7 +10,7 @@
 //!   │ instrument the assertions and build the noise model (bad input:
 //!   │ 400, a panic: 500; neither takes a queue slot)
 //!   v
-//! JobQueue::submit(tenant) ──(queue_capacity jobs wait)──> 429
+//! JobQueue::submit(tenant)
 //!   │ blocks until the job's fair turn: round-robin across tenants,
 //!   │ FIFO within one, at most job_workers turns held
 //!   v
@@ -24,11 +24,12 @@
 //! thread blocks until it has work: in `accept()`, on its socket, or
 //! waiting for a turn. No thread polls, so an idle server costs nothing
 //! and a request waits for no tick. Execution capacity is `job_workers`
-//! turns; jobs beyond that wait in the queue, and jobs beyond the
-//! queue bound are rejected with a typed 429 **before** any compile or
-//! shot work. A job that panics, while it is instrumented or while it
-//! executes, is answered with a 500 `internal` error and counted in
-//! `jobs_failed`; its worker lives on and the gauges stay correct.
+//! turns; jobs beyond that wait in the queue, each holding its
+//! connection worker, so at most `conn_workers − job_workers` wait, and
+//! further connections wait in the kernel's accept backlog. A job that
+//! panics, while it is instrumented or while it executes, is answered
+//! with a 500 `internal` error and counted in `jobs_failed`; its worker
+//! lives on and the gauges stay correct.
 //!
 //! # Graceful shutdown
 //!
@@ -43,8 +44,8 @@
 
 use crate::http::{self, Request, RequestError};
 use crate::json::{obj, Value};
-use crate::protocol::{outcome_records, queue_full_error, telemetry_record, ApiError, JobSpec};
-use crate::queue::{JobQueue, SubmitError};
+use crate::protocol::{outcome_records, telemetry_record, ApiError, JobSpec};
+use crate::queue::JobQueue;
 use qassert::{AssertingCircuit, AssertionSession, SessionTelemetry};
 use qnoise::{presets, NoiseModel};
 use qsim::{
@@ -74,18 +75,12 @@ pub struct ServerConfig {
     pub job_workers: usize,
     /// Threads accepting and serving connections, one request at a
     /// time, its job included. Must exceed `job_workers` a little so
-    /// health checks and queue-full rejections are answered while
-    /// every turn is held. A job waiting for a turn keeps its worker,
-    /// so while every turn is held at most `conn_workers − job_workers`
-    /// jobs wait, whatever `queue_capacity` allows.
+    /// health checks and malformed jobs are answered while every turn
+    /// is held. A job waiting for a turn keeps its worker, so while
+    /// every turn is held at most `conn_workers − job_workers` jobs
+    /// wait; connections beyond the workers wait in the kernel's
+    /// accept backlog, which the `queue_depth` gauge does not count.
     pub conn_workers: usize,
-    /// Bound on jobs waiting for a turn (admitted, not yet executing).
-    /// It rejects (429) only when set below `conn_workers −
-    /// job_workers`, the most jobs that can wait; at the default sizing
-    /// (64 against 4–16 connection workers) no job gets a 429.
-    /// Connections beyond the workers wait in the kernel's accept
-    /// backlog, which the `queue_depth` gauge does not count.
-    pub queue_capacity: usize,
     /// Bound on request body size in bytes (413 beyond it).
     pub max_body_bytes: usize,
     /// Capacity of the shared compiled-program cache.
@@ -101,7 +96,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7177".to_string(),
             job_workers: cores.clamp(1, 4),
             conn_workers: (2 * cores).clamp(4, 16),
-            queue_capacity: 64,
             max_body_bytes: 1 << 20,
             cache_capacity: 512,
         }
@@ -121,8 +115,6 @@ struct ServeState {
     /// Jobs answered with a 500 `internal` because instrumenting or
     /// executing them panicked, since start.
     jobs_failed: AtomicU64,
-    /// Submissions rejected by admission control (429) since start.
-    jobs_rejected: AtomicU64,
 }
 
 impl ServeState {
@@ -133,7 +125,6 @@ impl ServeState {
         obj([
             ("status", Value::from("ok")),
             ("queue_depth", Value::from(self.queue.depth())),
-            ("queue_capacity", Value::from(self.queue.capacity())),
             ("jobs_running", Value::from(self.queue.running())),
             ("pool_workers", Value::from(pool.workers)),
             ("pool_queue_depth", Value::from(pool.queue_depth)),
@@ -148,7 +139,6 @@ impl ServeState {
         let cache = self.cache.stats();
         obj([
             ("queue_depth", Value::from(self.queue.depth())),
-            ("queue_capacity", Value::from(self.queue.capacity())),
             ("jobs_running", Value::from(self.queue.running())),
             (
                 "jobs_done",
@@ -157,10 +147,6 @@ impl ServeState {
             (
                 "jobs_failed",
                 Value::from(self.jobs_failed.load(Ordering::Relaxed)),
-            ),
-            (
-                "jobs_rejected",
-                Value::from(self.jobs_rejected.load(Ordering::Relaxed)),
             ),
             ("cache_hits", Value::from(cache.hits)),
             ("cache_misses", Value::from(cache.misses)),
@@ -202,12 +188,11 @@ impl Server {
             addr: listener.local_addr()?,
             state: Arc::new(ServeState {
                 cache: ProgramCache::new(config.cache_capacity.max(1)),
-                queue: JobQueue::new(config.queue_capacity, config.job_workers.max(1)),
+                queue: JobQueue::new(config.job_workers.max(1)),
                 max_body_bytes: config.max_body_bytes,
                 shutting_down: AtomicBool::new(false),
                 jobs_done: AtomicU64::new(0),
                 jobs_failed: AtomicU64::new(0),
-                jobs_rejected: AtomicU64::new(0),
             }),
             workers: Vec::new(),
         };
@@ -355,13 +340,7 @@ fn handle_job(state: &ServeState, request: &Request) -> Result<Vec<String>, ApiE
         .map_err(|e| ApiError::bad_request("invalid_noise", e.to_string()))?;
 
     let tenant = request.header("x-api-token").unwrap_or("anonymous");
-    let turn = state
-        .queue
-        .submit(tenant)
-        .map_err(|SubmitError::Full { capacity }| {
-            state.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            queue_full_error(capacity)
-        })?;
+    let turn = state.queue.submit(tenant);
     let result = state.guarded(|| execute(state, &spec, &circuit, noise));
     // Free the turn before the response is written: a slow reader must
     // not hold up the next job.

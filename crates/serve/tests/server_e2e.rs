@@ -23,7 +23,6 @@ fn test_config() -> ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         job_workers: 2,
         conn_workers: 8,
-        queue_capacity: 8,
         max_body_bytes: 64 * 1024,
         cache_capacity: 64,
     }
@@ -204,64 +203,6 @@ fn repeated_jobs_hit_the_shared_program_cache() {
 }
 
 #[test]
-fn queue_full_gets_typed_429_without_executing() {
-    let server = Server::start(ServerConfig {
-        job_workers: 1,
-        queue_capacity: 1,
-        ..test_config()
-    })
-    .expect("start");
-    let addr = server.addr();
-
-    // Two slow trajectory jobs: one occupies the single worker, the
-    // other the single queue slot. Admit them one at a time — waiting
-    // for the first to be *popped* before submitting the second —
-    // otherwise the second can race the worker for the lone queue slot
-    // and take the 429 meant for the probe.
-    let slow = format!(
-        "{{\"qasm\": \"{GHZ_QASM}\", \"backend\": \"trajectory\", \
-         \"noise\": {{\"p1\": 0.001, \"p2\": 0.01, \"readout\": 0.01}}, \
-         \"plan\": {{\"fixed\": 300000}}, \"seed\": 1}}"
-    );
-    let slow_jobs: Vec<_> = (0..2)
-        .map(|i| {
-            let slow = slow.clone();
-            let admitted = if i == 0 {
-                |m: &Value| field(m, "jobs_running") == 1
-            } else {
-                |m: &Value| field(m, "queue_depth") == 1
-            };
-            let handle =
-                std::thread::spawn(move || client::post_job(addr, "flooder", &slow).expect("post"));
-            wait_for_metrics(addr, Duration::from_secs(60), admitted);
-            handle
-        })
-        .collect();
-    let probe = client::post_job(addr, "victim", &ghz_job("")).expect("probe");
-    assert_eq!(probe.status, 429, "body: {}", probe.body);
-    assert!(
-        probe.body.contains("\"error\":\"queue_full\""),
-        "{}",
-        probe.body
-    );
-    assert!(probe.body.contains("\"capacity\":1"), "{}", probe.body);
-
-    for job in slow_jobs {
-        let response = job.join().expect("slow job thread");
-        assert_eq!(response.status, 200, "body: {}", response.body);
-    }
-    // The rejected probe never executed: exactly the two admitted jobs
-    // ran, and the rejection was counted.
-    let metrics = wait_for_metrics(addr, Duration::from_secs(5), |m| {
-        field(m, "jobs_running") == 0
-    });
-    assert_eq!(field(&metrics, "jobs_done"), 2, "{}", metrics.render());
-    assert_eq!(field(&metrics, "jobs_rejected"), 1, "{}", metrics.render());
-
-    server.shutdown();
-}
-
-#[test]
 fn invalid_noise_gets_its_400_before_admission() {
     let server = Server::start(ServerConfig {
         job_workers: 1,
@@ -314,7 +255,6 @@ fn invalid_noise_gets_its_400_before_admission() {
 fn graceful_shutdown_drains_admitted_jobs() {
     let server = Server::start(ServerConfig {
         job_workers: 1,
-        queue_capacity: 8,
         ..test_config()
     })
     .expect("start");
@@ -454,7 +394,6 @@ fn health_reports_liveness_and_gauges() {
     let health = qassert_serve::json::parse(&response.body).expect("health JSON");
     assert_eq!(health.get("status").and_then(Value::as_str), Some("ok"));
     assert_eq!(field(&health, "queue_depth"), 0);
-    assert_eq!(field(&health, "queue_capacity"), 8);
     server.shutdown();
 }
 

@@ -33,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         addr: "127.0.0.1:0".to_string(),
         job_workers: 2,
         conn_workers: 4,
-        queue_capacity: 8,
         ..ServerConfig::default()
     })?;
     println!("server listening on http://{}", server.addr());
