@@ -5,7 +5,9 @@
 //! any number is reported), times both legs in this process, and
 //! evaluates its gates: the floors and ceilings written as constants
 //! beside the row. The run writes `BENCH_perf.json` at the workspace
-//! root and exits 4 if any gate failed.
+//! root under `cargo bench`, or into the current directory when the
+//! binary runs without cargo's `CARGO_MANIFEST_DIR`, and exits 4 if any
+//! gate failed.
 //!
 //! ```text
 //! cargo bench -p qassert-bench --bench perf                 # every row
@@ -1150,9 +1152,15 @@ fn main() {
         failed.is_empty(),
         rows_json.join(",")
     );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("failed to write {out}: {e}");
+    // Read at run time: `cargo bench` sets it to this crate's directory,
+    // two below the workspace root, while a binary copied out of the
+    // tree it was built in must not write back into that tree.
+    let out = std::env::var_os("CARGO_MANIFEST_DIR").map_or_else(
+        || std::path::PathBuf::from("BENCH_perf.json"),
+        |dir| std::path::Path::new(&dir).join("../../BENCH_perf.json"),
+    );
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("failed to write {}: {e}", out.display());
         std::process::exit(1);
     }
     if !failed.is_empty() {

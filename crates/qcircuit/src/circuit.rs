@@ -437,17 +437,15 @@ impl QuantumCircuit {
     /// thus silently wrong programs) merely improbable; 128 bits makes
     /// them unreachable in practice.
     pub fn structural_hash(&self) -> u128 {
-        let mut lo = StructuralHasher::new(0x243F_6A88_85A3_08D3); // pi
-        let mut hi = StructuralHasher::new(0x1319_8A2E_0370_7344); // more pi
-        for h in [&mut lo, &mut hi] {
-            h.write(self.num_qubits as u64);
-            h.write(self.num_clbits as u64);
-            h.write(self.instructions.len() as u64);
-            for instr in &self.instructions {
-                h.write_instruction(instr);
-            }
+        // pi, then more pi
+        let mut h = StructuralHasher::new([0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344]);
+        h.write(self.num_qubits as u64);
+        h.write(self.num_clbits as u64);
+        h.write(self.instructions.len() as u64);
+        for instr in &self.instructions {
+            h.write_instruction(instr);
         }
-        (u128::from(hi.finish()) << 64) | u128::from(lo.finish())
+        h.finish()
     }
 
     /// Rolling 128-bit structural hashes of the circuit's instruction
@@ -465,38 +463,42 @@ impl QuantumCircuit {
     /// one. Sweep harnesses use this to detect shared lowered prefixes
     /// across a family without comparing instruction streams.
     pub fn prefix_hashes(&self) -> Vec<u128> {
-        let mut lo = StructuralHasher::new(0x4528_21E6_38D0_1377); // pi, fifth chunk
-        let mut hi = StructuralHasher::new(0xBE54_66CF_34E9_0C6C); // pi, sixth chunk
+        // pi, fifth and sixth chunks
+        let mut h = StructuralHasher::new([0x4528_21E6_38D0_1377, 0xBE54_66CF_34E9_0C6C]);
         let mut out = Vec::with_capacity(self.instructions.len() + 1);
-        out.push((u128::from(hi.finish()) << 64) | u128::from(lo.finish()));
+        out.push(h.finish());
         for instr in &self.instructions {
-            lo.write_instruction(instr);
-            hi.write_instruction(instr);
-            out.push((u128::from(hi.finish()) << 64) | u128::from(lo.finish()));
+            h.write_instruction(instr);
+            out.push(h.finish());
         }
         out
     }
 }
 
-/// SplitMix64-based accumulator for [`QuantumCircuit::structural_hash`].
+/// SplitMix64-based accumulator for [`QuantumCircuit::structural_hash`]:
+/// two independently seeded 64-bit lanes (low, high) fed the same
+/// writes. Each write advances both lanes in one step, so their two
+/// dependent multiply chains overlap instead of running one after the
+/// other.
 struct StructuralHasher {
-    state: u64,
+    lanes: [u64; 2],
 }
 
 impl StructuralHasher {
-    fn new(seed: u64) -> Self {
-        StructuralHasher { state: seed }
+    fn new(seeds: [u64; 2]) -> Self {
+        StructuralHasher { lanes: seeds }
     }
 
     fn write(&mut self, value: u64) {
-        let mut z = self
-            .state
-            .rotate_left(23)
-            .wrapping_add(value)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.state = z ^ (z >> 31);
+        for state in &mut self.lanes {
+            let mut z = state
+                .rotate_left(23)
+                .wrapping_add(value)
+                .wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *state = z ^ (z >> 31);
+        }
     }
 
     fn write_instruction(&mut self, instr: &Instruction) {
@@ -543,8 +545,8 @@ impl StructuralHasher {
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.state
+    fn finish(&self) -> u128 {
+        (u128::from(self.lanes[1]) << 64) | u128::from(self.lanes[0])
     }
 }
 
@@ -867,6 +869,66 @@ mod tests {
         let oh = other.prefix_hashes();
         assert_eq!(oh[1], ph[1]);
         assert_ne!(oh[2], ph[2]);
+    }
+
+    /// The program cache keys on these values, so a change to the hash's
+    /// evaluation order must leave every one of them unchanged.
+    #[test]
+    fn structural_hash_values_are_pinned() {
+        let mut gated = QuantumCircuit::new(2, 1);
+        gated
+            .rx(0.25, 0)
+            .unwrap()
+            .u3(0.1, -0.2, 0.3, 1)
+            .unwrap()
+            .measure(0, 0)
+            .unwrap()
+            .gate_if(Gate::X, [1usize], 0, true)
+            .unwrap();
+        // The shape instrumentation emits for a parity assertion: the
+        // ancilla (qubit 2) collects both data parities, is measured
+        // mid-circuit and reset, and the data are measured at the end.
+        let mut instrumented = QuantumCircuit::new(3, 3);
+        instrumented
+            .h(0)
+            .unwrap()
+            .cx(0, 1)
+            .unwrap()
+            .cx(0, 2)
+            .unwrap()
+            .cx(1, 2)
+            .unwrap()
+            .measure(2, 2)
+            .unwrap()
+            .reset(2)
+            .unwrap()
+            .t(1)
+            .unwrap()
+            .measure(0, 0)
+            .unwrap()
+            .measure(1, 1)
+            .unwrap();
+        let pinned = [
+            (
+                crate::library::bell(),
+                0xac4e_18d3_3f7f_7a6c_d21b_9d15_78fd_c0ba_u128,
+                0xa335_97dc_8548_dc4f_dc09_cf65_1083_db37_u128,
+            ),
+            (
+                gated,
+                0x55ef_30ab_9433_cdc5_0802_e523_4fcc_4bc0,
+                0x5840_13e8_f940_eedb_911f_29bd_b32e_3d02,
+            ),
+            (
+                instrumented,
+                0xda0f_7da5_8d25_eb58_bd0d_b06b_f863_7601,
+                0x8556_8158_3bd3_8a36_05f5_35c0_6981_873c,
+            ),
+        ];
+        for (circuit, whole, prefix) in pinned {
+            assert_eq!(circuit.structural_hash(), whole);
+            assert_eq!(circuit.prefix_hashes().last(), Some(&prefix));
+        }
     }
 
     #[test]

@@ -6,11 +6,20 @@
 //! custom bit orders (`q1q2`, `q0q1q2`), which the experiment harness
 //! produces via [`Counts::bitstring_custom`].
 //!
+//! A histogram is one `(key, count)` list in strictly ascending key order
+//! with no zero counts. Every constructor and operation keeps that
+//! invariant, so equal histograms are equal field by field, iterate in
+//! the same order and give bit-identical float reductions. Lookups are
+//! binary searches; merges, distances and filters are linear scans.
+//! Shot loops tally through a crate-private buffer folded in by sort and
+//! merge, and bulk input goes through [`Counts::from_pairs`], which sorts
+//! once; [`Counts::record`] is O(1) only in ascending key order.
+//!
 //! The post-selection filter at the heart of the paper's NISQ use case is
 //! [`Counts::filter_bit`]: drop every shot whose assertion ancilla
 //! flagged an error.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Histogram of classical outcomes over a fixed number of bits.
@@ -29,7 +38,8 @@ use std::fmt;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Counts {
     num_bits: usize,
-    map: HashMap<u64, u64>,
+    /// Strictly ascending keys, no zero counts.
+    entries: Vec<(u64, u64)>,
 }
 
 impl Counts {
@@ -42,20 +52,32 @@ impl Counts {
         assert!(num_bits <= 64, "counts keys are limited to 64 bits");
         Counts {
             num_bits,
-            map: HashMap::new(),
+            entries: Vec::new(),
         }
     }
 
-    /// Creates a histogram from `(key, count)` pairs.
+    /// Creates a histogram from `(key, count)` pairs in any order,
+    /// summing repeated keys: one sort, O(n log n) in the pairs.
     ///
     /// # Panics
     ///
     /// Panics if `num_bits > 64` or any key uses bits above `num_bits`.
     pub fn from_pairs(num_bits: usize, pairs: impl IntoIterator<Item = (u64, u64)>) -> Self {
         let mut c = Counts::new(num_bits);
-        for (k, n) in pairs {
-            c.record(k, n);
-        }
+        let mut entries: Vec<(u64, u64)> = pairs
+            .into_iter()
+            .inspect(|&(k, _)| c.check_key(k))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        c.entries = entries;
         c
     }
 
@@ -64,25 +86,45 @@ impl Counts {
         self.num_bits
     }
 
-    /// Adds `n` observations of `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` uses bits above `num_bits`.
-    pub fn record(&mut self, key: u64, n: u64) {
+    /// Asserts that `key` fits in `num_bits` bits.
+    fn check_key(&self, key: u64) {
         assert!(
             self.num_bits == 64 || key < (1u64 << self.num_bits),
             "key {key:#b} exceeds {} bits",
             self.num_bits
         );
-        if n > 0 {
-            *self.map.entry(key).or_insert(0) += n;
+    }
+
+    /// Adds `n` observations of `key`.
+    ///
+    /// O(1) for a key at or above the largest one recorded so far.
+    /// Otherwise it is a binary search and an insert, O(distinct): build
+    /// a histogram from unordered keys with [`Counts::from_pairs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` uses bits above `num_bits`.
+    pub fn record(&mut self, key: u64, n: u64) {
+        self.check_key(key);
+        if n == 0 {
+            return;
+        }
+        match self.entries.last_mut() {
+            Some((last, _)) if *last < key => self.entries.push((key, n)),
+            Some((last, total)) if *last == key => *total += n,
+            None => self.entries.push((key, n)),
+            Some(_) => match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(i) => self.entries[i].1 += n,
+                Err(i) => self.entries.insert(i, (key, n)),
+            },
         }
     }
 
     /// The count for `key` (0 when never observed).
     pub fn get(&self, key: u64) -> u64 {
-        self.map.get(&key).copied().unwrap_or(0)
+        self.entries
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .map_or(0, |i| self.entries[i].1)
     }
 
     /// The count for an MSB-first bitstring such as `"010"`.
@@ -95,41 +137,35 @@ impl Counts {
 
     /// Total number of recorded shots.
     pub fn total(&self) -> u64 {
-        self.map.values().sum()
+        self.entries.iter().map(|&(_, n)| n).sum()
     }
 
     /// Number of distinct outcomes observed.
     pub fn distinct(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Returns `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Empirical probability of `key`.
     ///
     /// Returns 0 when no shots are recorded.
     pub fn probability(&self, key: u64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.get(key) as f64 / total as f64
-        }
+        share(self.get(key), self.total())
     }
 
-    /// Iterates over `(key, count)` pairs in unspecified order.
+    /// Iterates over `(key, count)` pairs in ascending key order; every
+    /// count is positive.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
+        self.entries.iter().copied()
     }
 
     /// The outcomes sorted by key, as `(bitstring, count)` pairs.
     pub fn to_sorted_vec(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(u64, u64)> = self.map.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_unstable_by_key(|(k, _)| *k);
-        v.into_iter()
+        self.iter()
             .map(|(k, n)| (bitstring(k, self.num_bits), n))
             .collect()
     }
@@ -137,13 +173,13 @@ impl Counts {
     /// The most frequent outcome, or `None` when empty. Ties break toward
     /// the smaller key so the result is deterministic.
     pub fn most_frequent(&self) -> Option<u64> {
-        self.map
-            .iter()
+        self.iter()
             .max_by(|(ka, na), (kb, nb)| na.cmp(nb).then(kb.cmp(ka)))
-            .map(|(k, _)| *k)
+            .map(|(k, _)| k)
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one, in one linear walk over
+    /// both.
     ///
     /// # Panics
     ///
@@ -153,50 +189,43 @@ impl Counts {
             self.num_bits, other.num_bits,
             "cannot merge different widths"
         );
-        for (k, n) in other.iter() {
-            self.record(k, n);
-        }
+        self.merge_entries(&other.entries);
     }
 
-    /// Merges another histogram into this one by consuming it.
-    ///
-    /// Unlike [`Counts::merge`], no per-key re-insertion happens when
-    /// either side is empty — the larger map is kept wholesale and only
-    /// the smaller side's entries are folded in. This is the merge the
-    /// shot-sharding harness uses: on a 1000-shard sweep it touches each
-    /// allocated map once instead of rehashing every shard's keys into a
-    /// fresh accumulator.
+    /// Merges another histogram into this one by consuming it: the
+    /// shard and tranche merge. Linear in both sides, and when this one
+    /// is empty it takes `other`'s entries without a copy.
     ///
     /// # Panics
     ///
     /// Panics when the bit widths differ.
-    pub fn absorb(&mut self, mut other: Counts) {
+    pub fn absorb(&mut self, other: Counts) {
         assert_eq!(
             self.num_bits, other.num_bits,
             "cannot merge different widths"
         );
-        // Addition is commutative: fold the smaller map into the larger
-        // regardless of which side the caller holds.
-        if other.map.len() > self.map.len() {
-            std::mem::swap(&mut self.map, &mut other.map);
+        if self.entries.is_empty() {
+            self.entries = other.entries;
+        } else {
+            self.merge_entries(&other.entries);
         }
-        for (k, n) in other.map {
-            if n > 0 {
-                *self.map.entry(k).or_insert(0) += n;
-            }
+    }
+
+    /// Adds a strictly ascending, zero-free entry list into this one.
+    fn merge_entries(&mut self, other: &[(u64, u64)]) {
+        if other.is_empty() {
+            return;
         }
+        let mut merged = Vec::with_capacity(self.entries.len() + other.len());
+        merge_walk(&self.entries, other, |k, a, b| merged.push((k, a + b)));
+        self.entries = merged;
     }
 
     /// Keeps only the outcomes for which `predicate` returns `true`.
     pub fn filter(&self, predicate: impl Fn(u64) -> bool) -> Counts {
         Counts {
             num_bits: self.num_bits,
-            map: self
-                .map
-                .iter()
-                .filter(|(k, _)| predicate(**k))
-                .map(|(k, v)| (*k, *v))
-                .collect(),
+            entries: self.iter().filter(|&(k, _)| predicate(k)).collect(),
         }
     }
 
@@ -210,17 +239,12 @@ impl Counts {
     /// Projects the histogram onto a subset of bits. `bits[j]` becomes
     /// bit `j` of the new keys.
     pub fn marginal(&self, bits: &[usize]) -> Counts {
-        let mut out = Counts::new(bits.len());
-        for (k, n) in self.iter() {
-            let mut key = 0u64;
-            for (j, b) in bits.iter().enumerate() {
-                if (k >> b) & 1 == 1 {
-                    key |= 1 << j;
-                }
-            }
-            out.record(key, n);
-        }
-        out
+        let project = |k: u64| {
+            bits.iter()
+                .enumerate()
+                .fold(0u64, |key, (j, b)| key | (((k >> b) & 1) << j))
+        };
+        Counts::from_pairs(bits.len(), self.iter().map(|(k, n)| (project(k), n)))
     }
 
     /// Dense probability vector of length `2^num_bits`.
@@ -232,33 +256,30 @@ impl Counts {
         assert!(self.num_bits <= 24, "dense probability vector too large");
         let mut v = vec![0.0; 1 << self.num_bits];
         let total = self.total();
-        if total == 0 {
-            return v;
-        }
         for (k, n) in self.iter() {
-            v[k as usize] = n as f64 / total as f64;
+            v[k as usize] = share(n, total);
         }
         v
     }
 
     /// Total variation distance to another histogram over the same bits:
-    /// `½ Σ |p(k) − q(k)|`.
+    /// `½ Σ |p(k) − q(k)|`, summed in ascending key order.
     ///
     /// # Panics
     ///
     /// Panics when the bit widths differ.
     pub fn tvd(&self, other: &Counts) -> f64 {
         assert_eq!(self.num_bits, other.num_bits, "tvd requires equal widths");
-        let keys: std::collections::HashSet<u64> =
-            self.map.keys().chain(other.map.keys()).copied().collect();
-        0.5 * keys
-            .into_iter()
-            .map(|k| (self.probability(k) - other.probability(k)).abs())
-            .sum::<f64>()
+        let (ta, tb) = (self.total(), other.total());
+        let mut sum = 0.0;
+        merge_walk(&self.entries, &other.entries, |_, a, b| {
+            sum += (share(a, ta) - share(b, tb)).abs();
+        });
+        0.5 * sum
     }
 
     /// Hellinger distance to another histogram:
-    /// `√(1 − Σ √(p(k)·q(k)))`.
+    /// `√(1 − Σ √(p(k)·q(k)))`, summed in ascending key order.
     ///
     /// # Panics
     ///
@@ -268,12 +289,11 @@ impl Counts {
             self.num_bits, other.num_bits,
             "hellinger requires equal widths"
         );
-        let keys: std::collections::HashSet<u64> =
-            self.map.keys().chain(other.map.keys()).copied().collect();
-        let bc: f64 = keys
-            .into_iter()
-            .map(|k| (self.probability(k) * other.probability(k)).sqrt())
-            .sum();
+        let (ta, tb) = (self.total(), other.total());
+        let mut bc = 0.0;
+        merge_walk(&self.entries, &other.entries, |_, a, b| {
+            bc += (share(a, ta) * share(b, tb)).sqrt();
+        });
         (1.0 - bc.min(1.0)).sqrt()
     }
 
@@ -285,6 +305,96 @@ impl Counts {
             .iter()
             .map(|b| if (key >> b) & 1 == 1 { '1' } else { '0' })
             .collect()
+    }
+}
+
+/// `n / total`, or 0 when `total` is 0.
+fn share(n: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        n as f64 / total as f64
+    }
+}
+
+/// The one merge walk: visits every key of two strictly ascending entry
+/// lists in ascending order, with its count on each side (0 where
+/// absent). Merges, the tally's fold and both distances run on it.
+fn merge_walk(mut a: &[(u64, u64)], mut b: &[(u64, u64)], mut visit: impl FnMut(u64, u64, u64)) {
+    loop {
+        let order = match (a.first(), b.first()) {
+            (Some(x), Some(y)) => x.0.cmp(&y.0),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        let (mut key, mut na, mut nb) = (0, 0, 0);
+        if order.is_le() {
+            (key, na) = a[0];
+            a = &a[1..];
+        }
+        if order.is_ge() {
+            (key, nb) = b[0];
+            b = &b[1..];
+        }
+        visit(key, na, nb);
+    }
+}
+
+/// A shot loop's histogram under construction. Each shot's key goes
+/// into a pending buffer, with no per-shot lookup; once the buffer
+/// holds `max(1,024, distinct)` keys it is sorted, run-length coded and
+/// merged into the histogram. So a tally holds O(distinct) memory, as
+/// the histogram itself does, and costs O(log) amortized per shot.
+pub(crate) struct Tally {
+    counts: Counts,
+    pending: Vec<u64>,
+}
+
+impl Tally {
+    /// The smallest buffer a tally folds at.
+    const MIN_FOLD: usize = 1024;
+
+    /// An empty tally over `num_bits` bits, expecting about `shots` keys.
+    pub(crate) fn new(num_bits: usize, shots: u64) -> Self {
+        Tally {
+            counts: Counts::new(num_bits),
+            pending: Vec::with_capacity(shots.min(Self::MIN_FOLD as u64) as usize),
+        }
+    }
+
+    /// Adds one observation of `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` uses bits above the tally's width.
+    pub(crate) fn push(&mut self, key: u64) {
+        self.counts.check_key(key);
+        self.pending.push(key);
+        if self.pending.len() >= Self::MIN_FOLD.max(self.counts.distinct()) {
+            self.fold();
+        }
+    }
+
+    /// Sorts the pending keys and merges their runs into the histogram.
+    fn fold(&mut self) {
+        self.pending.sort_unstable();
+        let runs = self
+            .pending
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u64))
+            .collect();
+        self.pending.clear();
+        self.counts.absorb(Counts {
+            num_bits: self.counts.num_bits,
+            entries: runs,
+        });
+    }
+
+    /// The finished histogram.
+    pub(crate) fn finish(mut self) -> Counts {
+        self.fold();
+        self.counts
     }
 }
 
@@ -501,6 +611,75 @@ mod tests {
         let v = c.to_sorted_vec();
         assert_eq!(v[0].0, "000");
         assert_eq!(v[3].0, "111");
+    }
+
+    /// A SplitMix64 key stream: `len` keys over `values` distinct values.
+    fn key_stream(len: usize, values: u64, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % values
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tally_matches_one_record_per_key() {
+        for len in [0, 1, 1023, 1024, 1025, 5000] {
+            for values in [1, 16, 3000] {
+                let keys = key_stream(len, values, len as u64 ^ values);
+                let mut expected = Counts::new(12);
+                let mut tally = Tally::new(12, len as u64);
+                for &k in &keys {
+                    expected.record(k, 1);
+                    tally.push(k);
+                    assert!(
+                        tally.pending.len() <= Tally::MIN_FOLD.max(tally.counts.distinct()),
+                        "{} keys pending over {} folded",
+                        tally.pending.len(),
+                        tally.counts.distinct()
+                    );
+                }
+                assert_eq!(tally.finish(), expected, "{len} keys over {values} values");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn tally_rejects_oversized_key() {
+        Tally::new(2, 1).push(0b100);
+    }
+
+    /// Equal histograms iterate, render and reduce identically, however
+    /// they were built.
+    #[test]
+    fn equal_histograms_give_identical_bits() {
+        let keys = key_stream(200, 1 << 14, 7);
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, 1 + k % 97)).collect();
+        let forward = Counts::from_pairs(14, pairs.iter().copied());
+        let backward = Counts::from_pairs(14, pairs.iter().rev().copied());
+        let mut recorded = Counts::new(14);
+        for &(k, n) in pairs.iter().rev() {
+            recorded.record(k, n);
+        }
+        let third = Counts::from_pairs(14, pairs.iter().step_by(3).map(|&(k, n)| (k ^ 1, n)));
+        let listed: Vec<(u64, u64)> = forward.iter().collect();
+        assert!(listed.windows(2).all(|w| w[0].0 < w[1].0), "not ascending");
+        for other in [&backward, &recorded] {
+            assert_eq!(other, &forward);
+            assert_eq!(other.iter().collect::<Vec<_>>(), listed);
+            assert_eq!(other.tvd(&third).to_bits(), forward.tvd(&third).to_bits());
+            assert_eq!(
+                other.hellinger(&third).to_bits(),
+                forward.hellinger(&third).to_bits()
+            );
+            assert_eq!(format!("{other:?}"), format!("{forward:?}"));
+        }
     }
 
     #[test]

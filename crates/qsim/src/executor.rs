@@ -57,7 +57,7 @@
 //! compilation would not amortize.
 
 use crate::compile::{compile_with, CompileOptions};
-use crate::counts::Counts;
+use crate::counts::{Counts, Tally};
 use crate::density::DensityMatrix;
 use crate::draws::Draws;
 use crate::error::SimError;
@@ -601,7 +601,7 @@ fn run_shard<S>(
     shot: impl Fn(&mut S, &mut Recorder<'_>) -> Result<Option<u64>, SimError>,
 ) -> Result<(Counts, u64), SimError> {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut counts = Counts::new(num_clbits);
+    let mut tally = Tally::new(num_clbits, shots);
     let mut discarded = 0u64;
     let mut delta = tree.map(OutcomeTree::delta);
     for _ in 0..shots {
@@ -610,14 +610,14 @@ fn run_shard<S>(
             None => shot(&mut scratch, &mut Recorder::plain(&mut rng))?,
         };
         match outcome {
-            Some(clbits) => counts.record(clbits, 1),
+            Some(clbits) => tally.push(clbits),
             None => discarded += 1,
         }
     }
     if let Some(delta) = delta {
         delta.publish();
     }
-    Ok((counts, discarded))
+    Ok((tally.finish(), discarded))
 }
 
 /// The amplitude per-shot function. Each shot starts from a fresh
@@ -1335,7 +1335,6 @@ impl Backend for DensityMatrixBackend {
         let kept_shots = shots - discarded;
 
         // Largest-remainder apportionment of kept shots.
-        let mut counts = Counts::new(dist.num_clbits);
         let mut floored: Vec<(u64, u64, f64)> = dist
             .outcomes
             .iter()
@@ -1354,9 +1353,8 @@ impl Backend for DensityMatrixBackend {
             entry.1 += 1;
             remainder -= 1;
         }
-        for (k, n, _) in floored {
-            counts.record(k, n);
-        }
+        let counts =
+            Counts::from_pairs(dist.num_clbits, floored.into_iter().map(|(k, n, _)| (k, n)));
         RunResult::from_shots(shots, (counts, discarded))
     }
 }
